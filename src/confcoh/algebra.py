@@ -28,9 +28,11 @@ from .poly import (
     DEL,
     RatPoly,
     lam,
+    mat_add,
     mat_apply,
+    mat_mul,
+    mat_sub,
     mat_subst,
-    unit_vec,
     vec_add,
     vec_scale,
     vec_subst,
@@ -74,9 +76,6 @@ class ConformalAlgebra:
 
     def bracket(self, i, j):
         return self.table[i][j]
-
-    def gen_element(self, i):
-        return unit_vec(self.ngens, i)
 
     def index_of(self, name):
         return self.gen_names.index(name)
@@ -139,17 +138,6 @@ class ConformalModule:
             scal = p.substitute(DEL, -param)
             out = vec_add(out, vec_scale(scal, self.act(i, param, value)))
         return out
-
-    def right_act(self, gen, param, value):
-        if self.right_action is None:
-            raise WrongModuleKind("module carries no right action")
-        key = ("r", gen, param)
-        mat = self._act_cache.get(key)
-        if mat is None:
-            mat = mat_subst(self.right_action[gen], {_L1: param})
-            self._act_cache[key] = mat
-        shifted = vec_subst(value, {DEL: _DELP + param})
-        return mat_apply(mat, shifted)
 
     def __repr__(self):
         if self.kind == "scalar":
@@ -390,7 +378,7 @@ def check_module(algebra, module):
         for j in range(n):
             a_j = mat_subst(act[j], {_L1: lam2})
             a_j_shift = mat_subst(a_j, {DEL: lam1 + _DELP})
-            lhs = _mat_sub(_mat_mul(a_i, a_j_shift), _mat_mul(a_j, a_i_shift))
+            lhs = mat_sub(mat_mul(a_i, a_j_shift), mat_mul(a_j, a_i_shift))
             rhs = None
             for k in range(n):
                 c = algebra.table[i][j][k].subst_many({DEL: -lam1 - lam2})
@@ -400,10 +388,10 @@ def check_module(algebra, module):
                     [c * p.subst_many({_L1: lam1 + lam2}) for p in row]
                     for row in act[k]
                 ]
-                rhs = term if rhs is None else _mat_add(rhs, term)
+                rhs = term if rhs is None else mat_add(rhs, term)
             if rhs is None:
                 rhs = [[RatPoly.zero()] * module.dim for _ in range(module.dim)]
-            diff = _mat_sub(lhs, rhs)
+            diff = mat_sub(lhs, rhs)
             for r, row in enumerate(diff):
                 for s, entry in enumerate(row):
                     if entry:
@@ -424,7 +412,7 @@ def check_bimodule(algebra, module):
     for i in range(n):
         for j in range(n):
             # left: a_lam (b_mu m) = (a_lam b)_(lam+mu) m
-            lhs = _mat_mul(left[i], mat_subst(left[j], {_L1: lam2, DEL: lam1 + _DELP}))
+            lhs = mat_mul(left[i], mat_subst(left[j], {_L1: lam2, DEL: lam1 + _DELP}))
             rhs = None
             for k in range(n):
                 c = algebra.table[i][j][k].subst_many({DEL: -lam1 - lam2})
@@ -434,10 +422,10 @@ def check_bimodule(algebra, module):
                     [c * p.subst_many({_L1: lam1 + lam2}) for p in row]
                     for row in left[k]
                 ]
-                rhs = term if rhs is None else _mat_add(rhs, term)
+                rhs = term if rhs is None else mat_add(rhs, term)
             if rhs is None:
                 rhs = [[RatPoly.zero()] * module.dim for _ in range(module.dim)]
-            if not _mat_is_zero(_mat_sub(lhs, rhs)):
+            if lhs != rhs:
                 return False, ("left", (i, j))
             # right: m_lam (a_mu b) = (m_lam a)_(lam+mu) b
             lhs = None
@@ -449,46 +437,21 @@ def check_bimodule(algebra, module):
                     [c.subst_many({_L1: lam2, DEL: lam1 + _DELP}) * p for p in row]
                     for row in right[k]
                 ]
-                lhs = term if lhs is None else _mat_add(lhs, term)
+                lhs = term if lhs is None else mat_add(lhs, term)
             if lhs is None:
                 lhs = [[RatPoly.zero()] * module.dim for _ in range(module.dim)]
-            rhs = _mat_mul(
+            rhs = mat_mul(
                 mat_subst(right[j], {_L1: lam1 + lam2}),
                 mat_subst(right[i], {DEL: -lam1 - lam2}),
             )
-            if not _mat_is_zero(_mat_sub(lhs, rhs)):
+            if lhs != rhs:
                 return False, ("right", (i, j))
             # mixed: a_lam (m_mu b) = (a_lam m)_(lam+mu) b
-            lhs = _mat_mul(left[i], mat_subst(right[j], {_L1: lam2, DEL: lam1 + _DELP}))
-            rhs = _mat_mul(
+            lhs = mat_mul(left[i], mat_subst(right[j], {_L1: lam2, DEL: lam1 + _DELP}))
+            rhs = mat_mul(
                 mat_subst(right[j], {_L1: lam1 + lam2}),
                 mat_subst(left[i], {DEL: -lam1 - lam2}),
             )
-            if not _mat_is_zero(_mat_sub(lhs, rhs)):
+            if lhs != rhs:
                 return False, ("mixed", (i, j))
     return True, None
-
-
-def _mat_mul(a, b):
-    n, k = len(a), len(b)
-    m = len(b[0]) if b else 0
-    return [
-        [
-            sum((a[r][t] * b[t][s] for t in range(k) if a[r][t] and b[t][s]),
-                RatPoly.zero())
-            for s in range(m)
-        ]
-        for r in range(n)
-    ]
-
-
-def _mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _mat_is_zero(a):
-    return all(not x for row in a for x in row)

@@ -2,8 +2,9 @@
 
 Subcommands: check, betti, cartan, annih-compare, extend, deform.
 Exit codes: 0 ok, 1 computation warning (unstable truncation), 2 spec/axiom
-failure (including non-cocycle input), 3 parse failure.  Output is
-deterministic byte-for-byte for a fixed seed and spec.
+failure (including non-cocycle input), 3 parse failure (including a negative
+count such as --qmax -1).  Output is deterministic byte-for-byte for a fixed
+seed and spec.
 
 Builtin algebras: vir, cur:sl2, cur:sl3, cur:abelian:<n>.
 Builtin modules: trivial, ca:<a>, mda:<Delta>,<alpha>, mu:adjoint,
@@ -510,9 +511,17 @@ def build_parser():
     return parser
 
 
+# options that count something; a negative value is a parse failure
+_COUNT_OPTIONS = ("qmax", "bound", "trials", "levels", "degmax")
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    for name in _COUNT_OPTIONS:
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            return _fail(EXIT_PARSE, f"--{name} must be >= 0, got {value}")
     try:
         return args.fn(args)
     except ParseError as exc:

@@ -98,15 +98,6 @@ class Cochain:
         return cls(algebra, module, q, variant, {})
 
     @classmethod
-    def from_function(cls, algebra, module, q, variant, fn):
-        keys = (
-            sorted_tuples(algebra.ngens, q)
-            if variant in _SKEW_VARIANTS
-            else all_tuples(algebra.ngens, q)
-        )
-        return cls(algebra, module, q, variant, {t: fn(t) for t in keys})
-
-    @classmethod
     def from_basis_element(cls, algebra, module, q, variant, elem, u_index):
         """Cochain u_(u_index) x (antisymmetrized skew-basis element)."""
         poly = element_value(elem, q)

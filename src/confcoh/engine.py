@@ -6,17 +6,27 @@ value the engine touches is a polynomial in the lam variables alone (reduced
 representatives are d-free, scalar coefficients never carry d), so
 coordinates are read off monomial-by-monomial.
 
-Two computation modes:
+Every entry point (truncation_sweep, graded_bidegree_dims, assemble,
+verify_cocycle) reads one SliceComplex, made for that call.  The store fills
+each bidegree (q, d) on first read and keeps its basis pairs and its
+differential columns, plus, for scalar-coefficient reduced complexes, the
+rows of the (a + sum lam_i) image and the columns restricted to the
+hyperplane sum lam_i = -a.  Every column is built by apply_differential and
+read off by cochain_coords.
+
+Two computation modes, decided over the columns the computation reads:
 
 * graded -- every assembled column is homogeneous with one global lam-degree
   shift, and for scalar coefficients the d-action scalar is 0 so the quotient
-  by (sum lam_i) is homogeneous too.  Dimensions per bidegree are then exact
-  and are summed over d <= D.
+  by (sum lam_i) is homogeneous too.  The dimension h(q, d) of each bidegree
+  is then exact and computed once; a Betti row sums h over d <= D+2 and is
+  stabilized when h vanishes at d = D+1 and D+2.
 * window -- filtered differentials (nonzero module parameters).  Cocycles in
   degrees <= D are exact (membership in the d-action ideal is decided by
   restriction to the hyperplane sum lam_i = -a); the coboundary space is
   approximated by images of the window, and agreement across bounds D, D+1,
-  D+2 is reported as the stabilized flag.
+  D+2 is reported as the stabilized flag.  The three bounds read the same
+  stored slices.
 
 The scalar-module reduced complex is the quotient by the image of
 multiplication by (a + sum lam_i); the quotient is taken here, on slices,
@@ -162,47 +172,157 @@ def _restriction_coords(spec, c):
     return {k: v for k, v in out.items() if v}
 
 
-class Assembly:
-    """Raw differential columns per bidegree, shared by both modes."""
+class SliceComplex:
+    """The bidegree slices of one complex, each filled on first read and kept
+    for the life of the store: one entry-point call, never shared."""
 
-    def __init__(self, spec, qmax, dmax):
+    def __init__(self, spec):
         self.spec = spec
-        self.qmax = qmax
-        self.dmax = dmax
-        self.pairs = {}
-        self.columns = {}
-        self.images = {}
-        # pairs one degree beyond qmax: the codomain quotient needs them
-        for q in range(qmax + 2):
-            for d in range(dmax + 1):
-                self.pairs[(q, d)] = slice_pairs(spec, q, d)
-        for q in range(qmax + 1):
-            for d in range(dmax + 1):
-                cols = []
-                imgs = []
-                for pair in self.pairs[(q, d)]:
-                    image = apply_differential(spec, basis_cochain(spec, q, pair))
-                    imgs.append(image)
-                    cols.append(cochain_coords(image))
-                self.columns[(q, d)] = cols
-                self.images[(q, d)] = imgs
+        self._pairs = {}
+        self._columns = {}
+        self._images = {}  # differential images, until their restriction is read
+        self._mult = {}
+        self._restricted = {}
+        self._quotients = {}
+        self._ranks = {}
 
-    def graded_shift(self):
-        """The single lam-degree shift, or None if the complex is filtered."""
+    def pairs(self, q, d):
+        key = (q, d)
+        if key not in self._pairs:
+            self._pairs[key] = slice_pairs(self.spec, q, d)
+        return self._pairs[key]
+
+    def columns(self, q, d):
+        """Coordinates of the differential of each basis cochain of (q, d)."""
+        key = (q, d)
+        if key not in self._columns:
+            cols = []
+            images = []
+            for pair in self.pairs(q, d):
+                image = apply_differential(self.spec, basis_cochain(self.spec, q, pair))
+                images.append(image)
+                cols.append(cochain_coords(image))
+            self._columns[key] = cols
+            if self.spec.scalar_quotient:
+                self._images[key] = images
+        return self._columns[key]
+
+    def mult_rows(self, q, d):
+        """Coordinates of (a + sum lam_i) times each basis cochain of (q, d)."""
+        key = (q, d)
+        if key not in self._mult:
+            self._mult[key] = [_mult_coords(self.spec, q, p) for p in self.pairs(q, d)]
+        return self._mult[key]
+
+    def restricted_columns(self, q, d):
+        """The columns of (q, d) restricted to sum lam_i = -a; scalar reduced only."""
+        key = (q, d)
+        if key not in self._restricted:
+            self.columns(q, d)
+            self._restricted[key] = [
+                _restriction_coords(self.spec, image)
+                for image in self._images.pop(key)
+            ]
+        return self._restricted[key]
+
+    # -- graded mode -------------------------------------------------------------
+
+    def graded_shift(self, qmax, dtop):
+        """The single lam-degree shift of the columns with q <= qmax and
+        d <= dtop, or None if the complex is filtered."""
         if self.spec.scalar_quotient and self.spec.module.del_scalar != 0:
             return None
         shift = None
-        for (q, d), cols in self.columns.items():
-            for col in cols:
-                for key in col:
-                    s = pair_degree(key) - d
-                    if shift is None:
-                        shift = s
-                    elif shift != s:
-                        return None
+        for q in range(qmax + 1):
+            for d in range(dtop + 1):
+                for col in self.columns(q, d):
+                    for key in col:
+                        s = pair_degree(key) - d
+                        if shift is None:
+                            shift = s
+                        elif shift != s:
+                            return None
         if shift is None:
             shift = 0
         return shift if shift >= 0 else None
+
+    def _quotient(self, q, d):
+        """RREF of the (sum lam_i) image inside slice (q, d); scalar reduced only."""
+        key = (q, d)
+        if key not in self._quotients:
+            rows = []
+            if self.spec.scalar_quotient and q > 0 and d > 0:
+                rows = self.mult_rows(q, d - 1)
+            self._quotients[key] = linalg.sparse_rref(rows) if rows else ([], [])
+        return self._quotients[key]
+
+    def _graded_matrix(self, q, d, shift):
+        """Columns of the induced differential on quotient slices."""
+        reduced_out, pivots_out = self._quotient(q + 1, d + shift)
+        pivots_in = set(self._quotient(q, d)[1])
+        return [
+            linalg.reduce_mod_span(reduced_out, pivots_out, col)
+            for pair, col in zip(self.pairs(q, d), self.columns(q, d))
+            if pair not in pivots_in
+        ]
+
+    def graded_h(self, q, d, shift, want_reps=False):
+        """(h, representatives) at bidegree (q, d) of a graded complex.
+
+        Read bidegrees in increasing q: the rank of the differential into
+        (q, d) is the one kept from bidegree (q - 1, d - shift).
+        """
+        pivots = set(self._quotient(q, d)[1])
+        domain = [p for p in self.pairs(q, d) if p not in pivots]
+        if not domain:
+            self._ranks[(q, d)] = 0
+            return 0, []
+        kernel = linalg.kernel_of_columns(self._graded_matrix(q, d, shift))
+        self._ranks[(q, d)] = len(domain) - len(kernel)
+        has_prev = q > 0 and d >= shift
+        h = len(kernel) - (self._ranks[(q - 1, d - shift)] if has_prev else 0)
+        if not (want_reps and h > 0):
+            return h, []
+        prev_cols = self._graded_matrix(q - 1, d - shift, shift) if has_prev else []
+        cocycles = [{domain[j]: x for j, x in kvec.items()} for kvec in kernel]
+        return h, _representatives(self.spec, q, h, prev_cols, cocycles)
+
+    # -- window mode -------------------------------------------------------------
+
+    def window_h(self, q, bound, want_reps=False):
+        """(h, representatives) in degree q over the window d <= bound."""
+        scalar = self.spec.scalar_quotient
+        domain = []
+        zcols = []
+        for d in range(bound + 1):
+            domain += self.pairs(q, d)
+            zcols += self.restricted_columns(q, d) if scalar else self.columns(q, d)
+        kernel = linalg.kernel_of_columns(zcols)
+        zvecs = [{domain[j]: x for j, x in kvec.items()} for kvec in kernel]
+        brows = []
+        if q > 0:
+            for d in range(bound + 1):
+                brows += self.columns(q - 1, d)
+        if scalar:
+            for d in range(bound + 1):
+                brows += self.mult_rows(q, d)
+        brows = [r for r in brows if r]
+        h = len(zvecs) - linalg.intersection_dim(zvecs, brows)
+        if not (want_reps and h > 0):
+            return h, []
+        return h, _representatives(self.spec, q, h, brows, zvecs)
+
+
+def _representatives(spec, q, h, span_rows, vectors):
+    """h normalized classes: the vectors modulo the span of span_rows, in RREF."""
+    reduced, pivots = linalg.sparse_rref(span_rows)
+    remainders = []
+    for v in vectors:
+        rem = linalg.reduce_mod_span(reduced, pivots, v)
+        if rem:
+            remainders.append(rem)
+    normal, _ = linalg.sparse_rref(remainders)
+    return [coords_to_cochain(spec, q, row) for row in normal[:h]]
 
 
 @dataclass
@@ -278,168 +398,47 @@ def _rep_text(c):
     return " ; ".join(parts) if parts else "0"
 
 
-# -- graded mode -----------------------------------------------------------------
-
-
-class _GradedEngine:
-    def __init__(self, assembly, shift):
-        self.a = assembly
-        self.spec = assembly.spec
-        self.shift = shift
-        self._quotient = {}
-
-    def quotient(self, q, d):
-        """RREF of the (a + sum lam) image inside slice (q, d); scalar reduced only."""
-        key = (q, d)
-        if key not in self._quotient:
-            if not self.spec.scalar_quotient:
-                self._quotient[key] = ([], [])
-            else:
-                rows = []
-                if q == 0:
-                    if self.spec.module.del_scalar:
-                        rows = [
-                            dict(_mult_coords(self.spec, q, pair))
-                            for pair in self.a.pairs.get((q, d), [])
-                        ]
-                else:
-                    for pair in self.a.pairs.get((q, d - 1), []):
-                        rows.append(_mult_coords(self.spec, q, pair))
-                self._quotient[key] = linalg.sparse_rref(rows)
-        return self._quotient[key]
-
-    def free_keys(self, q, d):
-        reduced, pivots = self.quotient(q, d)
-        pivot_set = set(pivots)
-        return [p for p in self.a.pairs.get((q, d), []) if p not in pivot_set]
-
-    def matrix(self, q, d):
-        """Columns of the induced differential on quotient slices."""
-        reduced_out, pivots_out = self.quotient(q + 1, d + self.shift)
-        _, pivots_in = self.quotient(q, d)
-        pivot_in = set(pivots_in)
-        cols = []
-        for pair, col in zip(self.a.pairs.get((q, d), []), self.a.columns.get((q, d), [])):
-            if pair in pivot_in:
-                continue
-            cols.append(linalg.reduce_mod_span(reduced_out, pivots_out, col))
-        return cols
-
-    def dims_and_reps(self, q, bound, want_reps):
-        total = 0
-        reps = []
-        for d in range(bound + 1):
-            domain = self.free_keys(q, d)
-            if not domain:
-                continue
-            cols = self.matrix(q, d)
-            kernel = linalg.kernel_of_columns(cols)
-            prev_cols = (
-                self.matrix(q - 1, d - self.shift)
-                if q > 0 and d - self.shift >= 0
-                else []
-            )
-            image_rank = linalg.rank(prev_cols)
-            h = len(kernel) - image_rank
-            total += h
-            if want_reps and h > 0:
-                image_rref = linalg.sparse_rref(prev_cols)
-                remainders = []
-                for kvec in kernel:
-                    coords = {domain[j]: x for j, x in kvec.items()}
-                    rem = linalg.reduce_mod_span(image_rref[0], image_rref[1], coords)
-                    if rem:
-                        remainders.append(rem)
-                normal, _ = linalg.sparse_rref(remainders)
-                for row in normal[:h]:
-                    reps.append(coords_to_cochain(self.spec, q, row))
-        return total, reps
-
-
-# -- window mode -----------------------------------------------------------------
-
-
-class _WindowEngine:
-    def __init__(self, assembly):
-        self.a = assembly
-        self.spec = assembly.spec
-
-    def cocycle_vectors(self, q, bound):
-        domain = []
-        zcols = []
-        for d in range(bound + 1):
-            for pair, image, col in zip(
-                self.a.pairs.get((q, d), []),
-                self.a.images.get((q, d), []),
-                self.a.columns.get((q, d), []),
-            ):
-                domain.append(pair)
-                if self.spec.scalar_quotient:
-                    zcols.append(_restriction_coords(self.spec, image))
-                else:
-                    zcols.append(col)
-        kernel = linalg.kernel_of_columns(zcols)
-        return [
-            {domain[j]: x for j, x in kvec.items()} for kvec in kernel
-        ]
-
-    def boundary_rows(self, q, bound):
-        rows = []
-        if q > 0:
-            for d in range(bound + 1):
-                rows.extend(self.a.columns.get((q - 1, d), []))
-        if self.spec.scalar_quotient:
-            for d in range(bound + 1):
-                for pair in self.a.pairs.get((q, d), []):
-                    rows.append(_mult_coords(self.spec, q, pair))
-        return [r for r in rows if r]
-
-    def dims_and_reps(self, q, bound, want_reps):
-        zvecs = self.cocycle_vectors(q, bound)
-        brows = self.boundary_rows(q, bound)
-        h = len(zvecs) - linalg.intersection_dim(zvecs, brows)
-        reps = []
-        if want_reps and h > 0:
-            reduced, pivots = linalg.sparse_rref(brows)
-            remainders = []
-            for z in zvecs:
-                rem = linalg.reduce_mod_span(reduced, pivots, z)
-                if rem:
-                    remainders.append(rem)
-            normal, _ = linalg.sparse_rref(remainders)
-            for row in normal[:h]:
-                reps.append(coords_to_cochain(self.spec, q, row))
-        return h, reps
-
-
 # -- public API --------------------------------------------------------------------
+
+# verify_cocycle searches for a primitive in lam-degrees up to deg(gamma) + this
+_COBOUNDARY_SLACK = 2
+
+
+def _check_counts(qmax, bound):
+    if qmax < 0 or bound < 0:
+        raise ValueError(f"qmax and bound must be >= 0, got {qmax} and {bound}")
 
 
 def truncation_sweep(spec, qmax, bound=8, representatives=False):
-    """Betti rows at bounds D, D+1, D+2; stabilized = all three agree."""
-    dmax = bound + 2 + 1  # slack for the shifted codomain at the top bound
-    assembly = Assembly(spec, qmax, dmax)
-    shift = assembly.graded_shift()
-    engine = _GradedEngine(assembly, shift) if shift is not None else _WindowEngine(
-        assembly
-    )
-    mode = "graded" if shift is not None else "window"
+    """Betti rows at bounds D, D+1, D+2.
+
+    A graded row sums the per-bidegree h over d <= D+2 and is stabilized when
+    h vanishes at d = D+1 and D+2; a window row is stabilized when the three
+    bounds agree.
+    """
+    _check_counts(qmax, bound)
+    store = SliceComplex(spec)
+    top = bound + 2
+    shift = store.graded_shift(qmax, top)
     rows = []
     for q in range(qmax + 1):
-        dims = []
-        reps = []
-        for b in (bound, bound + 1, bound + 2):
-            h, r = engine.dims_and_reps(q, b, representatives and b == bound + 2)
-            dims.append(h)
-            if b == bound + 2:
-                reps = r
+        if shift is None:
+            lower = [store.window_h(q, b)[0] for b in (bound, bound + 1)]
+            dim, reps = store.window_h(q, top, representatives)
+            stabilized = lower[0] == lower[1] == dim
+        else:
+            per_d = [store.graded_h(q, d, shift, representatives)
+                     for d in range(top + 1)]
+            dim = sum(h for h, _ in per_d)
+            reps = [c for _, r in per_d for c in r]
+            stabilized = per_d[bound + 1][0] == per_d[top][0] == 0
         rows.append(
             BettiRow(
                 q=q,
-                dim=dims[-1],
+                dim=dim,
                 bound=bound,
-                stabilized=dims[0] == dims[1] == dims[2],
-                mode=mode,
+                stabilized=stabilized,
+                mode="window" if shift is None else "graded",
                 representatives=reps,
             )
         )
@@ -453,24 +452,15 @@ def graded_bidegree_dims(spec, qmax, bound):
     Raises UnsupportedComplex when the differential is filtered (no single
     lam-degree shift): bidegree localization is only meaningful there.
     """
-    assembly = Assembly(spec, qmax, bound + 2)
-    shift = assembly.graded_shift()
+    _check_counts(qmax, bound)
+    store = SliceComplex(spec)
+    shift = store.graded_shift(qmax, bound)
     if shift is None:
         raise UnsupportedComplex("complex is filtered; no bidegree splitting")
-    engine = _GradedEngine(assembly, shift)
     out = {}
     for q in range(qmax + 1):
         for d in range(bound + 1):
-            domain = engine.free_keys(q, d)
-            if not domain:
-                continue
-            kernel = linalg.kernel_of_columns(engine.matrix(q, d))
-            prev = (
-                engine.matrix(q - 1, d - shift)
-                if q > 0 and d - shift >= 0
-                else []
-            )
-            h = len(kernel) - linalg.rank(prev)
+            h, _ = store.graded_h(q, d, shift)
             if h:
                 out[(q, d)] = h
     return out
@@ -494,12 +484,8 @@ def assemble(spec, q, d):
     Returns (domain_pairs, columns); the codomain is read off the column
     keys (their own bidegree is implied by the shape element).
     """
-    pairs = slice_pairs(spec, q, d)
-    cols = []
-    for pair in pairs:
-        image = apply_differential(spec, basis_cochain(spec, q, pair))
-        cols.append(cochain_coords(image))
-    return pairs, cols
+    store = SliceComplex(spec)
+    return store.pairs(q, d), store.columns(q, d)
 
 
 @dataclass
@@ -509,7 +495,7 @@ class VerifyResult:
     witness: object = None
 
 
-def verify_cocycle(spec, gamma, slack=2):
+def verify_cocycle(spec, gamma):
     """Exact cocycle test and a window coboundary solve with witness."""
     dv = apply_differential(spec, gamma)
     if spec.scalar_quotient:
@@ -522,31 +508,26 @@ def verify_cocycle(spec, gamma, slack=2):
     target = cochain_coords(gamma)
     if not target:
         return VerifyResult(True, True, witness=None)
-    deg = max(gamma.lam_degree(), 0)
-    bound = deg + slack
+    bound = max(gamma.lam_degree(), 0) + _COBOUNDARY_SLACK
+    store = SliceComplex(spec)
+    # differential columns first, so a solution index below len(pairs) is
+    # a coordinate of the witness
+    pairs = []
     columns = []
-    labels = []
     if q > 0:
         for d in range(bound + 1):
-            for pair in slice_pairs(spec, q - 1, d):
-                image = apply_differential(spec, basis_cochain(spec, q - 1, pair))
-                columns.append(cochain_coords(image))
-                labels.append(("d", q - 1, pair))
+            pairs += store.pairs(q - 1, d)
+            columns += store.columns(q - 1, d)
     if spec.scalar_quotient:
         for d in range(bound + 1):
-            for pair in slice_pairs(spec, q, d):
-                columns.append(_mult_coords(spec, q, pair))
-                labels.append(("mult", q, pair))
+            columns += store.mult_rows(q, d)
     sol = linalg.solve_columns(columns, target)
     if sol is None:
         return VerifyResult(True, False)
-    witness_coords = {}
-    for j, x in sol.items():
-        kind, qq, pair = labels[j]
-        if kind == "d" and x:
-            witness_coords[pair] = witness_coords.get(pair, Fraction(0)) + x
-    witness = coords_to_cochain(spec, q - 1, witness_coords) if q > 0 else None
-    return VerifyResult(True, True, witness=witness)
+    if q == 0:
+        return VerifyResult(True, True, witness=None)
+    witness = {pairs[j]: x for j, x in sol.items() if j < len(pairs)}
+    return VerifyResult(True, True, witness=coords_to_cochain(spec, q - 1, witness))
 
 
 # -- the current-sl2 example cocycles ----------------------------------------------

@@ -39,8 +39,12 @@ from .poly import (
     DEL,
     RatPoly,
     lam,
+    mat_add,
+    mat_mul,
+    mat_sub,
     vec_add,
     vec_scale,
+    vec_sub,
     zero_vec,
 )
 
@@ -246,7 +250,7 @@ class TrivialExtension:
                 gamma_j_mu = tuple(p.subst_many({lam(1): _L2}) for p in self.gamma[j])
                 lhs = M.act(i, _L1, gamma_j_mu)
                 rhs2 = M.act(j, _L2, self.gamma[i])
-                term = vec_sub_safe(lhs, rhs2)
+                term = vec_sub(lhs, rhs2)
                 bracket_part = zero_vec(M.dim)
                 for k in range(A.ngens):
                     c = A.table[i][j][k].subst_many({DEL: -_L1 - _L2})
@@ -259,10 +263,6 @@ class TrivialExtension:
                 if term != bracket_part:
                     return False, ("module identity", (i, j))
         return True, None
-
-
-def vec_sub_safe(u, v):
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def extend_module_by_trivial(algebra, module, f):
@@ -365,14 +365,7 @@ def coboundary_gamma(algebra, m_top, n_bottom, beta):
         a_m = m_top.action[i]
         a_n = n_bottom.action[i]
         beta_shift = [[p.subst_many(shift) for p in row] for row in beta]
-        first = _matmul(a_m, beta_shift)
-        second = _matmul(beta, a_n)
-        out.append(
-            [
-                [x - y for x, y in zip(r1, r2)]
-                for r1, r2 in zip(first, second)
-            ]
-        )
+        out.append(mat_sub(mat_mul(a_m, beta_shift), mat_mul(beta, a_n)))
     return out
 
 
@@ -394,32 +387,16 @@ def split_module_isomorphic(algebra, m_top, n_bottom, gamma_mats, beta):
     ]
     primed = extend_module(
         algebra, m_top, n_bottom,
-        [_matadd(gamma_mats[i], gamma2[i]) for i in range(algebra.ngens)],
+        [mat_add(gamma_mats[i], gamma2[i]) for i in range(algebra.ngens)],
     )
     base = extend_module(algebra, m_top, n_bottom, gamma_mats)
     shift = {DEL: _DELP + _L1}
     for i in range(algebra.ngens):
-        lhs = _matmul(base.action[i], [[p.subst_many(shift) for p in row] for row in psi])
-        rhs = _matmul(psi, primed.action[i])
+        lhs = mat_mul(base.action[i], [[p.subst_many(shift) for p in row] for row in psi])
+        rhs = mat_mul(psi, primed.action[i])
         if any(x != y for r1, r2 in zip(lhs, rhs) for x, y in zip(r1, r2)):
             return False
     return True
-
-
-def _matmul(a, b):
-    n, k = len(a), len(b)
-    m = len(b[0]) if b else 0
-    return [
-        [
-            sum((a[r][t] * b[t][s] for t in range(k)), RatPoly.zero())
-            for s in range(m)
-        ]
-        for r in range(n)
-    ]
-
-
-def _matadd(a, b):
-    return [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
 
 
 # -- part 5: first-order deformations --------------------------------------------

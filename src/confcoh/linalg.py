@@ -13,13 +13,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-_ZERO = Fraction(0)
-
-
-def vec_get(v, k):
-    return v.get(k, _ZERO)
-
-
 def vec_axpy(target, coeff, source):
     """target += coeff * source, in place, dropping zeros."""
     if not coeff:

@@ -104,9 +104,6 @@ class RatPoly:
     def is_zero(self):
         return not self.terms
 
-    def is_const(self):
-        return not self.terms or (len(self.terms) == 1 and () in self.terms)
-
     def const_value(self):
         return self.terms.get((), _ZERO)
 
@@ -233,12 +230,6 @@ class RatPoly:
             out = out + term
         return out
 
-    def rename_lams(self, perm):
-        """Relabel lam indices by {old_index: new_index}; simultaneous."""
-        return self.subst_many(
-            {lam(i): RatPoly.var(lam(j)) for i, j in perm.items() if i != j}
-        )
-
     # -- structure queries --------------------------------------------------
 
     def degree_in(self, pred):
@@ -263,14 +254,6 @@ class RatPoly:
             for v, _ in m:
                 out.add(v)
         return out
-
-    def by_lam_degree(self):
-        """Split into homogeneous components by total lam-degree."""
-        buckets = {}
-        for m, c in self.terms.items():
-            d = sum(e for v, e in m if v[0] == _LAM)
-            buckets.setdefault(d, {})[m] = c
-        return {d: RatPoly(t) for d, t in buckets.items()}
 
     def coeff_of_lams(self, exps):
         """Coefficient of lam1^exps[0] * ... * lamq^exps[q-1].
@@ -410,10 +393,6 @@ def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
 
-def vec_neg(u):
-    return tuple(-a for a in u)
-
-
 def vec_scale(c, u):
     return tuple(c * a for a in u)
 
@@ -439,21 +418,25 @@ def mat_subst(mat, mapping):
 
 
 def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
+    """Product of polynomial matrices; zero entries are skipped."""
+    n, k = len(a), len(b)
+    m = len(b[0]) if b else 0
     return [
-        [sum((a[i][t] * b[t][j] for t in range(k)), _POLY_ZERO) for j in range(m)]
-        for i in range(n)
+        [
+            sum((a[r][t] * b[t][s] for t in range(k) if a[r][t] and b[t][s]),
+                _POLY_ZERO)
+            for s in range(m)
+        ]
+        for r in range(n)
     ]
 
 
-def identity_mat(n):
-    one = RatPoly.const(1)
-    return [[one if i == j else _POLY_ZERO for j in range(n)] for i in range(n)]
+def mat_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def zero_mat(n, m=None):
-    m = n if m is None else m
-    return [[_POLY_ZERO] * m for _ in range(n)]
+def mat_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 # -- expression grammar ------------------------------------------------------

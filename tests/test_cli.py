@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from confcoh.cli import main
 
 
@@ -168,3 +170,20 @@ def test_deform_roundtrip_command(capsys):
     )
     assert code == 0
     assert json.loads(out)["deformation-roundtrip"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("betti", "--algebra", "vir", "--module", "trivial", "--qmax", "1",
+      "--bound", "-3"), "--bound"),
+    (("betti", "--algebra", "vir", "--module", "trivial", "--qmax", "-1"),
+     "--qmax"),
+    (("cartan", "--algebra", "cur:sl2", "--trials", "-2"), "--trials"),
+    (("cartan", "--algebra", "cur:sl2", "--degmax", "-1"), "--degmax"),
+    (("annih-compare", "--algebra", "vir", "--qmax", "-1"), "--qmax"),
+    (("annih-compare", "--algebra", "vir", "--levels", "-1"), "--levels"),
+])
+def test_negative_counts_are_parse_failures(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert flag in err

@@ -12,11 +12,12 @@ from confcoh.algebra import (
 )
 from confcoh.cochain import BASIC, REDUCED, Cochain, random_skew_cochain
 from confcoh.engine import (
-    Assembly,
     ComplexSpec,
+    SliceComplex,
     assemble,
     cochain_coords,
     coords_to_cochain,
+    graded_bidegree_dims,
     sl2_example_cocycle,
     truncation_sweep,
     verify_cocycle,
@@ -94,17 +95,49 @@ def test_slice_matrix_composition_is_zero():
 
 
 def test_window_and_graded_agree_on_vir_c():
-    spec = ComplexSpec(VIR, C, REDUCED)
-    assembly = Assembly(spec, 3, 9)
-    assert assembly.graded_shift() == 1
-    from confcoh.engine import _GradedEngine, _WindowEngine
-
-    graded = _GradedEngine(assembly, 1)
-    window = _WindowEngine(assembly)
+    store = SliceComplex(ComplexSpec(VIR, C, REDUCED))
+    assert store.graded_shift(3, 9) == 1
     for q in range(4):
-        hg, _ = graded.dims_and_reps(q, 6, False)
-        hw, _ = window.dims_and_reps(q, 6, False)
+        hg = sum(store.graded_h(q, d, 1)[0] for d in range(7))
+        hw, _ = store.window_h(q, 6)
         assert hg == hw
+
+
+@pytest.mark.parametrize("qmax, bound", [(-1, 4), (2, -1)])
+def test_negative_counts_raise(qmax, bound):
+    spec = ComplexSpec(VIR, C, REDUCED)
+    with pytest.raises(ValueError):
+        truncation_sweep(spec, qmax, bound)
+    with pytest.raises(ValueError):
+        graded_bidegree_dims(spec, qmax, bound)
+
+
+def test_slice_ranks_agree_with_bareiss():
+    # the sparse rational rank of every stored slice matrix against the
+    # dense fraction-free one
+    from confcoh.linalg import rank, rank_bareiss
+
+    g = sl2()
+    specs = [
+        ComplexSpec(VIR, C, REDUCED),
+        ComplexSpec(build_current(g), build_trivial(1, 0), REDUCED),
+        ComplexSpec(build_current(g), build_m_u(g, sl2_irrep(g, 2)), REDUCED),
+    ]
+    checked = 0
+    for spec in specs:
+        store = SliceComplex(spec)
+        for q in range(3):
+            for d in range(5):
+                matrices = [store.columns(q, d)]
+                if spec.scalar_quotient:
+                    matrices += [store.mult_rows(q, d),
+                                 store.restricted_columns(q, d)]
+                for vectors in matrices:
+                    keys = list(dict.fromkeys(k for v in vectors for k in v))
+                    dense = [[v.get(k, 0) for k in keys] for v in vectors]
+                    assert rank_bareiss(dense) == rank(vectors)
+                    checked += rank(vectors) > 0
+    assert checked > 0
 
 
 def test_window_mode_on_filtered_module():
@@ -222,11 +255,13 @@ def test_sl2_cocycle_rejects_non_equivariant():
 
 def test_vir_c_reduced_classes_localize_in_bidegree():
     # nonzero reduced cohomology of Vir/C sits only at (0,0), (2,3), (3,3)
-    from confcoh.engine import graded_bidegree_dims
-
     spec = ComplexSpec(VIR, C, REDUCED)
     dims = graded_bidegree_dims(spec, 4, 8)
     assert dims == {(0, 0): 1, (2, 3): 1, (3, 3): 1}
+    # a sweep at D = 6 sums the same h over d <= D + 2 = 8
+    table = truncation_sweep(spec, 4, 6)
+    for q in range(5):
+        assert table.dims()[q] == sum(h for (p, _), h in dims.items() if p == q)
 
 
 def test_current_degree_zero_subcomplex_is_chevalley_eilenberg():
@@ -234,7 +269,6 @@ def test_current_degree_zero_subcomplex_is_chevalley_eilenberg():
     # differentials from the structure constants alone
     from itertools import combinations
 
-    from confcoh.engine import graded_bidegree_dims
     from confcoh.linalg import kernel_of_columns, rank
 
     g = sl2()
@@ -293,14 +327,10 @@ def test_graded_slicing_consistent_with_window_sum():
     # per-bidegree dims equal the window computation on the direct sum
     g = sl2()
     spec = ComplexSpec(build_current(g), build_m_u(g, sl2_irrep(g, 2)), REDUCED)
-    assembly = Assembly(spec, 2, 6)
-    shift = assembly.graded_shift()
+    store = SliceComplex(spec)
+    shift = store.graded_shift(2, 6)
     assert shift == 0
-    from confcoh.engine import _GradedEngine, _WindowEngine
-
-    graded = _GradedEngine(assembly, shift)
-    window = _WindowEngine(assembly)
     for q in (0, 1, 2):
-        hg, _ = graded.dims_and_reps(q, 4, False)
-        hw, _ = window.dims_and_reps(q, 4, False)
+        hg = sum(store.graded_h(q, d, shift)[0] for d in range(5))
+        hw, _ = store.window_h(q, 4)
         assert hg == hw
