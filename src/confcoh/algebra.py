@@ -62,6 +62,8 @@ class ConformalAlgebra:
                         vec[k] = vec[k].substitute(DEL, self.del_scalars[k])
                 row.append(tuple(vec))
             self.table.append(row)
+        # the Lie differential's bracket expansion table, filled on use
+        self._bracket_expansions = {}
 
     @property
     def ngens(self):
@@ -106,6 +108,8 @@ class ConformalModule:
         else:
             raise ValueError(f"unknown module kind {kind!r}")
         self._act_cache = {}
+        # the Lie differential's action expansion table, filled on use
+        self._action_expansions = {}
 
     def is_free(self):
         return self.kind == "free"

@@ -3,12 +3,13 @@
 Subcommands: check, betti, cartan, annih-compare, extend, deform.
 Exit codes: 0 ok, 1 computation warning (unstable truncation), 2 spec/axiom
 failure (including non-cocycle input), 3 parse failure (including a negative
-count such as --qmax -1).  Output is deterministic byte-for-byte for a fixed
-seed and spec.
+count such as --qmax -1 and a malformed builtin spec such as ca:abc).
+Output is deterministic byte-for-byte for a fixed seed and spec.
 
-Builtin algebras: vir, cur:sl2, cur:sl3, cur:abelian:<n>.
+Builtin algebras: vir, cur:sl2, cur:sl3, cur:abelian:<n> (n >= 1).
 Builtin modules: trivial, ca:<a>, mda:<Delta>,<alpha>, mu:adjoint,
-mu:V<m> / mu:V(<m>) (sl2 irreducibles), mu:trivial, mu:wedge2modg (sl3).
+mu:V<m> / mu:V(<m>) (sl2 irreducibles), mu:trivial, mu:wedge2modg (sl3);
+the mu: modules live over cur:sl2 and cur:sl3.
 
 Inline spec files are JSON with the polynomial grammar of the library::
 
@@ -92,17 +93,33 @@ def _fail(code, message):
     return code
 
 
+def _rational(text, spec):
+    """A rational number from a module or algebra spec, or a ParseError."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"{text!r} is not a rational number in {spec!r}") \
+            from None
+
+
+def _count(text, spec):
+    """A positive integer from a spec, or a ParseError."""
+    if not text.isdigit() or int(text) == 0:
+        raise ParseError(f"{text!r} is not a positive integer in {spec!r}")
+    return int(text)
+
+
+# the Lie presentations of the builtin current algebras with M_U modules
+_CURRENT_LIE = {"cur:sl2": sl2, "cur:sl3": sl3}
+
+
 def parse_algebra(text):
     if text == "vir":
         return build_vir(), "vir"
-    if text.startswith("cur:"):
-        name = text[4:]
-        if name == "sl2":
-            return build_current(sl2()), text
-        if name == "sl3":
-            return build_current(sl3()), text
-        if name.startswith("abelian:"):
-            return build_current(abelian(int(name.split(":")[1]))), text
+    if text in _CURRENT_LIE:
+        return build_current(_CURRENT_LIE[text]()), text
+    if text.startswith("cur:abelian:"):
+        return build_current(abelian(_count(text[12:], text))), text
     raise ParseError(f"unknown algebra spec {text!r}")
 
 
@@ -110,16 +127,18 @@ def parse_module(text, algebra, algebra_name):
     if text == "trivial":
         return build_trivial(1, 0)
     if text.startswith("ca:"):
-        return build_trivial(1, Fraction(text[3:]))
+        return build_trivial(1, _rational(text[3:], text))
     if text.startswith("mda:"):
         if algebra_name != "vir":
             raise ParseError("mda modules live over vir")
-        delta, alpha = (Fraction(x) for x in text[4:].split(","))
-        return build_m_delta_alpha(delta, alpha)
+        parts = text[4:].split(",")
+        if len(parts) != 2:
+            raise ParseError(f"mda modules take <Delta>,<alpha>, got {text!r}")
+        return build_m_delta_alpha(*(_rational(x, text) for x in parts))
     if text.startswith("mu:"):
-        if not algebra_name.startswith("cur:"):
-            raise ParseError("mu modules live over current algebras")
-        g = sl2() if algebra_name == "cur:sl2" else sl3()
+        if algebra_name not in _CURRENT_LIE:
+            raise ParseError("mu modules live over cur:sl2 and cur:sl3")
+        g = _CURRENT_LIE[algebra_name]()
         name = text[3:]
         if name == "adjoint":
             return build_m_u(g, adjoint_rep(g))
@@ -129,6 +148,8 @@ def parse_module(text, algebra, algebra_name):
             digits = name[1:].strip("()")
             if algebra_name != "cur:sl2":
                 raise ParseError("V(m) irreducibles are the sl2 modules")
+            if not digits.isdigit():
+                raise ParseError(f"V(m) needs a non-negative integer m, got {text!r}")
             return build_m_u(g, sl2_irrep(g, int(digits)))
         if name == "wedge2modg":
             if algebra_name != "cur:sl3":

@@ -21,16 +21,36 @@ Variants:
 * ``cyclic``  -- C-valued, invariant up to the sign (-1)^n under cyclic
   shift of the n+1 arguments.
 * ``leibniz`` -- no symmetry constraint.
+
+The Lie differential (``_d_lie``, behind ``d_basic`` and ``d_reduced``) is
+table-driven.  Two expansion tables are filled lazily, on first use, and
+kept on the algebra and on the module:
+
+* bracket: table[a][b][k](x, d := -(x+y)) * (x+y)^e -- the bracket fed
+  into a slot at parameter x+y, times that slot's lam^e in the value;
+* action: action[g][r][u](x, d) * (d + x)^m -- the sesquilinear shift of
+  a value's d^m under the action at parameter x.
+
+Each value of the input is split once into (lam exponents, d and parameter
+monomial, coefficient); every term of the two sums is then a table lookup
+added into per-component {monomial: coeff} dicts.  Integral coefficients
+stay Python ints inside the kernel and become Fractions only when the
+output RatPolys are built, so ``RatPoly.terms`` keeps its
+{monomial: Fraction} contract.  The other variants and the calculus
+substitute through ``slot_insert`` / ``value_with_params``.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 from .errors import WrongModuleKind
 from .poly import (
     DEL,
     RatPoly,
+    _mono_mul,
+    is_lam,
     lam,
     mat_apply,
     mat_subst,
@@ -323,47 +343,187 @@ def _lie_candidates(c, module_acts):
     return sorted(candidates)
 
 
+def _bracket_expansion(algebra, a, b, k, e):
+    """[(ex, ey, rest, coeff)]: table[a][b][k](x, d := -(x+y)) * (x+y)^e.
+
+    x and y are the parameters of the two bracketed slots; rest is the
+    monomial of the named parameters.
+    """
+    cache = algebra._bracket_expansions
+    key = (a, b, k, e)
+    terms = cache.get(key)
+    if terms is None:
+        x, y = lam_var(1), lam_var(2)
+        poly = algebra.table[a][b][k].substitute(DEL, -(x + y))
+        terms = cache[key] = _expansion_terms(poly * (x + y) ** e, lam(1), lam(2))
+    return terms
+
+
+def _action_expansion(module, g, r, u, m):
+    """[(ex, ed, rest, coeff)]: action[g][r][u](x, d) * (d + x)^m.
+
+    The sesquilinear shift of a value term d^m under the action at slot
+    parameter x.
+    """
+    cache = module._action_expansions
+    key = (g, r, u, m)
+    terms = cache.get(key)
+    if terms is None:
+        x = lam_var(1)
+        poly = module.action[g][r][u] * (_DELP + x) ** m
+        terms = cache[key] = _expansion_terms(poly, lam(1), DEL)
+    return terms
+
+
+def _expansion_terms(poly, v1, v2):
+    """The terms of poly as (exponent of v1, exponent of v2, rest, coeff)."""
+    out = []
+    for mono, coeff in poly.terms.items():
+        e1 = e2 = 0
+        rest = []
+        for v, e in mono:
+            if v == v1:
+                e1 = e
+            elif v == v2:
+                e2 = e
+            else:
+                rest.append((v, e))
+        out.append((e1, e2, tuple(rest), _exact(coeff)))
+    return out
+
+
+def _exact(coeff):
+    """An integral Fraction as int (cheaper arithmetic), others unchanged."""
+    return coeff.numerator if coeff.denominator == 1 else coeff
+
+
+def _split_values(c):
+    """{t: per component [(lam exponents, rest, d exponent, params, coeff)]}.
+
+    rest is the monomial in d and the named parameters; params is rest
+    without d.
+    """
+    q = c.q
+    out = {}
+    for t, vec in c.values.items():
+        comps = []
+        for p in vec:
+            terms = []
+            for mono, coeff in p.terms.items():
+                ev = [0] * q
+                rest = []
+                for v, e in mono:
+                    if is_lam(v):
+                        if v[1] > q:
+                            raise ValueError(
+                                f"a degree-{q} cochain value uses lam{v[1]}"
+                            )
+                        ev[v[1] - 1] = e
+                    else:
+                        rest.append((v, e))
+                rest = tuple(rest)
+                if rest and rest[0][0] == DEL:
+                    m, params = rest[0][1], rest[1:]
+                else:
+                    m, params = 0, rest
+                terms.append((tuple(ev), rest, m, params, _exact(coeff)))
+            comps.append(terms)
+        out[t] = comps
+    return out
+
+
+def _to_poly(acc, lams):
+    """RatPoly from {(lam exponents, rest): coeff}; Fraction coefficients."""
+    terms = {}
+    for (ev, rest), coeff in acc.items():
+        if coeff:
+            mono = tuple((lams[s], e) for s, e in enumerate(ev) if e) + rest
+            terms[mono] = coeff if type(coeff) is Fraction else Fraction(coeff)
+    return RatPoly(terms)
+
+
 def _d_lie(c):
-    """The two-sum differential, on representatives for either Lie variant."""
+    """The two-sum differential, on representatives for either Lie variant.
+
+    Table-driven: every (T, i) action term and (T, i, j, k) bracket term is
+    expanded through the cached tables above and added straight into
+    per-component {(lam exponents, rest): coeff} accumulators.
+    """
     A, M, q = c.algebra, c.module, c.q
     out_q = q + 1
-    values = {}
+    lams = [lam(s + 1) for s in range(out_q)]
+    split = _split_values(c)
     module_acts = M.is_free()
+    dim = M.dim
+    values = {}
     for T in _lie_candidates(c, module_acts):
-        total = zero_vec(M.dim)
+        acc = [{} for _ in range(dim)]
         if module_acts:
+            # (-1)^i T[i] acting at lam_{i+1} on the value at the other slots
             for i in range(out_q):
-                rest = T[:i] + T[i + 1:]
-                inner = c.value_on(rest)
-                if vec_is_zero(inner):
+                inner = split.get(T[:i] + T[i + 1:])
+                if inner is None:
                     continue
-                relabel = {
-                    lam(s + 1): lam_var(s + 2) for s in range(i, q)
-                }
-                if relabel:
-                    inner = vec_subst(inner, relabel)
-                term = M.act(T[i], lam_var(i + 1), inner)
-                if i % 2:
-                    term = vec_scale(-1, term)
-                total = vec_add(total, term)
+                g = T[i]
+                sign = -1 if i % 2 else 1
+                row = M.action[g]
+                for r in range(dim):
+                    for u in range(dim):
+                        if not row[r][u]:
+                            continue
+                        comp = acc[r]
+                        for ev, _, m, params, coeff in inner[u]:
+                            coeff *= sign
+                            head, tail = ev[:i], ev[i:]
+                            for ex, ed, hrest, hc in _action_expansion(
+                                M, g, r, u, m
+                            ):
+                                rest = _mono_mul(params, hrest) if hrest else params
+                                if ed:
+                                    rest = ((DEL, ed),) + rest
+                                key = (head + (ex,) + tail, rest)
+                                comp[key] = comp.get(key, 0) + coeff * hc
+        # (-1)^(i+j) gamma([T[i]_lam_{i+1} T[j]], other slots), the bracket
+        # fed into the first slot at lam_{i+1} + lam_{j+1}
         for i in range(out_q):
             for j in range(i + 1, out_q):
-                br = A.table[T[i]][T[j]]
-                if all(not p for p in br):
-                    continue
-                if i > 0:
-                    br = tuple(p.subst_many({lam(1): lam_var(i + 1)}) for p in br)
-                fparam = lam_var(i + 1) + lam_var(j + 1)
-                rest_gens = tuple(T[s] for s in range(out_q) if s != i and s != j)
-                rest_params = [
-                    lam_var(s + 1) for s in range(out_q) if s != i and s != j
-                ]
-                term = c.slot_insert(br, fparam, rest_gens, rest_params, pos=0)
-                if (i + j) % 2:
-                    term = vec_scale(-1, term)
-                total = vec_add(total, term)
-        if not vec_is_zero(total):
-            values[T] = total
+                a, b = T[i], T[j]
+                br = A.table[a][b]
+                others = [s for s in range(out_q) if s != i and s != j]
+                rest_gens = tuple(T[s] for s in others)
+                for k in range(A.ngens):
+                    if not br[k]:
+                        continue
+                    t = (k,) + rest_gens
+                    perm = sorted(range(q), key=lambda s: (t[s], s))
+                    inner = split.get(tuple(t[p] for p in perm))
+                    if inner is None:
+                        continue
+                    sign = _parity(perm) * (-1 if (i + j) % 2 else 1)
+                    # stored lam_{s+1} reads slot perm[s] of t: slot 0 is
+                    # the bracket, slot p > 0 is output slot others[p-1]
+                    bslot = perm.index(0)
+                    targets = [
+                        (s, others[p - 1]) for s, p in enumerate(perm) if p
+                    ]
+                    for u in range(dim):
+                        comp = acc[u]
+                        for ev, rest, _, _, coeff in inner[u]:
+                            coeff *= sign
+                            lv = [0] * out_q
+                            for s, o in targets:
+                                lv[o] = ev[s]
+                            for ex, ey, grest, gc in _bracket_expansion(
+                                A, a, b, k, ev[bslot]
+                            ):
+                                lv[i] = ex
+                                lv[j] = ey
+                                key = (tuple(lv),
+                                       _mono_mul(rest, grest) if grest else rest)
+                                comp[key] = comp.get(key, 0) + coeff * gc
+        vec = tuple(_to_poly(comp, lams) for comp in acc)
+        if not vec_is_zero(vec):
+            values[T] = vec
     return values
 
 
@@ -655,8 +815,6 @@ def cyclic_symmetrize(c):
             acc = vec_add(acc, vec_scale(RatPoly.const(sign), val))
         if not vec_is_zero(acc):
             total[t] = acc
-    from fractions import Fraction
-
     return Cochain(
         c.algebra, c.module, q, CYCLIC,
         {t: vec_scale(Fraction(1, q), v) for t, v in total.items()},

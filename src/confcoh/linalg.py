@@ -13,6 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+_ONE = Fraction(1)
+
+
 def vec_axpy(target, coeff, source):
     """target += coeff * source, in place, dropping zeros."""
     if not coeff:
@@ -35,6 +38,7 @@ def sparse_rref(rows):
 
     Returns (reduced_rows, pivot_keys): nonzero rows with unit pivots, each
     pivot key appearing in exactly one row, processed in sorted key order.
+    Entries may be int or Fraction; the reduced rows hold Fractions.
     """
     work = [dict(r) for r in rows if r]
     reduced = []
@@ -50,7 +54,7 @@ def sparse_rref(rows):
         if pivot_row is None:
             continue
         row = work.pop(pivot_row)
-        inv = 1 / row[key]
+        inv = _ONE / row[key]
         row = {k: c * inv for k, c in row.items()}
         for r in work:
             c = r.get(key)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -187,3 +188,53 @@ def test_negative_counts_are_parse_failures(capsys, argv, flag):
     assert code == 3
     assert out == ""
     assert flag in err
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (("betti", "--algebra", "vir", "--module", "ca:abc"), "'abc'"),
+    (("betti", "--algebra", "vir", "--module", "ca:1/0"), "'1/0'"),
+    (("betti", "--algebra", "vir", "--module", "mda:1"), "mda:1"),
+    (("betti", "--algebra", "vir", "--module", "mda:1,x"), "'x'"),
+    (("check", "--algebra", "cur:abelian:x"), "'x'"),
+    (("betti", "--algebra", "cur:abelian:0", "--module", "trivial"), "'0'"),
+    # an abelian current algebra has no builtin M_U module; sl3's adjoint
+    # module must not be built over it
+    (("betti", "--algebra", "cur:abelian:2", "--module", "mu:adjoint"),
+     "cur:sl2 and cur:sl3"),
+    (("check", "--algebra", "cur:sl2", "--module", "mu:Vx"), "mu:Vx"),
+], ids=["ca-word", "ca-zero-denominator", "mda-one-number", "mda-word",
+        "abelian-word", "abelian-zero", "abelian-mu-adjoint", "V-word"])
+def test_malformed_specs_are_parse_failures(capsys, argv, needle):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and needle in err
+
+
+def test_abelian_current_spec(capsys):
+    code, out, _ = run(capsys, "check", "--algebra", "cur:abelian:2")
+    assert code == 0
+    assert json.loads(out)["jacobi"]
+
+
+# betti commands whose stdout is committed byte for byte under tests/golden:
+# the README ones plus two window sweeps, all with representatives
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_BETTI = {
+    "vir_trivial_reduced_q4": ("--algebra", "vir", "--module", "trivial",
+                               "--variant", "reduced", "--qmax", "4"),
+    "vir_mda_1_0_q2": ("--algebra", "vir", "--module", "mda:1,0",
+                       "--qmax", "2"),
+    "vir_ca_1_2_q2": ("--algebra", "vir", "--module", "ca:1/2", "--qmax", "2"),
+    "cur_sl2_ca_m7_3_q2_b6": ("--algebra", "cur:sl2", "--module", "ca:-7/3",
+                              "--qmax", "2", "--bound", "6"),
+}
+
+
+@pytest.mark.parametrize("fmt, ext", [("table", "txt"), ("json", "json")])
+@pytest.mark.parametrize("name", sorted(GOLDEN_BETTI))
+def test_betti_golden_bytes(capsys, name, fmt, ext):
+    code, out, err = run(capsys, "betti", *GOLDEN_BETTI[name],
+                         "--representatives", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"{name}.{ext}").read_text()

@@ -83,3 +83,14 @@ def test_rref_is_deterministic():
     assert sorted(map(sorted, (r.items() for r in a[0]))) == sorted(
         map(sorted, (r.items() for r in b[0]))
     )
+
+
+def test_rref_of_int_rows_is_exact():
+    reduced, pivots = sparse_rref([{0: 3, 1: 1}, {0: 1, 2: 2}])
+    assert pivots == [0, 1]
+    assert reduced == [{0: 1, 2: 2}, {1: 1, 2: -6}]
+    for row in reduced:
+        assert all(type(c) is Fraction for c in row.values())
+    (only,), _ = sparse_rref([{0: 3, 1: 1}])
+    assert only == {0: Fraction(1), 1: Fraction(1, 3)}
+    assert all(type(c) is Fraction for c in only.values())
