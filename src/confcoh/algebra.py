@@ -79,9 +79,6 @@ class ConformalAlgebra:
     def bracket(self, i, j):
         return self.table[i][j]
 
-    def index_of(self, name):
-        return self.gen_names.index(name)
-
     def __repr__(self):
         kind = "associative conformal" if self.associative else "conformal"
         return f"<{kind} algebra on {', '.join(self.gen_names)}>"

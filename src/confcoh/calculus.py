@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import bracket_eval
-from .cochain import Cochain, lam_var, sorted_tuples
+from .cochain import Cochain, lam_sum, lam_var, sorted_tuples
 from .errors import DegreeZero, WrongContext
 from .poly import (
     RatPoly,
@@ -140,13 +140,6 @@ def homotopy_k(c):
     return Cochain(c.algebra, c.module, q - 1, c.variant, values)
 
 
-def del_multiplier(q):
-    total = RatPoly.zero()
-    for s in range(q):
-        total = total + lam_var(s + 1)
-    return total
-
-
 def homotopy_k1(c):
     """k1 on the image of the d-action: k1((sum lam) P) = (sum lam) k(P)."""
     _require_rank_one_trivial(c)
@@ -164,7 +157,7 @@ def homotopy_k1(c):
         raise WrongContext("cochain is not in the image of the d-action")
     inner = c.copy_with(values={(0,) * q: (quot,)} if quot else {})
     k_inner = homotopy_k(inner)
-    mult = del_multiplier(q - 1)
+    mult = lam_sum(q - 1)
     return k_inner.copy_with(
         values={t: vec_scale(mult, v) for t, v in k_inner.values.items()}
     )

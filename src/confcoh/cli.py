@@ -63,6 +63,7 @@ from .cochain import (
     REDUCED,
     cochain_from_obj,
     d_basic,
+    name_index,
     random_skew_cochain,
 )
 from .engine import ComplexSpec, truncation_sweep, verify_cocycle
@@ -169,7 +170,10 @@ def _wedge2_mod_g(g):
 
 def load_spec_file(path):
     with open(path) as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path} is not valid JSON: {exc}") from None
     algebra = None
     module = None
     if "algebra" in obj:
@@ -179,13 +183,17 @@ def load_spec_file(path):
         zero = RatPoly.zero()
         entries = [[[zero] * n for _ in range(n)] for _ in range(n)]
         for key, comps in spec.get("brackets", {}).items():
-            left, right = (s.strip() for s in key.split(","))
-            i, j = names.index(left), names.index(right)
+            pair = [s.strip() for s in key.split(",")]
+            if len(pair) != 2:
+                raise ParseError(f"bracket key {key!r} is not 'gen,gen'")
+            i, j = (name_index(names, s, f"bracket key {key!r}") for s in pair)
             for out_name, text in comps.items():
-                entries[i][j][names.index(out_name)] = parse_poly(text)
+                k = name_index(names, out_name, f"bracket {key!r}")
+                entries[i][j][k] = parse_poly(text)
         scalars = [None] * n
         for name, val in spec.get("del_scalars", {}).items():
-            scalars[names.index(name)] = Fraction(val)
+            scalars[name_index(names, name, "del_scalars")] = \
+                _rational(val, path)
         algebra = ConformalAlgebra(
             names,
             [[tuple(entries[i][j]) for j in range(n)] for i in range(n)],
@@ -198,16 +206,25 @@ def load_spec_file(path):
         if spec.get("kind", "free") == "scalar":
             module = ConformalModule(
                 "scalar", len(basis),
-                del_scalar=Fraction(spec.get("del_scalar", 0)),
+                del_scalar=_rational(spec.get("del_scalar", 0), path),
                 basis_names=basis,
             )
         else:
+            if algebra is None:
+                raise ParseError("spec file has no algebra section")
             dim = len(basis)
+            actions = spec["actions"]
+            for name in actions:
+                name_index(algebra.gen_names, name, "actions")
             action = []
             for name in algebra.gen_names:
-                rows = spec["actions"].get(name)
+                rows = actions.get(name)
                 if rows is None:
                     action.append([[RatPoly.zero()] * dim for _ in range(dim)])
+                elif len(rows) != dim or any(len(row) != dim for row in rows):
+                    raise ParseError(
+                        f"the action of {name!r} is not a {dim}x{dim} matrix"
+                    )
                 else:
                     action.append([[parse_poly(x) for x in row] for row in rows])
             module = ConformalModule("free", dim, action=action, basis_names=basis)
@@ -424,6 +441,23 @@ def _remark81_datum(algebra_name, algebra, module):
     raise ParseError("remark81 cocycles are defined for cur:sl2 and cur:sl3")
 
 
+def _read_cocycle(path, algebra, module):
+    """The reduced 2-cochain of a cochain file, or a ParseError."""
+    with open(path) as fh:
+        try:
+            cochain = cochain_from_obj(algebra, module, json.load(fh))
+        except (ValueError, KeyError, TypeError) as exc:
+            # invalid JSON, a missing key, a non-integer degree, unsorted
+            # skew args
+            raise ParseError(f"malformed cochain file {path}: {exc}") from None
+    if cochain.variant != REDUCED or cochain.q != 2:
+        raise ParseError(
+            f"{path} holds a {cochain.variant} {cochain.q}-cochain, "
+            "not a reduced 2-cochain"
+        )
+    return cochain
+
+
 def cmd_extend(args):
     algebra, module, name = _resolve(args)
     if module is None:
@@ -431,10 +465,7 @@ def cmd_extend(args):
     if args.cocycle == "remark81":
         datum = _remark81_datum(name, algebra, module)
     else:
-        with open(args.cocycle) as fh:
-            obj = json.load(fh)
-        cochain = cochain_from_obj(algebra, module, obj)
-        datum = cochain
+        datum = _read_cocycle(args.cocycle, algebra, module)
     try:
         extend_algebra(algebra, module, datum)
     except NotACocycle as exc:
@@ -449,10 +480,7 @@ def cmd_deform(args):
     algebra, module, name = _resolve(args)
     adjoint = adjoint_module(algebra)
     if args.cocycle:
-        with open(args.cocycle) as fh:
-            obj = json.load(fh)
-        gamma = cochain_from_obj(algebra, adjoint, obj)
-        defo = deform(algebra, gamma)
+        defo = deform(algebra, _read_cocycle(args.cocycle, algebra, adjoint))
         ok, witness = defo.check_jacobi_mod_eps2()
         print(json.dumps({"deformation": "valid" if ok else "invalid"}))
         return EXIT_OK if ok else EXIT_AXIOM

@@ -22,9 +22,14 @@ Variants:
   shift of the n+1 arguments.
 * ``leibniz`` -- no symmetry constraint.
 
-The Lie differential (``_d_lie``, behind ``d_basic`` and ``d_reduced``) is
-table-driven.  Two expansion tables are filled lazily, on first use, and
-kept on the algebra and on the module:
+Every differential is built from two kinds of term: a generator acting on
+the value at the other slots, and a bracket (product) of two arguments fed
+into one slot, with a position and a sign.  One kernel, ``_d_terms``,
+enumerates both; each variant supplies its list of actions and products
+(``d_hochschild`` adds its right action through RatPoly substitution, the
+one term no table covers).  The kernel is table-driven.  Two expansion
+tables are filled lazily, on first use, and kept on the algebra and on the
+module:
 
 * bracket: table[a][b][k](x, d := -(x+y)) * (x+y)^e -- the bracket fed
   into a slot at parameter x+y, times that slot's lam^e in the value;
@@ -32,12 +37,11 @@ kept on the algebra and on the module:
   a value's d^m under the action at parameter x.
 
 Each value of the input is split once into (lam exponents, d and parameter
-monomial, coefficient); every term of the two sums is then a table lookup
-added into per-component {monomial: coeff} dicts.  Integral coefficients
-stay Python ints inside the kernel and become Fractions only when the
-output RatPolys are built, so ``RatPoly.terms`` keeps its
-{monomial: Fraction} contract.  The other variants and the calculus
-substitute through ``slot_insert`` / ``value_with_params``.
+monomial, coefficient); every term is then a table lookup added into
+per-component {monomial: coeff} dicts.  Integral coefficients stay Python
+ints inside the kernel and become Fractions only when the output RatPolys
+are built, so ``RatPoly.terms`` keeps its {monomial: Fraction} contract.
+The calculus substitutes through ``slot_insert`` / ``value_with_params``.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
-from .errors import WrongModuleKind
+from .errors import ParseError, WrongModuleKind
 from .poly import (
     DEL,
     RatPoly,
@@ -69,6 +73,7 @@ HOCHSCHILD = "hochschild"
 HOCHSCHILD_REDUCED = "hochschild_reduced"
 CYCLIC = "cyclic"
 LEIBNIZ = "leibniz"
+VARIANTS = (BASIC, REDUCED, HOCHSCHILD, HOCHSCHILD_REDUCED, CYCLIC, LEIBNIZ)
 
 _SKEW_VARIANTS = (BASIC, REDUCED)
 _DELP = RatPoly.var(DEL)
@@ -80,6 +85,11 @@ def lam_var(i):
     while len(_LAMV) <= i:
         _LAMV.append(RatPoly.var(lam(len(_LAMV))))
     return _LAMV[i]
+
+
+def lam_sum(q):
+    """lam1 + ... + lamq."""
+    return sum((lam_var(s + 1) for s in range(q)), RatPoly.zero())
 
 
 def sorted_tuples(ngens, q):
@@ -304,7 +314,7 @@ class Cochain:
         return None
 
 
-# -- the Lie differential ------------------------------------------------------
+# -- the differentials: one term enumerator ------------------------------------
 
 
 def _nonzero_bracket_pairs(algebra):
@@ -323,23 +333,29 @@ def _nonzero_bracket_pairs(algebra):
     return cache
 
 
-def _lie_candidates(c, module_acts):
-    """Sorted output tuples that can receive a nonzero term of d(c)."""
+def _candidates(c, module_acts):
+    """Output tuples that can receive a nonzero term of d(c).
+
+    Ordered tuples: a generator inserted anywhere (the actions) and a pair
+    (a, b) with a nonzero [a_lam b] component k replacing a stored k, a in
+    front of b (the products); sorted for skew storage.
+    """
     A = c.algebra
     pairs_for = _nonzero_bracket_pairs(A)
     candidates = set()
     for key in c.values:
+        q = len(key)
         if module_acts:
             for g in range(A.ngens):
-                candidates.add(tuple(sorted(key + (g,))))
-        seen = set()
-        for pos, k in enumerate(key):
-            rest = key[:pos] + key[pos + 1:]
-            if (rest, k) in seen:
-                continue
-            seen.add((rest, k))
-            for (i, j) in pairs_for[k]:
-                candidates.add(tuple(sorted(rest + (i, j))))
+                for i in range(q + 1):
+                    candidates.add(key[:i] + (g,) + key[i:])
+        for p in range(q):
+            for (a, b) in pairs_for[key[p]]:
+                rest = key[:p] + (b,) + key[p + 1:]
+                for i in range(p + 1):
+                    candidates.add(rest[:i] + (a,) + rest[i:])
+    if c.variant in _SKEW_VARIANTS:
+        candidates = {tuple(sorted(T)) for T in candidates}
     return sorted(candidates)
 
 
@@ -442,89 +458,113 @@ def _to_poly(acc, lams):
     return RatPoly(terms)
 
 
-def _d_lie(c):
-    """The two-sum differential, on representatives for either Lie variant.
+def _d_terms(c, outputs, actions, products):
+    """The values of d(c) on ``outputs``, summed from two kinds of term.
 
-    Table-driven: every (T, i) action term and (T, i, j, k) bracket term is
-    expanded through the cached tables above and added straight into
-    per-component {(lam exponents, rest): coeff} accumulators.
+    * (i, sign): the generator T[i] acting at lam_{i+1} on the value at the
+      other slots, which read lam_1..lam_{i}, lam_{i+2}.. in order;
+    * (i, j, pos, sign): [T[i]_lam_{i+1} T[j]] fed into slot ``pos`` of
+      the other arguments (kept in order) at lam_{i+1} + lam_{j+1}; skew
+      values are read on the sorted tuple with the permutation's parity,
+      all others as they are stored.
+
+    Table-driven: every term is expanded through the cached tables above
+    and added straight into per-component {(lam exponents, rest): coeff}
+    accumulators.
     """
     A, M, q = c.algebra, c.module, c.q
     out_q = q + 1
     lams = [lam(s + 1) for s in range(out_q)]
     split = _split_values(c)
-    module_acts = M.is_free()
+    skew = c.variant in _SKEW_VARIANTS
     dim = M.dim
     values = {}
-    for T in _lie_candidates(c, module_acts):
+    for T in outputs:
         acc = [{} for _ in range(dim)]
-        if module_acts:
-            # (-1)^i T[i] acting at lam_{i+1} on the value at the other slots
-            for i in range(out_q):
-                inner = split.get(T[:i] + T[i + 1:])
-                if inner is None:
-                    continue
-                g = T[i]
-                sign = -1 if i % 2 else 1
-                row = M.action[g]
-                for r in range(dim):
-                    for u in range(dim):
-                        if not row[r][u]:
-                            continue
-                        comp = acc[r]
-                        for ev, _, m, params, coeff in inner[u]:
-                            coeff *= sign
-                            head, tail = ev[:i], ev[i:]
-                            for ex, ed, hrest, hc in _action_expansion(
-                                M, g, r, u, m
-                            ):
-                                rest = _mono_mul(params, hrest) if hrest else params
-                                if ed:
-                                    rest = ((DEL, ed),) + rest
-                                key = (head + (ex,) + tail, rest)
-                                comp[key] = comp.get(key, 0) + coeff * hc
-        # (-1)^(i+j) gamma([T[i]_lam_{i+1} T[j]], other slots), the bracket
-        # fed into the first slot at lam_{i+1} + lam_{j+1}
-        for i in range(out_q):
-            for j in range(i + 1, out_q):
-                a, b = T[i], T[j]
-                br = A.table[a][b]
-                others = [s for s in range(out_q) if s != i and s != j]
-                rest_gens = tuple(T[s] for s in others)
-                for k in range(A.ngens):
-                    if not br[k]:
+        for i, sign in actions:
+            inner = split.get(T[:i] + T[i + 1:])
+            if inner is None:
+                continue
+            g = T[i]
+            row = M.action[g]
+            for r in range(dim):
+                for u in range(dim):
+                    if not row[r][u]:
                         continue
-                    t = (k,) + rest_gens
+                    comp = acc[r]
+                    for ev, _, m, params, coeff in inner[u]:
+                        coeff *= sign
+                        head, tail = ev[:i], ev[i:]
+                        for ex, ed, hrest, hc in _action_expansion(
+                            M, g, r, u, m
+                        ):
+                            rest = _mono_mul(params, hrest) if hrest else params
+                            if ed:
+                                rest = ((DEL, ed),) + rest
+                            key = (head + (ex,) + tail, rest)
+                            comp[key] = comp.get(key, 0) + coeff * hc
+        for i, j, pos, psign in products:
+            a, b = T[i], T[j]
+            br = A.table[a][b]
+            others = [s for s in range(out_q) if s != i and s != j]
+            # output slot read by each slot of the fed tuple; None: the bracket
+            slots = others[:pos] + [None] + others[pos:]
+            rest_gens = tuple(T[s] for s in others)
+            for k in range(A.ngens):
+                if not br[k]:
+                    continue
+                t = rest_gens[:pos] + (k,) + rest_gens[pos:]
+                if skew:
                     perm = sorted(range(q), key=lambda s: (t[s], s))
                     inner = split.get(tuple(t[p] for p in perm))
-                    if inner is None:
-                        continue
-                    sign = _parity(perm) * (-1 if (i + j) % 2 else 1)
-                    # stored lam_{s+1} reads slot perm[s] of t: slot 0 is
-                    # the bracket, slot p > 0 is output slot others[p-1]
-                    bslot = perm.index(0)
-                    targets = [
-                        (s, others[p - 1]) for s, p in enumerate(perm) if p
-                    ]
-                    for u in range(dim):
-                        comp = acc[u]
-                        for ev, rest, _, _, coeff in inner[u]:
-                            coeff *= sign
-                            lv = [0] * out_q
-                            for s, o in targets:
-                                lv[o] = ev[s]
-                            for ex, ey, grest, gc in _bracket_expansion(
-                                A, a, b, k, ev[bslot]
-                            ):
-                                lv[i] = ex
-                                lv[j] = ey
-                                key = (tuple(lv),
-                                       _mono_mul(rest, grest) if grest else rest)
-                                comp[key] = comp.get(key, 0) + coeff * gc
+                else:
+                    perm = range(q)
+                    inner = split.get(t)
+                if inner is None:
+                    continue
+                sign = _parity(perm) * psign
+                # stored lam_{s+1} reads slot perm[s] of t
+                bslot = perm.index(pos)
+                targets = [
+                    (s, slots[p]) for s, p in enumerate(perm) if p != pos
+                ]
+                for u in range(dim):
+                    comp = acc[u]
+                    for ev, rest, _, _, coeff in inner[u]:
+                        coeff *= sign
+                        lv = [0] * out_q
+                        for s, o in targets:
+                            lv[o] = ev[s]
+                        for ex, ey, grest, gc in _bracket_expansion(
+                            A, a, b, k, ev[bslot]
+                        ):
+                            lv[i] = ex
+                            lv[j] = ey
+                            key = (tuple(lv),
+                                   _mono_mul(rest, grest) if grest else rest)
+                            comp[key] = comp.get(key, 0) + coeff * gc
         vec = tuple(_to_poly(comp, lams) for comp in acc)
         if not vec_is_zero(vec):
             values[T] = vec
     return values
+
+
+def _actions(c):
+    """(i, (-1)^i) at every output slot, over a free module."""
+    if not c.module.is_free():
+        return []
+    return [(i, -1 if i % 2 else 1) for i in range(c.q + 1)]
+
+
+def _d_lie(c):
+    """The two-sum differential, on representatives for either Lie variant:
+    the actions, and every bracket [T[i]_lam_{i+1} T[j]] (i < j) fed into
+    the first slot with sign (-1)^(i+j)."""
+    out_q = c.q + 1
+    products = [(i, j, 0, -1 if (i + j) % 2 else 1)
+                for i in range(out_q) for j in range(i + 1, out_q)]
+    return _d_terms(c, _candidates(c, c.module.is_free()), _actions(c),
+                    products)
 
 
 def d_basic(c):
@@ -539,7 +579,7 @@ def d_reduced(c):
         raise ValueError("d_reduced expects a reduced cochain")
     values = _d_lie(c)
     if c.module.is_free():
-        cut = {DEL: -sum((lam_var(s + 1) for s in range(c.q + 1)), RatPoly.zero())}
+        cut = {DEL: -lam_sum(c.q + 1)}
         values = {t: vec_subst(v, cut) for t, v in values.items()}
     return c.copy_with(values=values, q=c.q + 1)
 
@@ -553,7 +593,7 @@ def reduce_cochain(c):
             "reduction by substitution needs a free module; scalar-module "
             "classes are taken modulo (a + sum lam_i) by the engine"
         )
-    cut = {DEL: -sum((lam_var(s + 1) for s in range(c.q)), RatPoly.zero())}
+    cut = {DEL: -lam_sum(c.q)}
     values = {t: vec_subst(v, cut) for t, v in c.values.items()}
     return c.copy_with(values=values, variant=REDUCED)
 
@@ -562,9 +602,7 @@ def del_action(c):
     """(d . gamma) = (d_M + lam1 + ... + lamq) gamma on basic-type cochains."""
     if c.variant in (REDUCED, HOCHSCHILD_REDUCED):
         raise ValueError("the d-action lives on the basic complexes")
-    factor = c.module.del_poly() + sum(
-        (lam_var(s + 1) for s in range(c.q)), RatPoly.zero()
-    )
+    factor = c.module.del_poly() + lam_sum(c.q)
     return c.copy_with(
         values={t: vec_scale(factor, v) for t, v in c.values.items()}
     )
@@ -580,33 +618,13 @@ def d_hochschild(c):
     if M.right_action is None:
         raise WrongModuleKind("Hochschild cochains need a bimodule")
     out_q = q + 1
+    # a1 acting on the left, then the adjacent products
+    left = _d_terms(c, all_tuples(A.ngens, out_q), [(0, 1)],
+                    [(s, s + 1, s, -1 if (s + 1) % 2 else 1) for s in range(q)])
     values = {}
     for T in all_tuples(A.ngens, out_q):
-        total = zero_vec(M.dim)
-        # a1 acting on the left
-        rest = T[1:]
-        inner = c.value_on(rest)
-        if not vec_is_zero(inner):
-            relabel = {lam(s + 1): lam_var(s + 2) for s in range(q)}
-            inner = vec_subst(inner, relabel) if relabel else inner
-            total = vec_add(total, M.act(T[0], lam_var(1), inner))
-        # adjacent products
-        for s in range(q):
-            prod = A.table[T[s]][T[s + 1]]
-            if all(not p for p in prod):
-                continue
-            if s > 0:
-                prod = tuple(p.subst_many({lam(1): lam_var(s + 1)}) for p in prod)
-            fparam = lam_var(s + 1) + lam_var(s + 2)
-            rest_gens = T[:s] + T[s + 2:]
-            rest_params = [lam_var(r + 1) for r in range(s)] + [
-                lam_var(r + 1) for r in range(s + 2, out_q)
-            ]
-            term = c.slot_insert(prod, fparam, rest_gens, rest_params, pos=s)
-            if (s + 1) % 2:
-                term = vec_scale(-1, term)
-            total = vec_add(total, term)
-        # right action at -d - lam_{q+1}
+        total = left.get(T, zero_vec(M.dim))
+        # right action at -d - lam_{q+1}: no expansion table covers it
         val = c.value_on(T[:q])
         if not vec_is_zero(val):
             shifted = vec_subst(val, {DEL: _DELP + lam_var(out_q)})
@@ -620,108 +638,34 @@ def d_hochschild(c):
         if not vec_is_zero(total):
             values[T] = total
     if c.variant == HOCHSCHILD_REDUCED:
-        cut = {DEL: -sum((lam_var(s + 1) for s in range(out_q)), RatPoly.zero())}
+        cut = {DEL: -lam_sum(out_q)}
         values = {t: vec_subst(v, cut) for t, v in values.items()}
     return c.copy_with(values=values, q=out_q)
 
 
 def d_cyclic(c):
-    """Differential on cyclic cochains; c.q counts arguments (= paper n+1)."""
+    """Differential on cyclic cochains; c.q counts arguments (= paper n+1).
+
+    The adjacent products (-1)^s a_{s+1} a_{s+2} and the wrap-around
+    product (-1)^q a_{q+1} a_1, each fed into the first of its slots.
+    """
     A, q = c.algebra, c.q
     if not A.associative:
         raise ValueError("cyclic differential needs an associative algebra")
-    n = q - 1
-    out_q = q + 1
-    values = {}
-    for T in all_tuples(A.ngens, out_q):
-        total = zero_vec(c.module.dim)
-        for s in range(q):
-            prod = A.table[T[s]][T[s + 1]]
-            if all(not p for p in prod):
-                continue
-            if s > 0:
-                prod = tuple(p.subst_many({lam(1): lam_var(s + 1)}) for p in prod)
-            fparam = lam_var(s + 1) + lam_var(s + 2)
-            rest_gens = T[:s] + T[s + 2:]
-            rest_params = [lam_var(r + 1) for r in range(s)] + [
-                lam_var(r + 1) for r in range(s + 2, out_q)
-            ]
-            term = c.slot_insert(prod, fparam, rest_gens, rest_params, pos=s)
-            if s % 2:
-                term = vec_scale(-1, term)
-            total = vec_add(total, term)
-        prod = A.table[T[out_q - 1]][T[0]]
-        if any(p for p in prod):
-            prod = tuple(p.subst_many({lam(1): lam_var(out_q)}) for p in prod)
-            fparam = lam_var(out_q) + lam_var(1)
-            rest_gens = T[1:out_q - 1]
-            rest_params = [lam_var(r + 1) for r in range(1, out_q - 1)]
-            term = c.slot_insert(prod, fparam, rest_gens, rest_params, pos=0)
-            if (n + 1) % 2:
-                term = vec_scale(-1, term)
-            total = vec_add(total, term)
-        if not vec_is_zero(total):
-            values[T] = total
-    return c.copy_with(values=values, q=out_q)
-
-
-def _leibniz_candidates(c, module_acts):
-    """Ordered output tuples that can receive a nonzero term of d_leibniz(c)."""
-    A = c.algebra
-    pairs_for = _nonzero_bracket_pairs(A)
-    candidates = set()
-    for key in c.values:
-        q = len(key)
-        if module_acts:
-            for g in range(A.ngens):
-                for i in range(q + 1):
-                    candidates.add(key[:i] + (g,) + key[i:])
-        for p in range(q):
-            for (a, b) in pairs_for[key[p]]:
-                rest = key[:p] + (b,) + key[p + 1:]
-                for i in range(p + 1):
-                    candidates.add(rest[:i] + (a,) + rest[i:])
-    return sorted(candidates)
+    products = [(s, s + 1, s, -1 if s % 2 else 1) for s in range(q)]
+    products.append((q, 0, 0, -1 if q % 2 else 1))
+    values = _d_terms(c, all_tuples(A.ngens, q + 1), [], products)
+    return c.copy_with(values=values, q=q + 1)
 
 
 def d_leibniz(c):
-    A, M, q = c.algebra, c.module, c.q
-    out_q = q + 1
-    values = {}
-    module_acts = M.is_free()
-    for T in _leibniz_candidates(c, module_acts):
-        total = zero_vec(M.dim)
-        if module_acts:
-            for i in range(out_q):
-                rest = T[:i] + T[i + 1:]
-                inner = c.value_on(rest)
-                if vec_is_zero(inner):
-                    continue
-                relabel = {lam(s + 1): lam_var(s + 2) for s in range(i, q)}
-                if relabel:
-                    inner = vec_subst(inner, relabel)
-                term = M.act(T[i], lam_var(i + 1), inner)
-                if i % 2:
-                    term = vec_scale(-1, term)
-                total = vec_add(total, term)
-        for i in range(out_q):
-            for j in range(i + 1, out_q):
-                br = A.table[T[i]][T[j]]
-                if all(not p for p in br):
-                    continue
-                if i > 0:
-                    br = tuple(p.subst_many({lam(1): lam_var(i + 1)}) for p in br)
-                fparam = lam_var(i + 1) + lam_var(j + 1)
-                rest_gens = tuple(T[s] for s in range(out_q) if s != i and s != j)
-                rest_params = [
-                    lam_var(s + 1) for s in range(out_q) if s != i and s != j
-                ]
-                term = c.slot_insert(br, fparam, rest_gens, rest_params, pos=j - 1)
-                if (i + 1) % 2:
-                    term = vec_scale(-1, term)
-                total = vec_add(total, term)
-        if not vec_is_zero(total):
-            values[T] = total
+    """The actions of d_basic, and [T[i]_lam_{i+1} T[j]] (i < j) fed into
+    the slot of T[j] with sign (-1)^(i+1)."""
+    out_q = c.q + 1
+    products = [(i, j, j - 1, -1 if (i + 1) % 2 else 1)
+                for i in range(out_q) for j in range(i + 1, out_q)]
+    values = _d_terms(c, _candidates(c, c.module.is_free()), _actions(c),
+                      products)
     return c.copy_with(values=values, q=out_q)
 
 
@@ -836,12 +780,35 @@ def cochain_to_obj(c):
     return {"variant": c.variant, "q": c.q, "entries": entries}
 
 
+def name_index(names, name, where):
+    """Position of a generator or basis name, or a ParseError."""
+    if name not in names:
+        raise ParseError(f"unknown name {name!r} in {where}")
+    return names.index(name)
+
+
 def cochain_from_obj(algebra, module, obj):
+    """The cochain written by ``cochain_to_obj``; ParseError if malformed."""
+    variant, q = obj["variant"], int(obj["q"])
+    if variant not in VARIANTS:
+        raise ParseError(f"unknown cochain variant {variant!r}")
+    if q < 0:
+        raise ParseError(f"negative cochain degree {q}")
     values = {}
     for entry in obj["entries"]:
-        t = tuple(algebra.index_of(name) for name in entry["args"])
+        args = entry["args"]
+        if len(args) != q:
+            raise ParseError(f"a degree-{q} cochain entry has {len(args)} args")
+        t = tuple(name_index(algebra.gen_names, name, "cochain args")
+                  for name in args)
         vec = list(zero_vec(module.dim))
         for name, text in entry["value"].items():
-            vec[module.basis_names.index(name)] = parse_poly(text)
+            poly = parse_poly(text)
+            for v in poly.variables():
+                if is_lam(v) and v[1] > q:
+                    raise ParseError(
+                        f"a degree-{q} cochain value uses lam{v[1]}"
+                    )
+            vec[name_index(module.basis_names, name, "cochain value")] = poly
         values[t] = tuple(vec)
-    return Cochain(algebra, module, int(obj["q"]), obj["variant"], values)
+    return Cochain(algebra, module, q, variant, values)

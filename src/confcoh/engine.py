@@ -46,6 +46,7 @@ from .cochain import (
     Cochain,
     d_basic,
     d_reduced,
+    lam_sum,
 )
 from .errors import NotEquivariant, UnstableTruncation, UnsupportedComplex
 from .liealg import check_equivariant, sym_power_rep, adjoint_rep
@@ -134,10 +135,8 @@ def apply_differential(spec, c):
 
 
 def _mult_factor(spec, q):
-    total = RatPoly.const(spec.module.del_scalar if spec.scalar_quotient else 0)
-    for s in range(q):
-        total = total + RatPoly.var(lam(s + 1))
-    return total
+    a = spec.module.del_scalar if spec.scalar_quotient else 0
+    return RatPoly.const(a) + lam_sum(q)
 
 
 def _mult_coords(spec, q, pair):

@@ -238,3 +238,78 @@ def test_betti_golden_bytes(capsys, name, fmt, ext):
                          "--representatives", "--format", fmt)
     assert (code, err) == (0, "")
     assert out == (GOLDEN / f"{name}.{ext}").read_text()
+
+
+VIR_SPEC = {"generators": ["L"], "brackets": {"L,L": {"L": "d + 2*lam1"}}}
+
+
+@pytest.mark.parametrize("text", [
+    "{not json",
+    json.dumps({"algebra": {"generators": ["L"],
+                            "brackets": {"L,X": {"L": "d + 2*lam1"}}}}),
+    json.dumps({"algebra": {"generators": ["L"],
+                            "brackets": {"L L": {"L": "d + 2*lam1"}}}}),
+    json.dumps({"algebra": {"generators": ["L"],
+                            "brackets": {"L,L": {"X": "d + 2*lam1"}}}}),
+    json.dumps({"algebra": dict(VIR_SPEC, del_scalars={"X": "1"})}),
+    json.dumps({"algebra": VIR_SPEC,
+                "module": {"kind": "free", "basis": ["v"],
+                           "actions": {"L": [["d + lam1"]],
+                                       "X": [["lam1"]]}}}),
+    # action matrices must be dim x dim: both were read as valid modules
+    json.dumps({"algebra": VIR_SPEC,
+                "module": {"kind": "free", "basis": ["v"],
+                           "actions": {"L": [["d + lam1", "1"]]}}}),
+    json.dumps({"algebra": VIR_SPEC,
+                "module": {"kind": "free", "basis": ["v", "w"],
+                           "actions": {"L": [["d + lam1"]]}}}),
+], ids=["invalid-json", "bracket-key-name", "bracket-key-comma",
+        "bracket-output-name", "del-scalars-name", "actions-name",
+        "actions-too-wide", "actions-too-small"])
+def test_malformed_spec_files_are_parse_failures(tmp_path, capsys, text):
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    code, out, err = run(capsys, "check", "--spec-file", str(spec))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def _entries(value, args=("L", "L")):
+    return [{"args": list(args), "value": value}]
+
+
+@pytest.mark.parametrize("command, payload", [
+    # lam3 in a 2-cochain: read as a cocycle, it printed "valid"
+    ("extend", {"variant": "reduced", "q": 2,
+                "entries": _entries({"v0": "lam1*lam3 - lam2*lam3"})}),
+    ("extend", {"variant": "reduced", "q": 2,
+                "entries": _entries({"w": "lam1^3 - lam2^3"})}),
+    ("extend", {"variant": "reduced", "q": 2,
+                "entries": _entries({"v0": "lam1^3 - lam2^3"}, ("L", "G"))}),
+    ("extend", {"variant": "reduced", "q": 2,
+                "entries": _entries({"v0": "lam1^3"}, ("L",))}),
+    ("extend", {"variant": "skew", "q": 2,
+                "entries": _entries({"v0": "lam1^3 - lam2^3"})}),
+    ("extend", {"variant": "basic", "q": 2,
+                "entries": _entries({"v0": "lam1^3 - lam2^3"})}),
+    ("extend", {"variant": "reduced", "q": 3,
+                "entries": _entries({"v0": "lam1 - lam2"}, ("L",) * 3)}),
+    ("deform", {"variant": "basic", "q": 2,
+                "entries": _entries({"L": "lam1 - lam2"})}),
+    ("deform", {"variant": "reduced", "q": 2,
+                "entries": _entries({"v0": "lam1 - lam2"})}),
+], ids=["lam-above-degree", "basis-name", "generator-name", "args-length",
+        "unknown-variant", "extend-basic", "extend-degree-3", "deform-basic",
+        "deform-basis-name"])
+def test_malformed_cochain_files_are_parse_failures(tmp_path, capsys, command,
+                                                    payload):
+    path = tmp_path / "cochain.json"
+    path.write_text(json.dumps(payload))
+    argv = [command, "--algebra", "vir", "--cocycle", str(path)]
+    if command == "extend":
+        argv += ["--module", "trivial"]
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ")

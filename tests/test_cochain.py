@@ -17,10 +17,12 @@ from confcoh.cochain import (
     BASIC,
     CYCLIC,
     HOCHSCHILD,
+    HOCHSCHILD_REDUCED,
+    LEIBNIZ,
     REDUCED,
     Cochain,
     _d_lie,
-    _lie_candidates,
+    all_tuples,
     as_leibniz,
     cochain_from_obj,
     cochain_to_obj,
@@ -36,6 +38,7 @@ from confcoh.cochain import (
     random_plain_cochain,
     random_skew_cochain,
     reduce_cochain,
+    sorted_tuples,
 )
 from confcoh.errors import WrongModuleKind
 from confcoh.extensions import extend_algebra
@@ -44,6 +47,8 @@ from confcoh.poly import (
     DEL,
     RatPoly,
     lam,
+    mat_apply,
+    mat_subst,
     param,
     vec_add,
     vec_is_zero,
@@ -237,12 +242,15 @@ def test_del_action_injective_on_slice_bases():
 
 def _d_lie_oracle(c):
     """The two-sum differential through slot_insert / value_with_params /
-    RatPoly substitution, term by term: the reference for _d_lie."""
+    RatPoly substitution, term by term, on every sorted output tuple: the
+    reference for _d_lie."""
     A, M, q = c.algebra, c.module, c.q
     out_q = q + 1
     values = {}
     module_acts = M.is_free()
-    for T in _lie_candidates(c, module_acts):
+    # a bracket term reads a stored tuple containing the other q - 1 slots
+    near = {key[:s] + key[s + 1:] for key in c.values for s in range(q)}
+    for T in sorted_tuples(A.ngens, out_q):
         total = zero_vec(M.dim)
         if module_acts:
             for i in range(out_q):
@@ -261,6 +269,8 @@ def _d_lie_oracle(c):
                 total = vec_add(total, term)
         for i in range(out_q):
             for j in range(i + 1, out_q):
+                if T[:i] + T[i + 1:j] + T[j + 1:] not in near:
+                    continue
                 br = A.table[T[i]][T[j]]
                 if all(not p for p in br):
                     continue
@@ -280,13 +290,17 @@ def _d_lie_oracle(c):
     return values
 
 
-def _assert_matches_oracle(c):
-    got = _d_lie(c)
-    assert got == _d_lie_oracle(c)
+def _assert_equal_exactly(got, want):
+    """Equal value dicts with Fraction coefficients; 1 if nonzero."""
+    assert got == want
     for vec in got.values():
         for p in vec:
             assert all(type(x) is Fraction for x in p.terms.values())
-    return got
+    return int(bool(got))
+
+
+def _assert_matches_oracle(c):
+    _assert_equal_exactly(_d_lie(c), _d_lie_oracle(c))
 
 
 def _oracle_fixtures():
@@ -377,6 +391,68 @@ def test_leibniz_d_squared_zero_on_plain_cochains():
             assert d_leibniz(d_leibniz(gamma)).is_zero()
 
 
+def _d_leibniz_oracle(c):
+    """d_leibniz through slot_insert / value_with_params / M.act, term by
+    term, on every ordered output tuple: the reference for d_leibniz."""
+    A, M, q = c.algebra, c.module, c.q
+    out_q = q + 1
+    values = {}
+    module_acts = M.is_free()
+    for T in all_tuples(A.ngens, out_q):
+        total = zero_vec(M.dim)
+        if module_acts:
+            for i in range(out_q):
+                rest = T[:i] + T[i + 1:]
+                inner = c.value_on(rest)
+                if vec_is_zero(inner):
+                    continue
+                relabel = {lam(s + 1): lam_var(s + 2) for s in range(i, q)}
+                if relabel:
+                    inner = vec_subst(inner, relabel)
+                term = M.act(T[i], lam_var(i + 1), inner)
+                if i % 2:
+                    term = vec_scale(-1, term)
+                total = vec_add(total, term)
+        for i in range(out_q):
+            for j in range(i + 1, out_q):
+                br = A.table[T[i]][T[j]]
+                if all(not p for p in br):
+                    continue
+                if i > 0:
+                    br = tuple(p.subst_many({lam(1): lam_var(i + 1)}) for p in br)
+                fparam = lam_var(i + 1) + lam_var(j + 1)
+                rest_gens = tuple(T[s] for s in range(out_q) if s != i and s != j)
+                rest_params = [
+                    lam_var(s + 1) for s in range(out_q) if s != i and s != j
+                ]
+                term = c.slot_insert(br, fparam, rest_gens, rest_params, pos=j - 1)
+                if (i + 1) % 2:
+                    term = vec_scale(-1, term)
+                total = vec_add(total, term)
+        if not vec_is_zero(total):
+            values[T] = total
+    return c.copy_with(values=values, q=out_q)
+
+
+def test_d_leibniz_matches_oracle():
+    rng = random.Random(71)
+    nonzero = 0
+    for alg, mod in [(VIR, C), (VIR, M10), (VIR, build_trivial(1, 3)),
+                     (build_current(sl2()), C)]:
+        for q in range(4):
+            plain = [random_plain_cochain(alg, mod, q, 4, rng, density=0.9)
+                     for _ in range(2)]
+            skew = [as_leibniz(random_skew_cochain(
+                alg, mod, q, 3, rng, max_del=1 if mod.is_free() else 0,
+            )) for _ in range(2)]
+            for gamma in plain + skew:
+                assert gamma.variant == LEIBNIZ
+                nonzero += _assert_equal_exactly(
+                    d_leibniz(gamma).values, _d_leibniz_oracle(gamma).values
+                )
+    assert nonzero > 30
+
+
 # -- Hochschild and cyclic -------------------------------------------------------
 
 
@@ -410,6 +486,136 @@ def test_cyclic_differential_preserves_invariance_and_squares_to_zero():
         dg = d_cyclic(gamma)
         assert dg.validate() is None
         assert d_cyclic(dg).is_zero()
+
+
+def _d_hochschild_oracle(c):
+    """d_hochschild through M.act / slot_insert / RatPoly substitution, term
+    by term: the reference for d_hochschild."""
+    A, M, q = c.algebra, c.module, c.q
+    if not A.associative:
+        raise ValueError("Hochschild differential needs an associative algebra")
+    if M.right_action is None:
+        raise WrongModuleKind("Hochschild cochains need a bimodule")
+    out_q = q + 1
+    values = {}
+    for T in all_tuples(A.ngens, out_q):
+        total = zero_vec(M.dim)
+        # a1 acting on the left
+        rest = T[1:]
+        inner = c.value_on(rest)
+        if not vec_is_zero(inner):
+            relabel = {lam(s + 1): lam_var(s + 2) for s in range(q)}
+            inner = vec_subst(inner, relabel) if relabel else inner
+            total = vec_add(total, M.act(T[0], lam_var(1), inner))
+        # adjacent products
+        for s in range(q):
+            prod = A.table[T[s]][T[s + 1]]
+            if all(not p for p in prod):
+                continue
+            if s > 0:
+                prod = tuple(p.subst_many({lam(1): lam_var(s + 1)}) for p in prod)
+            fparam = lam_var(s + 1) + lam_var(s + 2)
+            rest_gens = T[:s] + T[s + 2:]
+            rest_params = [lam_var(r + 1) for r in range(s)] + [
+                lam_var(r + 1) for r in range(s + 2, out_q)
+            ]
+            term = c.slot_insert(prod, fparam, rest_gens, rest_params, pos=s)
+            if (s + 1) % 2:
+                term = vec_scale(-1, term)
+            total = vec_add(total, term)
+        # right action at -d - lam_{q+1}
+        val = c.value_on(T[:q])
+        if not vec_is_zero(val):
+            shifted = vec_subst(val, {DEL: D + lam_var(out_q)})
+            mat = mat_subst(
+                M.right_action[T[q]], {lam(1): -D - lam_var(out_q)}
+            )
+            term = mat_apply(mat, shifted)
+            if out_q % 2:
+                term = vec_scale(-1, term)
+            total = vec_add(total, term)
+        if not vec_is_zero(total):
+            values[T] = total
+    if c.variant == HOCHSCHILD_REDUCED:
+        cut = {DEL: -sum((lam_var(s + 1) for s in range(out_q)), RatPoly.zero())}
+        values = {t: vec_subst(v, cut) for t, v in values.items()}
+    return c.copy_with(values=values, q=out_q)
+
+
+def _d_cyclic_oracle(c):
+    """d_cyclic through slot_insert / RatPoly substitution, term by term:
+    the reference for d_cyclic."""
+    A, q = c.algebra, c.q
+    if not A.associative:
+        raise ValueError("cyclic differential needs an associative algebra")
+    n = q - 1
+    out_q = q + 1
+    values = {}
+    for T in all_tuples(A.ngens, out_q):
+        total = zero_vec(c.module.dim)
+        for s in range(q):
+            prod = A.table[T[s]][T[s + 1]]
+            if all(not p for p in prod):
+                continue
+            if s > 0:
+                prod = tuple(p.subst_many({lam(1): lam_var(s + 1)}) for p in prod)
+            fparam = lam_var(s + 1) + lam_var(s + 2)
+            rest_gens = T[:s] + T[s + 2:]
+            rest_params = [lam_var(r + 1) for r in range(s)] + [
+                lam_var(r + 1) for r in range(s + 2, out_q)
+            ]
+            term = c.slot_insert(prod, fparam, rest_gens, rest_params, pos=s)
+            if s % 2:
+                term = vec_scale(-1, term)
+            total = vec_add(total, term)
+        prod = A.table[T[out_q - 1]][T[0]]
+        if any(p for p in prod):
+            prod = tuple(p.subst_many({lam(1): lam_var(out_q)}) for p in prod)
+            fparam = lam_var(out_q) + lam_var(1)
+            rest_gens = T[1:out_q - 1]
+            rest_params = [lam_var(r + 1) for r in range(1, out_q - 1)]
+            term = c.slot_insert(prod, fparam, rest_gens, rest_params, pos=0)
+            if (n + 1) % 2:
+                term = vec_scale(-1, term)
+            total = vec_add(total, term)
+        if not vec_is_zero(total):
+            values[T] = total
+    return c.copy_with(values=values, q=out_q)
+
+
+def test_d_hochschild_matches_oracle():
+    alg = dual_numbers_current()
+    bim = regular_bimodule(alg)
+    rng = random.Random(73)
+    nonzero = 0
+    for variant in (HOCHSCHILD, HOCHSCHILD_REDUCED):
+        for q in range(4):
+            for e in (0, 0, 1, 1, 2):  # values carrying d^e: the shifts
+                gamma = random_plain_cochain(alg, bim, q, 4, rng, variant=variant)
+                gamma = gamma.copy_with(values={
+                    t: tuple(D ** e * p for p in v)
+                    for t, v in gamma.values.items()
+                })
+                nonzero += _assert_equal_exactly(
+                    d_hochschild(gamma).values,
+                    _d_hochschild_oracle(gamma).values,
+                )
+    assert nonzero > 25
+
+
+def test_d_cyclic_matches_oracle():
+    alg = dual_numbers_current()
+    c_mod = build_trivial(1, 0)
+    rng = random.Random(79)
+    nonzero = 0
+    for q in (1, 2, 3):
+        for _ in range(3):
+            raw = random_plain_cochain(alg, c_mod, q, 4, rng, variant=CYCLIC)
+            for gamma in (raw, cyclic_symmetrize(raw)):
+                nonzero += _assert_equal_exactly(
+                    d_cyclic(gamma).values, _d_cyclic_oracle(gamma).values
+                )
+    assert nonzero > 10
 
 
 # -- serialization ----------------------------------------------------------------
