@@ -12,8 +12,13 @@ action polynomials, or a finite-dimensional space on which ``d`` acts by a
 scalar and the algebra acts by zero.
 
 All axiom checkers decide exact polynomial identities: skew-symmetry reduces
-to  C_ij^k(lam, d) = -C_ji^k(-lam-d, d),  and the Jacobi / module / bimodule
-identities are expanded sesquilinearly in the two parameters lam1, lam2.
+to  C_ij^k(lam, d) = -C_ji^k(-lam-d, d).  The Jacobi identity, associativity,
+the module axiom and the left bimodule identity are one two-layer identity,
+a_lam (b_mu x) -/+ b_mu (a_lam x) = (a_lam b)_(lam+mu) x, decided entry by
+entry, first failure first, by ``poly.bracket_residual``: on the matrices of
+the bracket table (d acting on each output row by d or by the row's torsion
+scalar) or of the module action.  The right and mixed bimodule identities
+put the product on the other side and are expanded here.
 Elements of algebras and modules are plain tuples of polynomials in ``d``
 (one per generator / basis vector).
 """
@@ -21,17 +26,19 @@ Elements of algebras and modules are plain tuples of polynomials in ``d``
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from .errors import WrongModuleKind
 from .liealg import LiePresentation, Rep
 from .poly import (
     DEL,
     RatPoly,
+    bracket_residual,
     lam,
+    left_matrices,
     mat_add,
     mat_apply,
     mat_mul,
-    mat_sub,
     mat_subst,
     vec_add,
     vec_scale,
@@ -157,12 +164,7 @@ def build_vir():
 
 def build_current(g: LiePresentation):
     """Current algebra on a Lie presentation: [a_lam b] = [a, b]."""
-    n = g.dim
-    table = [
-        [tuple(RatPoly.const(g.c[i][j][k]) for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
-    return ConformalAlgebra(g.names, table)
+    return ConformalAlgebra(g.names, g.poly_table)
 
 
 def build_assoc_current(names, mult):
@@ -213,27 +215,20 @@ def adjoint_module(algebra: ConformalAlgebra):
     """The algebra as a module over itself through its bracket."""
     if not all(algebra.is_free(k) for k in range(algebra.ngens)):
         raise WrongModuleKind("adjoint module needs a free algebra")
-    n = algebra.ngens
-    action = [
-        [[algebra.table[i][j][k] for j in range(n)] for k in range(n)]
-        for i in range(n)
-    ]
-    return ConformalModule("free", n, action=action, basis_names=algebra.gen_names)
+    return ConformalModule("free", algebra.ngens, action=left_matrices(algebra.table),
+                           basis_names=algebra.gen_names)
 
 
 def regular_bimodule(algebra: ConformalAlgebra):
     """The regular bimodule of an associative conformal algebra."""
     n = algebra.ngens
-    left = [
-        [[algebra.table[i][j][k] for j in range(n)] for k in range(n)]
-        for i in range(n)
-    ]
     right = [
         [[algebra.table[j][i][k] for j in range(n)] for k in range(n)]
         for i in range(n)
     ]
     return ConformalModule(
-        "free", n, action=left, right_action=right, basis_names=algebra.gen_names
+        "free", n, action=left_matrices(algebra.table), right_action=right,
+        basis_names=algebra.gen_names,
     )
 
 
@@ -288,115 +283,45 @@ def check_skew_symmetry(algebra):
     return True, None
 
 
-def _jacobi_residual(algebra, outer, inner, i, j, k, m):
-    """Jacobi expansion with the two bracket layers drawn from two tables.
+def first_failure(residual, n):
+    """(ok, witness): the first (i, j, k, m) with a nonzero residual(i, j, k, m)."""
+    for i, j, k, m in product(range(n), repeat=4):
+        res = residual(i, j, k, m)
+        if res:
+            return False, (i, j, k, m, res)
+    return True, None
 
-    outer/inner are bracket tables (possibly different, for first-order
-    deformations); returns LHS - RHS1 - RHS2 on output component m, as a
-    polynomial in lam1 (= lam), lam2 (= mu), d.
-    """
-    n = algebra.ngens
-    lam1, lam2 = RatPoly.var(_L1), RatPoly.var(_L2)
-    delta = algebra.del_poly_for(m)
-    lhs = RatPoly.zero()
-    rhs1 = RatPoly.zero()
-    rhs2 = RatPoly.zero()
-    for l in range(n):
-        c_in = inner[j][k][l]
-        if c_in:
-            c_out = outer[i][l][m]
-            if c_out:
-                lhs = lhs + c_in.subst_many({_L1: lam2, DEL: lam1 + delta}) * c_out
-        c_in = inner[i][j][l]
-        if c_in:
-            c_out = outer[l][k][m]
-            if c_out:
-                rhs1 = rhs1 + c_in.subst_many({DEL: -lam1 - lam2}) * c_out.subst_many(
-                    {_L1: lam1 + lam2}
-                )
-        c_in = inner[i][k][l]
-        if c_in:
-            c_out = outer[j][l][m]
-            if c_out:
-                rhs2 = rhs2 + c_in.subst_many({DEL: lam2 + delta}) * c_out.subst_many(
-                    {_L1: lam2}
-                )
-    return lhs - rhs1 - rhs2
+
+def _check_table_identity(algebra, commutator):
+    """(ok, witness) of the two-layer identity on the table's own matrices;
+    its component m on (a_i, a_j, a_k) is the kernel's entry (m, k)."""
+    ad = left_matrices(algebra.table)
+    deltas = [algebra.del_poly_for(m) for m in range(algebra.ngens)]
+    residual = bracket_residual(ad, ad, algebra.table, deltas, commutator)
+    return first_failure(lambda i, j, k, m: residual(i, j, m, k), algebra.ngens)
 
 
 def check_jacobi(algebra):
     """[a_lam [b_mu c]] = [[a_lam b]_(lam+mu) c] + [b_mu [a_lam c]]; (ok, witness)."""
-    n = algebra.ngens
-    t = algebra.table
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for m in range(n):
-                    residual = _jacobi_residual(algebra, t, t, i, j, k, m)
-                    if residual:
-                        return False, (i, j, k, m, residual)
-    return True, None
+    return _check_table_identity(algebra, True)
 
 
 def check_associativity(algebra):
     """a_lam (b_mu c) = (a_lam b)_(lam+mu) c exactly; (ok, witness)."""
-    n = algebra.ngens
-    t = algebra.table
-    lam1, lam2 = RatPoly.var(_L1), RatPoly.var(_L2)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for m in range(n):
-                    delta = algebra.del_poly_for(m)
-                    lhs = RatPoly.zero()
-                    rhs = RatPoly.zero()
-                    for l in range(n):
-                        c_in = t[j][k][l]
-                        if c_in and t[i][l][m]:
-                            lhs = lhs + c_in.subst_many(
-                                {_L1: lam2, DEL: lam1 + delta}
-                            ) * t[i][l][m]
-                        c_in = t[i][j][l]
-                        if c_in and t[l][k][m]:
-                            rhs = rhs + c_in.subst_many(
-                                {DEL: -lam1 - lam2}
-                            ) * t[l][k][m].subst_many({_L1: lam1 + lam2})
-                    if lhs != rhs:
-                        return False, (i, j, k, m, lhs - rhs)
-    return True, None
+    return _check_table_identity(algebra, False)
 
 
 def check_module(algebra, module):
     """a_lam(b_mu v) - b_mu(a_lam v) = [a_lam b]_(lam+mu) v; (ok, witness)."""
     if module.kind == "scalar":
         return True, None
-    n = algebra.ngens
-    lam1, lam2 = RatPoly.var(_L1), RatPoly.var(_L2)
+    n, dim = algebra.ngens, module.dim
     act = module.action
-    for i in range(n):
-        a_i = act[i]
-        a_i_shift = mat_subst(a_i, {DEL: lam2 + _DELP})
-        for j in range(n):
-            a_j = mat_subst(act[j], {_L1: lam2})
-            a_j_shift = mat_subst(a_j, {DEL: lam1 + _DELP})
-            lhs = mat_sub(mat_mul(a_i, a_j_shift), mat_mul(a_j, a_i_shift))
-            rhs = None
-            for k in range(n):
-                c = algebra.table[i][j][k].subst_many({DEL: -lam1 - lam2})
-                if not c:
-                    continue
-                term = [
-                    [c * p.subst_many({_L1: lam1 + lam2}) for p in row]
-                    for row in act[k]
-                ]
-                rhs = term if rhs is None else mat_add(rhs, term)
-            if rhs is None:
-                rhs = [[RatPoly.zero()] * module.dim for _ in range(module.dim)]
-            diff = mat_sub(lhs, rhs)
-            for r, row in enumerate(diff):
-                for s, entry in enumerate(row):
-                    if entry:
-                        return False, (i, j, (r, s), entry)
+    residual = bracket_residual(act, act, algebra.table, [_DELP] * dim, True)
+    for i, j, r, s in product(range(n), range(n), range(dim), range(dim)):
+        entry = residual(i, j, r, s)
+        if entry:
+            return False, (i, j, (r, s), entry)
     return True, None
 
 
@@ -407,26 +332,17 @@ def check_bimodule(algebra, module):
         return False, ("algebra", witness)
     if module.kind != "free" or module.right_action is None:
         return False, ("shape", "bimodule needs a free module with a right action")
-    n = algebra.ngens
+    n, dim = algebra.ngens, module.dim
     lam1, lam2 = RatPoly.var(_L1), RatPoly.var(_L2)
     left, right = module.action, module.right_action
+    # the left identity is the kernel's; the right and mixed ones put the
+    # product on the other side and are expanded here
+    left_residual = bracket_residual(left, left, algebra.table, [_DELP] * dim, False)
     for i in range(n):
         for j in range(n):
             # left: a_lam (b_mu m) = (a_lam b)_(lam+mu) m
-            lhs = mat_mul(left[i], mat_subst(left[j], {_L1: lam2, DEL: lam1 + _DELP}))
-            rhs = None
-            for k in range(n):
-                c = algebra.table[i][j][k].subst_many({DEL: -lam1 - lam2})
-                if not c:
-                    continue
-                term = [
-                    [c * p.subst_many({_L1: lam1 + lam2}) for p in row]
-                    for row in left[k]
-                ]
-                rhs = term if rhs is None else mat_add(rhs, term)
-            if rhs is None:
-                rhs = [[RatPoly.zero()] * module.dim for _ in range(module.dim)]
-            if lhs != rhs:
+            if any(left_residual(i, j, r, s)
+                   for r, s in product(range(dim), repeat=2)):
                 return False, ("left", (i, j))
             # right: m_lam (a_mu b) = (m_lam a)_(lam+mu) b
             lhs = None
@@ -440,7 +356,7 @@ def check_bimodule(algebra, module):
                 ]
                 lhs = term if lhs is None else mat_add(lhs, term)
             if lhs is None:
-                lhs = [[RatPoly.zero()] * module.dim for _ in range(module.dim)]
+                lhs = [[RatPoly.zero()] * dim for _ in range(dim)]
             rhs = mat_mul(
                 mat_subst(right[j], {_L1: lam1 + lam2}),
                 mat_subst(right[i], {DEL: -lam1 - lam2}),

@@ -3,7 +3,8 @@
 Subcommands: check, betti, cartan, annih-compare, extend, deform.
 Exit codes: 0 ok, 1 computation warning (unstable truncation), 2 spec/axiom
 failure (including non-cocycle input), 3 parse failure (including a negative
-count such as --qmax -1 and a malformed builtin spec such as ca:abc).
+count such as --qmax -1, a malformed builtin spec such as ca:abc, and
+remark81 cocycles without an mu: module).
 Output is deterministic byte-for-byte for a fixed seed and spec.
 
 Builtin algebras: vir, cur:sl2, cur:sl3, cur:abelian:<n> (n >= 1).
@@ -81,7 +82,7 @@ from .liealg import (
     trivial_rep,
     wedge2_rep,
 )
-from .poly import RatPoly, lam, parse_poly
+from .poly import DEL, RatPoly, lam, parse_poly
 
 EXIT_OK = 0
 EXIT_WARNING = 1
@@ -115,47 +116,54 @@ _CURRENT_LIE = {"cur:sl2": sl2, "cur:sl3": sl3}
 
 
 def parse_algebra(text):
+    """(algebra, name, g): g is the Lie presentation of cur:sl2 and cur:sl3,
+    which their mu: modules are built on, and None for the others."""
     if text == "vir":
-        return build_vir(), "vir"
+        return build_vir(), "vir", None
     if text in _CURRENT_LIE:
-        return build_current(_CURRENT_LIE[text]()), text
+        g = _CURRENT_LIE[text]()
+        return build_current(g), text, g
     if text.startswith("cur:abelian:"):
-        return build_current(abelian(_count(text[12:], text))), text
+        return build_current(abelian(_count(text[12:], text))), text, None
     raise ParseError(f"unknown algebra spec {text!r}")
 
 
-def parse_module(text, algebra, algebra_name):
+def parse_module(text, algebra_name, g):
+    """(module, rep): rep is the representation of g an mu: module is built
+    on, None for the others."""
     if text == "trivial":
-        return build_trivial(1, 0)
+        return build_trivial(1, 0), None
     if text.startswith("ca:"):
-        return build_trivial(1, _rational(text[3:], text))
+        return build_trivial(1, _rational(text[3:], text)), None
     if text.startswith("mda:"):
         if algebra_name != "vir":
             raise ParseError("mda modules live over vir")
         parts = text[4:].split(",")
         if len(parts) != 2:
             raise ParseError(f"mda modules take <Delta>,<alpha>, got {text!r}")
-        return build_m_delta_alpha(*(_rational(x, text) for x in parts))
+        return build_m_delta_alpha(*(_rational(x, text) for x in parts)), None
     if text.startswith("mu:"):
-        if algebra_name not in _CURRENT_LIE:
+        if g is None:
             raise ParseError("mu modules live over cur:sl2 and cur:sl3")
-        g = _CURRENT_LIE[algebra_name]()
         name = text[3:]
         if name == "adjoint":
-            return build_m_u(g, adjoint_rep(g))
-        if name == "trivial":
-            return build_m_u(g, trivial_rep(g))
-        if name.startswith("V"):
+            rep = adjoint_rep(g)
+        elif name == "trivial":
+            rep = trivial_rep(g)
+        elif name.startswith("V"):
             digits = name[1:].strip("()")
             if algebra_name != "cur:sl2":
                 raise ParseError("V(m) irreducibles are the sl2 modules")
             if not digits.isdigit():
                 raise ParseError(f"V(m) needs a non-negative integer m, got {text!r}")
-            return build_m_u(g, sl2_irrep(g, int(digits)))
-        if name == "wedge2modg":
+            rep = sl2_irrep(g, int(digits))
+        elif name == "wedge2modg":
             if algebra_name != "cur:sl3":
                 raise ParseError("wedge2modg is the sl3 module")
-            return build_m_u(g, _wedge2_mod_g(g))
+            rep = _wedge2_mod_g(g)
+        else:
+            raise ParseError(f"unknown module spec {text!r}")
+        return build_m_u(g, rep), rep
     raise ParseError(f"unknown module spec {text!r}")
 
 
@@ -232,26 +240,28 @@ def load_spec_file(path):
 
 
 def _resolve(args):
+    """(algebra, module, name, rep); rep as in parse_module."""
+    rep = None
     if getattr(args, "spec_file", None):
         algebra, module = load_spec_file(args.spec_file)
         name = args.spec_file
         if algebra is None:
             raise ParseError("spec file has no algebra section")
         if module is None and getattr(args, "module", None):
-            module = parse_module(args.module, algebra, name)
-        return algebra, module, name
-    algebra, name = parse_algebra(args.algebra)
+            module, rep = parse_module(args.module, name, None)
+        return algebra, module, name, rep
+    algebra, name, g = parse_algebra(args.algebra)
     module = None
     if getattr(args, "module", None):
-        module = parse_module(args.module, algebra, name)
-    return algebra, module, name
+        module, rep = parse_module(args.module, name, g)
+    return algebra, module, name, rep
 
 
 # -- subcommands -------------------------------------------------------------
 
 
 def cmd_check(args):
-    algebra, module, name = _resolve(args)
+    algebra, module, name, _ = _resolve(args)
     report = {"algebra": name}
     if algebra.associative:
         ok, witness = check_associativity(algebra)
@@ -279,7 +289,7 @@ def cmd_check(args):
 
 
 def cmd_betti(args):
-    algebra, module, name = _resolve(args)
+    algebra, module, name, _ = _resolve(args)
     if module is None:
         return _fail(EXIT_PARSE, "betti needs --module")
     variant = REDUCED if args.variant == "reduced" else BASIC
@@ -306,7 +316,7 @@ def cmd_betti(args):
 
 
 def cmd_cartan(args):
-    algebra, module, name = _resolve(args)
+    algebra, module, name, _ = _resolve(args)
     if module is None:
         module = build_trivial(1, 0)
     rng = random.Random(args.seed)
@@ -341,7 +351,7 @@ def cmd_cartan(args):
 
 
 def cmd_annih_compare(args):
-    algebra, module, name = _resolve(args)
+    algebra, module, name, _ = _resolve(args)
     if module is None:
         module = build_trivial(1, 0)
     rng = random.Random(args.seed)
@@ -375,25 +385,18 @@ def cmd_annih_compare(args):
     return EXIT_OK
 
 
-def _remark81_datum(algebra_name, algebra, module):
+def _remark81_datum(algebra_name, module, rep):
     """The abelian-extension cocycles of current algebras, as a datum table."""
-    from .poly import DEL
-
+    if algebra_name not in _CURRENT_LIE:
+        raise ParseError("remark81 cocycles are defined for cur:sl2 and cur:sl3")
+    if rep is None:
+        raise ParseError("remark81 cocycles take an mu: module")
+    g = rep.algebra
     d = RatPoly.var(DEL)
     l1 = RatPoly.var(lam(1))
     if algebra_name == "cur:sl2":
-        g = sl2()
         sym2, basis = sym_power_rep(adjoint_rep(g), 2)
-        # module was built as M_U; recover U action matrices
-        u_mats = [
-            [[module.action[i][r][c].const_value() for c in range(module.dim)]
-             for r in range(module.dim)]
-            for i in range(g.dim)
-        ]
-        from .liealg import Rep
-
-        u_rep = Rep(g, u_mats, names=module.basis_names)
-        maps = equivariant_maps(sym2, u_rep)
+        maps = equivariant_maps(sym2, rep)
         if not maps:
             raise NotACocycle("no equivariant Sym^2 -> U map exists")
         phi = maps[0]
@@ -407,38 +410,26 @@ def _remark81_datum(algebra_name, algebra, module):
             for i in range(3)
             for j in range(3)
         }
-    if algebra_name == "cur:sl3":
-        g = sl3()
-        ad = adjoint_rep(g)
-        w2, pairs = wedge2_rep(ad)
-        u_mats = [
-            [[module.action[i][r][c].const_value() for c in range(module.dim)]
-             for r in range(module.dim)]
-            for i in range(g.dim)
-        ]
-        from .liealg import Rep
-
-        u_rep = Rep(g, u_mats, names=module.basis_names)
-        maps = equivariant_maps(w2, u_rep)
-        if not maps:
-            raise NotACocycle("no equivariant wedge^2 g -> U map exists")
-        phi = maps[0]
-        index = {p: k for k, p in enumerate(pairs)}
-        poly = l1 * (d + l1)
-        datum = {}
-        for i in range(g.dim):
-            for j in range(g.dim):
-                if i == j:
-                    datum[(i, j)] = tuple(RatPoly.zero() for _ in range(module.dim))
-                    continue
-                a, b = min(i, j), max(i, j)
-                sign = 1 if i < j else -1
-                col = index[(a, b)]
-                datum[(i, j)] = tuple(
-                    sign * poly * phi[r][col] for r in range(module.dim)
-                )
-        return datum
-    raise ParseError("remark81 cocycles are defined for cur:sl2 and cur:sl3")
+    w2, pairs = wedge2_rep(adjoint_rep(g))
+    maps = equivariant_maps(w2, rep)
+    if not maps:
+        raise NotACocycle("no equivariant wedge^2 g -> U map exists")
+    phi = maps[0]
+    index = {p: k for k, p in enumerate(pairs)}
+    poly = l1 * (d + l1)
+    datum = {}
+    for i in range(g.dim):
+        for j in range(g.dim):
+            if i == j:
+                datum[(i, j)] = tuple(RatPoly.zero() for _ in range(module.dim))
+                continue
+            a, b = min(i, j), max(i, j)
+            sign = 1 if i < j else -1
+            col = index[(a, b)]
+            datum[(i, j)] = tuple(
+                sign * poly * phi[r][col] for r in range(module.dim)
+            )
+    return datum
 
 
 def _read_cocycle(path, algebra, module):
@@ -459,11 +450,11 @@ def _read_cocycle(path, algebra, module):
 
 
 def cmd_extend(args):
-    algebra, module, name = _resolve(args)
+    algebra, module, name, rep = _resolve(args)
     if module is None:
         return _fail(EXIT_PARSE, "extend needs --module")
     if args.cocycle == "remark81":
-        datum = _remark81_datum(name, algebra, module)
+        datum = _remark81_datum(name, module, rep)
     else:
         datum = _read_cocycle(args.cocycle, algebra, module)
     try:
@@ -477,7 +468,7 @@ def cmd_extend(args):
 
 
 def cmd_deform(args):
-    algebra, module, name = _resolve(args)
+    algebra, module, name, _ = _resolve(args)
     adjoint = adjoint_module(algebra)
     if args.cocycle:
         defo = deform(algebra, _read_cocycle(args.cocycle, algebra, adjoint))

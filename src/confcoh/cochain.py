@@ -65,7 +65,7 @@ from .poly import (
     vec_subst,
     zero_vec,
 )
-from .skew import skew_basis, element_tuple, element_value
+from .skew import element_tuple, element_value, permutation_sign, skew_basis
 
 BASIC = "basic"
 REDUCED = "reduced"
@@ -98,15 +98,6 @@ def sorted_tuples(ngens, q):
 
 def all_tuples(ngens, q):
     return product(range(ngens), repeat=q)
-
-
-def _parity(perm):
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
 
 
 class Cochain:
@@ -195,7 +186,7 @@ class Cochain:
         if st == t:
             return base
         perm = sorted(range(self.q), key=lambda s: (t[s], s))
-        sign = _parity(perm)
+        sign = permutation_sign(perm)
         relabel = {
             lam(s + 1): lam_var(perm[s] + 1)
             for s in range(self.q)
@@ -342,19 +333,21 @@ def _candidates(c, module_acts):
     """
     A = c.algebra
     pairs_for = _nonzero_bracket_pairs(A)
+    skew = c.variant in _SKEW_VARIANTS
     candidates = set()
     for key in c.values:
         q = len(key)
+        # a skew candidate is sorted, so one insertion position stands for all
         if module_acts:
             for g in range(A.ngens):
-                for i in range(q + 1):
+                for i in range(1 if skew else q + 1):
                     candidates.add(key[:i] + (g,) + key[i:])
         for p in range(q):
             for (a, b) in pairs_for[key[p]]:
                 rest = key[:p] + (b,) + key[p + 1:]
-                for i in range(p + 1):
+                for i in range(1 if skew else p + 1):
                     candidates.add(rest[:i] + (a,) + rest[i:])
-    if c.variant in _SKEW_VARIANTS:
+    if skew:
         candidates = {tuple(sorted(T)) for T in candidates}
     return sorted(candidates)
 
@@ -478,6 +471,12 @@ def _d_terms(c, outputs, actions, products):
     split = _split_values(c)
     skew = c.variant in _SKEW_VARIANTS
     dim = M.dim
+    layouts = []
+    for i, j, pos, psign in products:
+        others = [s for s in range(out_q) if s != i and s != j]
+        # output slot read by each slot of the fed tuple; None: the bracket
+        slots = others[:pos] + [None] + others[pos:]
+        layouts.append((i, j, pos, psign, others, slots))
     values = {}
     for T in outputs:
         acc = [{} for _ in range(dim)]
@@ -503,12 +502,9 @@ def _d_terms(c, outputs, actions, products):
                                 rest = ((DEL, ed),) + rest
                             key = (head + (ex,) + tail, rest)
                             comp[key] = comp.get(key, 0) + coeff * hc
-        for i, j, pos, psign in products:
+        for i, j, pos, psign, others, slots in layouts:
             a, b = T[i], T[j]
             br = A.table[a][b]
-            others = [s for s in range(out_q) if s != i and s != j]
-            # output slot read by each slot of the fed tuple; None: the bracket
-            slots = others[:pos] + [None] + others[pos:]
             rest_gens = tuple(T[s] for s in others)
             for k in range(A.ngens):
                 if not br[k]:
@@ -522,7 +518,7 @@ def _d_terms(c, outputs, actions, products):
                     inner = split.get(t)
                 if inner is None:
                     continue
-                sign = _parity(perm) * psign
+                sign = permutation_sign(perm) * psign
                 # stored lam_{s+1} reads slot perm[s] of t
                 bslot = perm.index(pos)
                 targets = [

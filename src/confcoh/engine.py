@@ -51,7 +51,8 @@ from .cochain import (
 from .errors import NotEquivariant, UnstableTruncation, UnsupportedComplex
 from .liealg import check_equivariant, sym_power_rep, adjoint_rep
 from .poly import RatPoly, lam, vec_is_zero, vec_scale
-from .skew import element_tuple, element_value, monomial_coordinates, skew_basis
+from .skew import (element_tuple, element_value, monomial_coordinates,
+                   permutation_sign, skew_basis)
 
 
 @dataclass(frozen=True)
@@ -149,26 +150,51 @@ def _mult_coords(spec, q, pair):
     return cochain_coords(scaled)
 
 
-def _restriction_coords(spec, c):
+def _restriction_coords(spec, c, memo):
     """Coordinates of the value after lam1 := -a - lam2 - ... - lamq.
 
     Vanishing is equivalent to divisibility by (a + sum lam_i); keys are
-    (tuple, monomial, u) and need not be skew-decomposed.
+    (tuple, monomial, u) and need not be skew-decomposed.  ``memo`` keeps,
+    across calls, the restricted terms of each monomial and the powers of
+    the substituted polynomial; a polynomial adds its terms up in the order
+    a substitution would.
     """
     q = c.q
-    a = spec.module.del_scalar
-    repl = -RatPoly.const(a)
-    for s in range(1, q):
-        repl = repl - RatPoly.var(lam(s + 1))
     out = {}
     for t, vec in c.values.items():
         for u, p in enumerate(vec):
-            if not p:
-                continue
-            for mono, coeff in p.substitute(lam(1), repl).terms.items():
-                key = (t, mono, u)
-                out[key] = out.get(key, Fraction(0)) + coeff
-    return {k: v for k, v in out.items() if v}
+            restricted = {}
+            for mono, coeff in p.terms.items():
+                image = memo.get((q, mono))
+                if image is None:
+                    image = memo[(q, mono)] = _restrict_monomial(spec, q, mono, memo)
+                for m, c2 in image:
+                    if m not in restricted:
+                        restricted[m] = coeff * c2
+                        continue
+                    total = restricted[m] + coeff * c2
+                    if total:
+                        restricted[m] = total
+                    else:
+                        del restricted[m]
+            for mono, coeff in restricted.items():
+                out[(t, mono, u)] = coeff
+    return out
+
+
+def _restrict_monomial(spec, q, mono, memo):
+    """The terms of a monomial after lam1 := -a - lam2 - ... - lamq; the
+    power of the substituted polynomial is kept in ``memo`` under (q, e)."""
+    if not mono or mono[0][0] != lam(1):
+        return ((mono, Fraction(1)),)
+    e = mono[0][1]
+    power = memo.get((q, e))
+    if power is None:
+        repl = -RatPoly.const(spec.module.del_scalar)
+        for s in range(1, q):
+            repl = repl - RatPoly.var(lam(s + 1))
+        power = memo[(q, e)] = repl ** e
+    return tuple((RatPoly({mono[1:]: Fraction(1)}) * power).terms.items())
 
 
 class SliceComplex:
@@ -182,6 +208,7 @@ class SliceComplex:
         self._images = {}  # differential images, until their restriction is read
         self._mult = {}
         self._restricted = {}
+        self._restriction_memo = {}  # restricted monomials and powers
         self._quotients = {}
         self._ranks = {}
 
@@ -219,7 +246,7 @@ class SliceComplex:
         if key not in self._restricted:
             self.columns(q, d)
             self._restricted[key] = [
-                _restriction_coords(self.spec, image)
+                _restriction_coords(self.spec, image, self._restriction_memo)
                 for image in self._images.pop(key)
             ]
         return self._restricted[key]
@@ -498,7 +525,7 @@ def verify_cocycle(spec, gamma):
     """Exact cocycle test and a window coboundary solve with witness."""
     dv = apply_differential(spec, gamma)
     if spec.scalar_quotient:
-        is_cocycle = not _restriction_coords(spec, dv)
+        is_cocycle = not _restriction_coords(spec, dv, {})
     else:
         is_cocycle = dv.is_zero()
     if not is_cocycle:
@@ -549,13 +576,7 @@ def _c3(i, j, k):
     """(x_i ^ x_j ^ x_k) / (e ^ f ^ h) for sl2 basis indices."""
     if len({i, j, k}) < 3:
         return 0
-    perm = (i, j, k)
-    sign = 1
-    for a in range(3):
-        for b in range(a + 1, 3):
-            if perm[a] > perm[b]:
-                sign = -sign
-    return sign
+    return permutation_sign((i, j, k))
 
 
 def sl2_example_cocycle(g, u_rep, n, phi_n=None, phi_n3=None):

@@ -5,40 +5,28 @@ Presentations validate antisymmetry and the Jacobi identity exactly at
 construction; shipped presentations (sl2, sl3) are read off from matrix
 commutators in the defining representation, so the constructor check is an
 independent route to their correctness.  Representations validate
-[rho(a), rho(b)] = rho([a, b]) exactly.
+[rho(a), rho(b)] = rho([a, b]) exactly.  Both are the constant case of the
+conformal two-layer identity: the structure constants and the matrices go to
+``poly.bracket_residual`` as constant polynomials, which skips zero entries
+and stops at the first failing one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 
 from . import linalg
 from .errors import NotEquivariant, RepNotValid
+from .poly import RatPoly, bracket_residual, left_matrices, mat_mul, mat_sub
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _fm_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    return [
-        [sum((a[i][t] * b[t][j] for t in range(k)), _ZERO) for j in range(m)]
-        for i in range(n)
-    ]
-
-
-def _fm_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def _fm_zero(n, m=None):
     m = n if m is None else m
     return [[_ZERO] * m for _ in range(n)]
-
-
-def _fm_is_zero(a):
-    return all(not x for row in a for x in row)
 
 
 class LiePresentation:
@@ -55,6 +43,8 @@ class LiePresentation:
             for j in range(n):
                 if len(self.c[i][j]) != n:
                     raise ValueError("structure constant table has wrong shape")
+        self.poly_table = [[tuple(RatPoly.const(x) for x in v) for v in row]
+                           for row in self.c]
         bad = self._check()
         if bad is not None:
             raise ValueError(f"not a Lie algebra: {bad}")
@@ -74,16 +64,14 @@ class LiePresentation:
                 for k in range(n):
                     if c[i][j][k] != -c[j][i][k]:
                         return f"antisymmetry fails at ({i},{j},{k})"
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for l in range(n):
-                        lhs = sum(c[j][k][m] * c[i][m][l] for m in range(n))
-                        rhs = sum(c[i][j][m] * c[m][k][l] for m in range(n)) + sum(
-                            c[i][k][m] * c[j][m][l] for m in range(n)
-                        )
-                        if lhs != rhs:
-                            return f"Jacobi fails at ({i},{j},{k})"
+        ad = left_matrices(self.poly_table)
+        residual = bracket_residual(ad, ad, self.poly_table, [RatPoly.zero()] * n,
+                                    True)
+        # with antisymmetry the residual is antisymmetric in (i, j) and zero
+        # at i = j, so the first failing (i, j, k, l) has i < j
+        for (i, j), k, l in product(combinations(range(n), 2), range(n), range(n)):
+            if residual(i, j, l, k):
+                return f"Jacobi fails at ({i},{j},{k})"
         return None
 
     @classmethod
@@ -104,9 +92,9 @@ class LiePresentation:
         constants = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
-                comm = _fm_sub(_fm_mul(mats[i], mats[j]), _fm_mul(mats[j], mats[i]))
+                comm = mat_sub(mat_mul(mats[i], mats[j]), mat_mul(mats[j], mats[i]))
                 target = {
-                    (r, s): Fraction(comm[r][s])
+                    (r, s): comm[r][s].const_value()
                     for r in range(size)
                     for s in range(size)
                     if comm[r][s]
@@ -174,21 +162,15 @@ class Rep:
 
     def _check(self):
         g = self.algebra
-        for i in range(g.dim):
-            for j in range(g.dim):
-                comm = _fm_sub(
-                    _fm_mul(self.mats[i], self.mats[j]),
-                    _fm_mul(self.mats[j], self.mats[i]),
-                )
-                expect = _fm_zero(self.dim)
-                for k in range(g.dim):
-                    ck = g.c[i][j][k]
-                    if ck:
-                        for r in range(self.dim):
-                            for s in range(self.dim):
-                                expect[r][s] += ck * self.mats[k][r][s]
-                if not _fm_is_zero(_fm_sub(comm, expect)):
-                    return f"[rho_{i}, rho_{j}] != rho([x_{i}, x_{j}])"
+        mats = [[[RatPoly.const(x) for x in row] for row in m] for m in self.mats]
+        residual = bracket_residual(mats, mats, g.poly_table,
+                                    [RatPoly.zero()] * self.dim, True)
+        # [rho_i, rho_j] - rho([x_i, x_j]) is antisymmetric in (i, j) and
+        # zero at i = j: the first failing pair has i < j
+        entries = list(product(range(self.dim), repeat=2))
+        for i, j in combinations(range(g.dim), 2):
+            if any(residual(i, j, r, s) for r, s in entries):
+                return f"[rho_{i}, rho_{j}] != rho([x_{i}, x_{j}])"
         return None
 
     def act_vector(self, i, vec):
@@ -352,8 +334,6 @@ def equivariant_maps(rep_from, rep_to):
 def check_equivariant(rep_from, rep_to, t):
     """Raise NotEquivariant unless T rho_from(x) = rho_to(x) T for all x."""
     for i in range(rep_from.algebra.dim):
-        lhs = _fm_mul(t, rep_from.mats[i])
-        rhs = _fm_mul(rep_to.mats[i], t)
-        if not _fm_is_zero(_fm_sub(lhs, rhs)):
+        if mat_mul(t, rep_from.mats[i]) != mat_mul(rep_to.mats[i], t):
             raise NotEquivariant(f"map fails equivariance at generator {i}")
     return True

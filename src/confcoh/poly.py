@@ -439,6 +439,86 @@ def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
+def left_matrices(table):
+    """Per generator i, the matrix of a_i acting through the bracket table:
+    entry (m, l) is table[i][l][m]."""
+    return [[list(row) for row in zip(*rows)] for rows in table]
+
+
+# the two bracket parameters x = lam1, y = lam2 and the substitutions of
+# the two-layer identity that do not depend on d
+_X, _Y = RatPoly.var(lam(1)), RatPoly.var(lam(2))
+_AT_Y, _AT_SUM, _CUT = {lam(1): _Y}, {lam(1): _X + _Y}, {DEL: -_X - _Y}
+
+
+def bracket_residual(outer, inner, table, deltas, commutator):
+    """The two-layer lambda-bracket identity, one matrix entry at a time.
+
+    The conformal Jacobi identity, the module axiom and associativity are
+    all  a_x (b_y v) -/+ b_y (a_x v) = (a_x b)_{x+y} v.  ``outer[i]`` and
+    ``inner[i]`` are the matrices (polynomials in lam1, d) of generator i
+    acting in the outer and the inner layer, ``table[i][j][k]`` is the k-th
+    component of a_i a_j, and ``deltas[r]`` is the action of d on row r (d
+    itself, or the scalar of a torsion row).  Returns residual(i, j, r, s),
+    entry (r, s) of
+
+        outer_i(x) inner_j(y)|d->delta+x - outer_j(y) inner_i(x)|d->delta+y
+            - sum_k table_ij^k(x, d->-x-y) outer_k(x+y)
+
+    with x = lam1, y = lam2; the middle (commutator) term is left out when
+    ``commutator`` is false, for associativity.  Zero entries are skipped,
+    substituted entries are kept for the life of the function and nothing
+    is computed before it is asked for, so callers can stop at the first
+    nonzero entry.
+    """
+    distinct = {}
+    row_shift = [distinct.setdefault(dl, len(distinct)) for dl in deltas]
+    inner_at_y = [{lam(1): _Y, DEL: dl + _X} for dl in distinct]
+    inner_at_x = [{DEL: dl + _Y} for dl in distinct]
+    rows = [None] * len(outer)  # the nonzero entries of outer_i, by row
+    cache = {}
+
+    def nonzero_rows(i):
+        if rows[i] is None:
+            rows[i] = [[(l, p) for l, p in enumerate(row) if p] for row in outer[i]]
+        return rows[i]
+
+    def sub(key, p, mapping):
+        if len(p.terms) == 1 and () in p.terms:  # constants stay as they are
+            return p
+        v = cache.get(key)
+        if v is None:
+            v = cache[key] = p.subst_many(mapping)
+        return v
+
+    def residual(i, j, r, s):
+        h = row_shift[r]
+        lhs = rhs = _POLY_ZERO
+        for l, p in nonzero_rows(i)[r]:
+            q = inner[j][l][s]
+            if q:
+                lhs = lhs + p * sub((0, j, l, s, h), q, inner_at_y[h])
+        if commutator:
+            for l, p in nonzero_rows(j)[r]:
+                q = inner[i][l][s]
+                if q:
+                    rhs = rhs + sub((1, j, r, l), p, _AT_Y) * sub(
+                        (2, i, l, s, h), q, inner_at_x[h])
+        products = cache.get((i, j))
+        if products is None:
+            products = cache[(i, j)] = [
+                (k, c) for k, c in enumerate(table[i][j]) if c
+            ]
+        for k, c in products:
+            o = outer[k][r][s]
+            if o:
+                rhs = rhs + sub((3, i, j, k), c, _CUT) * sub(
+                    (4, k, r, s), o, _AT_SUM)
+        return lhs - rhs if rhs else lhs
+
+    return residual
+
+
 # -- expression grammar ------------------------------------------------------
 
 _TOKEN = re.compile(

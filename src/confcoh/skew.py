@@ -21,19 +21,23 @@ from .poly import RatPoly, lam
 _PERM_CACHE = {}
 
 
+def permutation_sign(perm):
+    """The parity of a sequence of distinct numbers, by counting inversions."""
+    sign = 1
+    for i in range(len(perm)):
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j]:
+                sign = -sign
+    return sign
+
+
 def signed_permutations(q):
     """All (perm, sign) for S_q; perm maps slot s (0-based) -> perm[s]."""
     out = _PERM_CACHE.get(q)
     if out is None:
-        out = []
-        for p in permutations(range(q)):
-            sign = 1
-            for i in range(q):
-                for j in range(i + 1, q):
-                    if p[i] > p[j]:
-                        sign = -sign
-            out.append((p, sign))
-        _PERM_CACHE[q] = tuple(out)
+        out = _PERM_CACHE[q] = tuple(
+            (p, permutation_sign(p)) for p in permutations(range(q))
+        )
     return out
 
 
@@ -119,13 +123,7 @@ def monomial_coordinates(value_poly, sorted_tuple):
         elem = tuple(pairs[s] for s in order)
         if any(elem[i] == elem[i + 1] for i in range(q - 1)):
             raise AssertionError(f"repeated pair with nonzero coefficient: {elem}")
-        sign = 1
-        seen = list(order)
-        for i in range(q):
-            for j in range(i + 1, q):
-                if seen[i] > seen[j]:
-                    sign = -sign
-        c = sign * coeff
+        c = permutation_sign(order) * coeff
         prev = coords.get(elem)
         if prev is None:
             coords[elem] = c

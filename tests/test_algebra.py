@@ -3,6 +3,7 @@ from fractions import Fraction
 
 from confcoh.algebra import (
     ConformalAlgebra,
+    ConformalModule,
     action_eval,
     adjoint_module,
     bracket_eval,
@@ -164,6 +165,20 @@ def test_dual_numbers_current_is_associative_bimodule():
     assert check_associativity(alg) == (True, None)
     bim = regular_bimodule(alg)
     assert check_bimodule(alg, bim) == (True, None)
+
+
+def test_matrix_units_current_is_associative_bimodule(mat2_current):
+    # Cur M_2(Q) is not commutative: e12 e21 = e11, e21 e12 = e22
+    assert mat2_current.table[1][2] != mat2_current.table[2][1]
+    assert check_associativity(mat2_current) == (True, None)
+    bim = regular_bimodule(mat2_current)
+    assert check_bimodule(mat2_current, bim) == (True, None)
+    # the left action used as the right one (and back) is rejected
+    for left, right, side in ((bim.right_action, bim.right_action, "left"),
+                              (bim.action, bim.action, "right")):
+        swapped = ConformalModule("free", 4, action=left, right_action=right)
+        ok, witness = check_bimodule(mat2_current, swapped)
+        assert not ok and witness[0] == side
 
 
 def test_non_associative_fixture_detected():

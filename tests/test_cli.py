@@ -202,13 +202,45 @@ def test_negative_counts_are_parse_failures(capsys, argv, flag):
     (("betti", "--algebra", "cur:abelian:2", "--module", "mu:adjoint"),
      "cur:sl2 and cur:sl3"),
     (("check", "--algebra", "cur:sl2", "--module", "mu:Vx"), "mu:Vx"),
+    # remark81 cocycles are built on the representation of an mu: module
+    (("extend", "--algebra", "cur:sl2", "--module", "ca:1", "--cocycle",
+      "remark81"), "mu: module"),
 ], ids=["ca-word", "ca-zero-denominator", "mda-one-number", "mda-word",
-        "abelian-word", "abelian-zero", "abelian-mu-adjoint", "V-word"])
+        "abelian-word", "abelian-zero", "abelian-mu-adjoint", "V-word",
+        "remark81-scalar-module"])
 def test_malformed_specs_are_parse_failures(capsys, argv, needle):
     code, out, err = run(capsys, *argv)
     assert code == 3
     assert out == ""
     assert err.startswith("error: ") and needle in err
+
+
+# each command builds its Lie presentation once, and its representations:
+# U for the module, then ad, and Sym^2 ad or wedge^2 ad for remark81
+@pytest.mark.parametrize("argv, nreps", [
+    (("check", "--algebra", "cur:sl3", "--module", "mu:adjoint"), 1),
+    (("extend", "--algebra", "cur:sl2", "--module", "mu:V4", "--cocycle",
+      "remark81"), 3),
+    (("extend", "--algebra", "cur:sl3", "--module", "mu:adjoint", "--cocycle",
+      "remark81"), 3),
+])
+def test_builtin_structures_are_built_once(capsys, monkeypatch, argv, nreps):
+    import confcoh.cli as cli
+    from confcoh.liealg import Rep
+
+    built = []
+    for name in ("sl2", "sl3"):
+        make = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda make=make, name=name:
+                            built.append(name) or make())
+    monkeypatch.setattr(cli, "_CURRENT_LIE", {"cur:sl2": cli.sl2,
+                                              "cur:sl3": cli.sl3})
+    init = Rep.__init__
+    monkeypatch.setattr(Rep, "__init__", lambda self, *a, **kw: built.append(
+        "rep") or init(self, *a, **kw))
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(built) == 1 + nreps and built.count("rep") == nreps
 
 
 def test_abelian_current_spec(capsys):

@@ -1,0 +1,439 @@
+"""The exact failure reports of the axiom and representation checks.
+
+Every checker that decides the two-layer bracket identity (Jacobi, module,
+associativity, the bimodule identities, the trivial module extension, Lie
+presentations and representations) reports its first failing index tuple
+and, where it has one, the residual polynomial.  The expectations below pin
+those reports, residuals as strings, so that a rewrite of the checks keeps
+both the answer and the witness.
+"""
+
+import functools
+import json
+import random
+
+import pytest
+
+from confcoh.algebra import (
+    ConformalAlgebra,
+    ConformalModule,
+    adjoint_module,
+    build_assoc_current,
+    build_current,
+    build_m_delta_alpha,
+    build_m_u,
+    build_trivial,
+    build_vir,
+    check_associativity,
+    check_bimodule,
+    check_jacobi,
+    check_module,
+    check_skew_symmetry,
+    dual_numbers_current,
+    regular_bimodule,
+)
+from confcoh.cli import main
+from confcoh.cochain import REDUCED, random_skew_cochain
+from confcoh.extensions import (
+    ExtendedAlgebra,
+    TrivialExtension,
+    deform,
+    extend_module,
+)
+from confcoh.liealg import (
+    LiePresentation,
+    Rep,
+    adjoint_rep,
+    check_equivariant,
+    equivariant_maps,
+    sl2,
+    sl2_irrep,
+    sl3,
+    sym_power_rep,
+)
+from confcoh.poly import DEL, RatPoly, lam
+
+D = RatPoly.var(DEL)
+L1 = RatPoly.var(lam(1))
+VIR = build_vir()
+ONE, ZERO = RatPoly.const(1), RatPoly.zero()
+
+
+def _show(x):
+    """Residual polynomials as strings, sequences as tuples."""
+    if isinstance(x, RatPoly):
+        return str(x)
+    if isinstance(x, (tuple, list)):
+        return tuple(_show(y) for y in x)
+    return x
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except Exception as exc:  # the type and message are what is pinned
+        return type(exc).__name__, str(exc), _show(getattr(exc, "witness", None))
+    return None
+
+
+def _const_mats(mats):
+    return [[[RatPoly.const(x) for x in row] for row in m] for m in mats]
+
+
+def _corrupted(mats, i, r, s, by):
+    out = [[list(row) for row in m] for m in mats]
+    out[i][r][s] = out[i][r][s] + by
+    return out
+
+
+def _corrupted_sl2_current():
+    g = sl2()
+    cur = build_current(g)
+    table = [[list(cur.table[i][j]) for j in range(3)] for i in range(3)]
+    table[0][1] = [ONE, ZERO, ZERO]
+    table[1][0] = [-ONE, ZERO, ZERO]
+    return ConformalAlgebra(g.names, table)
+
+
+def _remark81_v4_datum(poly):
+    g = sl2()
+    v4 = sl2_irrep(g, 4)
+    sym2, basis = sym_power_rep(adjoint_rep(g), 2)
+    phi = equivariant_maps(sym2, v4)[0]
+    idx = {b: k for k, b in enumerate(basis)}
+    datum = {
+        (i, j): tuple(poly * phi[r][idx[tuple(sorted((i, j)))]] for r in range(5))
+        for i in range(3)
+        for j in range(3)
+    }
+    return build_current(g), build_m_u(g, v4), datum
+
+
+def _non_associative():
+    # x*x = one is not associative with x*one = 0
+    mult = [[[0, 0], [0, 0]] for _ in range(2)]
+    mult[0][0] = [1, 0]
+    mult[1][1] = [1, 0]
+    return build_assoc_current(("one", "x"), mult)
+
+
+def _bimodule(alg, left, right):
+    return ConformalModule("free", len(left[0]), action=left, right_action=right)
+
+
+def _mixed_failure():
+    # left and right actions of the dual numbers by two nilpotents that do
+    # not commute: each side is a module, the two sides do not commute
+    one = [[ONE, ZERO], [ZERO, ONE]]
+    up = [[ZERO, ONE], [ZERO, ZERO]]
+    down = [[ZERO, ZERO], [ONE, ZERO]]
+    alg = dual_numbers_current()
+    return alg, _bimodule(alg, [one, up], [one, down])
+
+
+def _deform_witnesses(alg, seed, trials):
+    adj = adjoint_module(alg)
+    rng = random.Random(seed)
+    out = []
+    for _ in range(trials):
+        gamma = random_skew_cochain(alg, adj, 2, 3, rng, variant=REDUCED)
+        out.append(deform(alg, gamma).check_jacobi_mod_eps2())
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _lie_fixtures():
+    g2, g3 = sl2(), sl3()
+    return g2, g3, adjoint_rep(g3), build_current(g2)
+
+
+def _cases(mat2):
+    g2, g3, ad3, cur2 = _lie_fixtures()
+    m2_bim = regular_bimodule(mat2)
+    poly_gen = (D + 2 * L1) * L1 * (L1 + D)  # skew, not Jacobi
+    bad_lie = [[list(g2.c[i][j]) for j in range(3)] for i in range(3)]
+    bad_lie[0][1] = [1, 0, 0]
+    bad_lie[1][0] = [-1, 0, 0]
+    bad_lie3 = [[list(g3.c[i][j]) for j in range(8)] for i in range(8)]
+    bad_lie3[6][7] = [0, 0, 0, 0, 0, 0, 0, 1]
+    bad_lie3[7][6] = [0, 0, 0, 0, 0, 0, 0, -1]
+    unskew = [[list(g2.c[i][j]) for j in range(3)] for i in range(3)]
+    unskew[2][1] = [0, 0, 1]
+    v2 = sl2_irrep(g2, 2)
+    phi = equivariant_maps(adjoint_rep(g2), v2)[0]
+    bad_phi = [row[:] for row in phi]
+    bad_phi[2][1] += 1
+    bad_rank1 = ConformalModule("free", 1, action=[[[D + L1 * L1]]])
+    m10 = build_m_delta_alpha(1, 0)
+    return {
+        "skew_symmetry": lambda: check_skew_symmetry(
+            ConformalAlgebra(("L",), [[(D + 3 * L1,)]])),
+        "jacobi_corrupted_cur_sl2": lambda: check_jacobi(_corrupted_sl2_current()),
+        "jacobi_one_generator": lambda: check_jacobi(
+            ConformalAlgebra(("L",), [[(poly_gen,)]])),
+        "jacobi_torsion_extension": lambda: ExtendedAlgebra(
+            VIR, build_trivial(1, 1), {(0, 0): ((2 * L1 + 1) ** 5,)}).check(),
+        "jacobi_central_extension": lambda: ExtendedAlgebra(
+            VIR, build_trivial(1, 0), {(0, 0): (L1 ** 5,)}).check(),
+        "extension_remark81_wrong_factor": lambda: ExtendedAlgebra(
+            *_remark81_v4_datum(L1 * (D + L1))).check(),
+        "associativity": lambda: check_associativity(_non_associative()),
+        "associativity_polynomial": lambda: check_associativity(
+            ConformalAlgebra(("a",), [[(D + L1,)]], associative=True)),
+        "module_one_generator": lambda: check_module(VIR, bad_rank1),
+        "module_corrupted_rep": lambda: check_module(cur2, build_m_u(
+            g2, Rep(g2, _corrupted(sl2_irrep(g2, 2).mats, 2, 1, 1, 1),
+                    check=False))),
+        "module_polynomial_rep": lambda: check_module(cur2, ConformalModule(
+            "free", 3, action=[[[L1 * p for p in row] for row in m] if i == 0 else m
+                               for i, m in enumerate(
+                                   _const_mats(sl2_irrep(g2, 2).mats))])),
+        "extend_module": lambda: _raised(
+            extend_module, VIR, m10, build_m_delta_alpha(0, 0), [[[L1 ** 2]]]),
+        "bimodule_algebra": lambda: check_bimodule(
+            _non_associative(), regular_bimodule(_non_associative())),
+        "bimodule_shape": lambda: check_bimodule(mat2, build_trivial(1, 0)),
+        "bimodule_left": lambda: check_bimodule(mat2, _bimodule(
+            mat2, _corrupted(m2_bim.action, 1, 0, 3, L1), m2_bim.right_action)),
+        "bimodule_right": lambda: check_bimodule(mat2, _bimodule(
+            mat2, m2_bim.action, _corrupted(m2_bim.right_action, 2, 3, 0, ONE))),
+        "bimodule_mixed": lambda: check_bimodule(*_mixed_failure()),
+        "trivial_extension_sesquilinearity": lambda: TrivialExtension(
+            VIR, m10, (ONE,), [(L1,)]).check(),
+        "trivial_extension_module_identity": lambda: TrivialExtension(
+            VIR, bad_rank1, (D,), [(D + L1 * L1,)]).check(),
+        "trivial_extension_scalar_module": lambda: [TrivialExtension(
+            VIR, build_trivial(1, 2), (ONE,), [(gamma,)]).check()
+            for gamma in (ZERO, L1)],
+        "lie_antisymmetry": lambda: _raised(LiePresentation, g2.names, unskew),
+        "lie_jacobi_sl2": lambda: _raised(LiePresentation, g2.names, bad_lie),
+        "lie_jacobi_sl3": lambda: _raised(LiePresentation, g3.names, bad_lie3),
+        "rep_sl2": lambda: _raised(
+            Rep, g2, _corrupted(sl2_irrep(g2, 2).mats, 0, 0, 0, 1)),
+        "rep_sl3_adjoint": lambda: _raised(
+            Rep, g3, _corrupted(ad3.mats, 7, 5, 5, 1)),
+        "rep_sl3_adjoint_scaled": lambda: _raised(
+            Rep, g3, [m if i != 6 else [[2 * x for x in row] for row in m]
+                      for i, m in enumerate(ad3.mats)]),
+        "equivariant": lambda: _raised(
+            check_equivariant, adjoint_rep(g2), v2, bad_phi),
+        "deform_vir": lambda: _deform_witnesses(VIR, 109, 4),
+        "deform_cur_sl2": lambda: _deform_witnesses(cur2, 113, 4),
+        "deform_residual": lambda: [
+            deform(VIR, [[(L1 ** 5,)]]).jacobi_residual(0, 0, 0, 0),
+            deform(cur2, _corrupted_sl2_current().table).jacobi_residual(
+                0, 1, 2, 0),
+        ],
+    }
+
+
+CASE_NAMES = sorted(_cases(dual_numbers_current()))  # the names only
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_failure_witness_is_pinned(name, mat2_current):
+    assert _show(_cases(mat2_current)[name]()) == PINNED[name]
+
+
+def _spec_stdout(capsys, tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code = main(["check", "--spec-file", str(path)])
+    out = capsys.readouterr()
+    return code, out.out.replace(str(path), "SPEC"), out.err
+
+
+SPECS = {
+    "skew": {"algebra": {"generators": ["L"],
+                         "brackets": {"L,L": {"L": "d + 3*lam1"}}}},
+    "jacobi": {"algebra": {"generators": ["L"], "brackets": {
+        "L,L": {"L": "(d + 2*lam1)*lam1*(lam1 + d)"}}}},
+    "associativity": {"algebra": {
+        "generators": ["one", "x"], "associative": True,
+        "brackets": {"one,one": {"one": "1"}, "x,x": {"one": "1"}}}},
+    "module": {
+        "algebra": {"generators": ["L"],
+                    "brackets": {"L,L": {"L": "d + 2*lam1"}}},
+        "module": {"kind": "free", "basis": ["v", "w"], "actions": {
+            "L": [["d + lam1", "lam1^2"], ["0", "d"]]}}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_check_spec_file_failure_stdout_is_pinned(name, tmp_path, capsys):
+    code, out, err = _spec_stdout(capsys, tmp_path, SPECS[name])
+    assert (code, err) == (2, "")
+    assert out == PINNED_STDOUT[name]
+
+
+# generated on the code before the checks shared one kernel
+PINNED = {'associativity': (False, (0, 1, 1, 0, '1')),
+ 'associativity_polynomial': (False,
+                              (0,
+                               0,
+                               0,
+                               0,
+                               '2*lam1*lam2 + 2*lam1*d + lam1^2 + 2*lam2*d + '
+                               'lam2^2 + d^2')),
+ 'bimodule_algebra': (False, ('algebra', (0, 1, 1, 0, '1'))),
+ 'bimodule_left': (False, ('left', (0, 1))),
+ 'bimodule_mixed': (False, ('mixed', (1, 1))),
+ 'bimodule_right': (False, ('right', (0, 2))),
+ 'bimodule_shape': (False,
+                    ('shape',
+                     'bimodule needs a free module with a right action')),
+ 'deform_cur_sl2': ((False,
+                     (0,
+                      0,
+                      0,
+                      0,
+                      '18*lam1*lam2^2 - 6*lam1*d^2 - 18*lam1^2*lam2 - '
+                      '18*lam1^2*d - 12*lam1^3 + 6*lam2*d^2 + 18*lam2^2*d + '
+                      '12*lam2^3')),
+                    (False,
+                     (0,
+                      0,
+                      1,
+                      0,
+                      '-6*lam1*lam2^2 - 8*lam1*d^2 + 6*lam1^2*lam2 - '
+                      'lam1^2*d + 6*lam1^3 + 8*lam2*d^2 + lam2^2*d - '
+                      '6*lam2^3 + 7*lam1*d + 6*lam1^2 - 7*lam2*d - 6*lam2^2 '
+                      '- 4*lam1 + 4*lam2')),
+                    (False,
+                     (0,
+                      0,
+                      0,
+                      0,
+                      '-12*lam1*lam2^2 + 4*lam1*d^2 + 12*lam1^2*lam2 + '
+                      '12*lam1^2*d + 8*lam1^3 - 4*lam2*d^2 - 12*lam2^2*d - '
+                      '8*lam2^3')),
+                    (False,
+                     (0,
+                      0,
+                      0,
+                      0,
+                      '-12*lam1*lam2^2 + 4*lam1*d^2 + 12*lam1^2*lam2 + '
+                      '12*lam1^2*d + 8*lam1^3 - 4*lam2*d^2 - 12*lam2^2*d - '
+                      '8*lam2^3'))),
+ 'deform_residual': ('4*lam1*lam2^5 + 5*lam1^2*lam2^4 - 5*lam1^4*lam2^2 - '
+                     '6*lam1^5*lam2 - lam1^5*d - 2*lam1^6',
+                     '2'),
+ 'deform_vir': ((False,
+                 (0,
+                  0,
+                  0,
+                  0,
+                  '9*lam1*lam2^2*d - 3*lam1*d^3 - 9*lam1^2*lam2*d - '
+                  '9*lam1^2*d^2 - 6*lam1^3*d + 3*lam2*d^3 + 9*lam2^2*d^2 + '
+                  '6*lam2^3*d - 18*lam1*lam2^2 + 6*lam1*d^2 + 18*lam1^2*lam2 '
+                  '+ 18*lam1^2*d + 12*lam1^3 - 6*lam2*d^2 - 18*lam2^2*d - '
+                  '12*lam2^3')),
+                (False,
+                 (0,
+                  0,
+                  0,
+                  0,
+                  '-18*lam1*lam2^2*d + 6*lam1*d^3 + 18*lam1^2*lam2*d + '
+                  '18*lam1^2*d^2 + 12*lam1^3*d - 6*lam2*d^3 - 18*lam2^2*d^2 '
+                  '- 12*lam2^3*d - 12*lam1*lam2^2 + 4*lam1*d^2 + '
+                  '12*lam1^2*lam2 + 12*lam1^2*d + 8*lam1^3 - 4*lam2*d^2 - '
+                  '12*lam2^2*d - 8*lam2^3')),
+                (False,
+                 (0,
+                  0,
+                  0,
+                  0,
+                  '-9*lam1*lam2^2*d + 3*lam1*d^3 + 9*lam1^2*lam2*d + '
+                  '9*lam1^2*d^2 + 6*lam1^3*d - 3*lam2*d^3 - 9*lam2^2*d^2 - '
+                  '6*lam2^3*d')),
+                (False,
+                 (0,
+                  0,
+                  0,
+                  0,
+                  '-18*lam1*lam2^2*d + 6*lam1*d^3 + 18*lam1^2*lam2*d + '
+                  '18*lam1^2*d^2 + 12*lam1^3*d - 6*lam2*d^3 - 18*lam2^2*d^2 '
+                  '- 12*lam2^3*d - 6*lam1*lam2^2 + 2*lam1*d^2 + '
+                  '6*lam1^2*lam2 + 6*lam1^2*d + 4*lam1^3 - 2*lam2*d^2 - '
+                  '6*lam2^2*d - 4*lam2^3'))),
+ 'equivariant': ('NotEquivariant',
+                 'map fails equivariance at generator 0',
+                 None),
+ 'extend_module': ('NotACocycle',
+                   'datum is not a 1-cocycle: block module axiom fails',
+                   (0, 0, (0, 1), '2*lam1*lam2^2 - 2*lam1^2*lam2')),
+ 'extension_remark81_wrong_factor': (False,
+                                     ('skew',
+                                      (0, 0, 3, '48*lam1*d + 48*lam1^2'))),
+ 'jacobi_central_extension': (False,
+                              ('jacobi',
+                               (0,
+                                0,
+                                0,
+                                1,
+                                '2*lam1*lam2^5 + 5*lam1^2*lam2^4 - '
+                                '5*lam1^4*lam2^2 - 2*lam1^5*lam2'))),
+ 'jacobi_corrupted_cur_sl2': (False, (0, 1, 2, 0, '2')),
+ 'jacobi_one_generator': (False,
+                          (0,
+                           0,
+                           0,
+                           0,
+                           '-2*lam1*lam2^2*d^3 - 8*lam1*lam2^3*d^2 - '
+                           '10*lam1*lam2^4*d - 4*lam1*lam2^5 + '
+                           '2*lam1^2*lam2*d^3 - 12*lam1^2*lam2^3*d - '
+                           '10*lam1^2*lam2^4 + 8*lam1^3*lam2*d^2 + '
+                           '12*lam1^3*lam2^2*d + 10*lam1^4*lam2*d + '
+                           '10*lam1^4*lam2^2 + 4*lam1^5*lam2')),
+ 'jacobi_torsion_extension': (False,
+                              ('jacobi',
+                               (0,
+                                0,
+                                0,
+                                1,
+                                '64*lam1*lam2^5 + 160*lam1^2*lam2^4 - '
+                                '160*lam1^4*lam2^2 - 64*lam1^5*lam2 + '
+                                '80*lam1*lam2^4 + 160*lam1^2*lam2^3 - '
+                                '160*lam1^3*lam2^2 - 80*lam1^4*lam2 + '
+                                '32*lam1^5 - 32*lam2^5 + 80*lam1^4 - '
+                                '80*lam2^4 - 40*lam1*lam2^2 + 40*lam1^2*lam2 '
+                                '+ 80*lam1^3 - 80*lam2^3 + 40*lam1^2 - '
+                                '40*lam2^2 + 8*lam1 - 8*lam2'))),
+ 'lie_antisymmetry': ('ValueError',
+                      'not a Lie algebra: antisymmetry fails at (1,2,1)',
+                      None),
+ 'lie_jacobi_sl2': ('ValueError',
+                    'not a Lie algebra: Jacobi fails at (0,1,2)',
+                    None),
+ 'lie_jacobi_sl3': ('ValueError',
+                    'not a Lie algebra: Jacobi fails at (0,3,7)',
+                    None),
+ 'module_corrupted_rep': (False, (0, 1, (1, 1), '-1')),
+ 'module_one_generator': (False, (0, 0, (0, 0), 'lam1*lam2^2 - lam1^2*lam2')),
+ 'module_polynomial_rep': (False, (0, 1, (0, 0), '2*lam1 - 2')),
+ 'rep_sl2': ('RepNotValid', '[rho_0, rho_1] != rho([x_0, x_1])', None),
+ 'rep_sl3_adjoint': ('RepNotValid',
+                     '[rho_0, rho_7] != rho([x_0, x_7])',
+                     None),
+ 'rep_sl3_adjoint_scaled': ('RepNotValid',
+                            '[rho_0, rho_3] != rho([x_0, x_3])',
+                            None),
+ 'skew_symmetry': (False, (0, 0, 0, '-d')),
+ 'trivial_extension_module_identity': (False, ('module identity', (0, 0))),
+ 'trivial_extension_scalar_module': ((True, None),
+                                     (False, ('sesquilinearity', 0))),
+ 'trivial_extension_sesquilinearity': (False, ('sesquilinearity', 0))}
+PINNED_STDOUT = {'associativity': '{"algebra": "SPEC", "associativity": false}\n'
+                  'failing identity at (0, 1, 1, 0): residual 1\n',
+ 'jacobi': '{"algebra": "SPEC", "skew_symmetry": true, "jacobi": false}\n'
+           'failing identity at (0, 0, 0, 0): residual -2*lam1*lam2^2*d^3 - '
+           '8*lam1*lam2^3*d^2 - 10*lam1*lam2^4*d - 4*lam1*lam2^5 + '
+           '2*lam1^2*lam2*d^3 - 12*lam1^2*lam2^3*d - 10*lam1^2*lam2^4 + '
+           '8*lam1^3*lam2*d^2 + 12*lam1^3*lam2^2*d + 10*lam1^4*lam2*d + '
+           '10*lam1^4*lam2^2 + 4*lam1^5*lam2\n',
+ 'module': '{"algebra": "SPEC", "skew_symmetry": true, "jacobi": true, '
+           '"module": false}\n'
+           'module identity fails at (0, 0, (0, 1)): residual 2*lam1*lam2^2 '
+           '- 2*lam1^2*lam2\n',
+ 'skew': '{"algebra": "SPEC", "skew_symmetry": false}\n'
+         'failing identity at (0, 0, 0): residual -d\n'}
