@@ -69,8 +69,10 @@ class ConformalAlgebra:
                         vec[k] = vec[k].substitute(DEL, self.del_scalars[k])
                 row.append(tuple(vec))
             self.table.append(row)
-        # the Lie differential's bracket expansion table, filled on use
+        # the Lie differential's bracket expansion table and the annihilation
+        # algebra's j-th products, filled on use
         self._bracket_expansions = {}
+        self._jth_products = {}
 
     @property
     def ngens(self):
@@ -112,8 +114,10 @@ class ConformalModule:
         else:
             raise ValueError(f"unknown module kind {kind!r}")
         self._act_cache = {}
-        # the Lie differential's action expansion table, filled on use
+        # the Lie differential's action expansion table and the level
+        # module's j-th products, filled on use
         self._action_expansions = {}
+        self._jth_products = {}
 
     def is_free(self):
         return self.kind == "free"

@@ -9,26 +9,34 @@ products (the divided-power coefficients of the lambda expansion):
 
 with (d x)_s = -s x_(s-1) making levels well defined.  The derivation T acts
 by T(a_n) = -n a_(n-1).  A free module M = C[d] x U produces the module of
-levels U[t] via the same binomial formula.
+levels U[t] via the same binomial formula; one helper computes the sum for
+both.  The j-th products are tabled on the algebra and on the module, filled
+on first use.
 
 A basic cochain gamma transports to the functional
 
     phi(gamma)(a1_(m1), ..., an_(mn)) = (prod m_i!) [lam^m] gamma,
 
-which has finite support because the values are polynomials; the standard
-continuous Chevalley-Eilenberg differential, evaluated lazily through this
-transport, matches the conformal differential exactly (the headline test of
-this module).  All level arithmetic here is derived from the binomial
-formulas alone, so the comparison exercises two independent code paths.
+which has finite support because the values are polynomials.  ``phi_eval``
+reads it from a table {lam exponents: phi value} per stored tuple, built once
+per cochain and kept on it.  The standard continuous Chevalley-Eilenberg
+differential, evaluated lazily through this transport, matches the conformal
+differential exactly (the headline test of this module).  Its bracket terms
+come from the binomial formula and its module terms act through
+``ConformalModule.act`` on polynomial values; neither shares code with the
+table-driven ``cochain._d_terms``, so the comparison exercises two
+independent code paths.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
+from .cochain import _SKEW_VARIANTS, _split_values
 from .errors import WrongModuleKind
 from .poly import DEL, RatPoly, lam, vec_is_zero, zero_vec
+from .skew import permutation_sign
 
 
 def _add_term(out, key, coeff):
@@ -65,28 +73,38 @@ def level_image(element, s):
     return out
 
 
+def _divided_power(vec, order):
+    """order! times the lam^order coefficient of each entry."""
+    fact = Fraction(factorial(order))
+    return tuple(fact * p.coeff_of_lams((order,)) for p in vec)
+
+
+def _binomial_levels(column, m, n):
+    """sum_j binom(m, j) level_image(column(j), m + n - j), for j <= m."""
+    out = {}
+    for order in range(m + 1):
+        c = comb(m, order)
+        for key, coeff in level_image(column(order), m + n - order).items():
+            _add_term(out, key, c * coeff)
+    return out
+
+
 def jth_product(algebra, i, j, order):
-    """The order-th product a_(order) b: order! times the lam^order coefficient."""
-    vec = algebra.table[i][j]
-    out = []
-    for p in vec:
-        out.append(Fraction(factorial(order)) * p.coeff_of_lams((order,)))
-    return tuple(out)
+    """The order-th product a_(order) b, tabled on the algebra."""
+    key = (i, j, order)
+    out = algebra._jth_products.get(key)
+    if out is None:
+        out = algebra._jth_products[key] = _divided_power(
+            algebra.table[i][j], order
+        )
+    return out
 
 
 def ann_bracket(algebra, x, y):
     """[a_m, b_n] as a dict {(generator, level): coefficient}."""
     (i, m), (j, n) = x, y
-    out = {}
-    for order in range(m + 1):
-        prod = jth_product(algebra, i, j, order)
-        if all(not p for p in prod):
-            continue
-        image = level_image(prod, m + n - order)
-        c = comb(m, order)
-        for key, coeff in image.items():
-            _add_term(out, key, c * coeff)
-    return out
+    return _binomial_levels(lambda order: jth_product(algebra, i, j, order),
+                            m, n)
 
 
 def derivation_t(x):
@@ -98,16 +116,13 @@ def derivation_t(x):
 
 
 def module_jth_product(module, i, j):
-    """a_(j) v on the module basis: j! times the lam^j coefficient of the action."""
-    mats = module.action[i]
-    out = []
-    for r in range(module.dim):
-        out.append(
-            tuple(
-                Fraction(factorial(j)) * mats[r][c].coeff_of_lams((j,))
-                for c in range(module.dim)
-            )
-        )
+    """a_(j) v on the module basis (rows x columns), tabled on the module."""
+    key = (i, j)
+    out = module._jth_products.get(key)
+    if out is None:
+        out = module._jth_products[key] = [
+            _divided_power(row, j) for row in module.action[i]
+        ]
     return out
 
 
@@ -116,98 +131,70 @@ def v_minus_action(module, x, vec_level):
     if not module.is_free():
         raise WrongModuleKind("the level module is built from a free module")
     (i, m), (b, n) = x, vec_level
-    out = {}
-    for order in range(m + 1):
-        mats = module_jth_product(module, i, order)
-        column = tuple(mats[r][b] for r in range(module.dim))
-        if all(not p for p in column):
-            continue
-        image = level_image(column, m + n - order)
-        c = comb(m, order)
-        for key, coeff in image.items():
-            _add_term(out, key, c * coeff)
-    return out
+    return _binomial_levels(
+        lambda order: [row[b] for row in module_jth_product(module, i, order)],
+        m, n,
+    )
 
 
 def act_level_on_value(module, i, m, value):
     """Action of a_m on an M-element (tuple of d-polynomials): m! [lam^m] a_lam v."""
     if not module.is_free():
         return zero_vec(module.dim)
-    image = module.act(i, RatPoly.var(lam(1)), value)
-    fact = Fraction(factorial(m))
-    return tuple(fact * p.coeff_of_lams((m,)) for p in image)
+    return _divided_power(module.act(i, RatPoly.var(lam(1)), value), m)
+
+
+def _phi_table(gamma):
+    """{stored tuple: {lam exponents: phi value}}, built once and kept on gamma."""
+    table = gamma._phi_table
+    if table is None:
+        table = {}
+        dim = gamma.module.dim
+        for t, comps in _split_values(gamma).items():
+            by_exps = {}
+            for u, terms in enumerate(comps):
+                for ev, rest, _, _, coeff in terms:
+                    comp = by_exps.setdefault(ev, [{} for _ in range(dim)])[u]
+                    comp[rest] = Fraction(coeff * prod(map(factorial, ev)))
+            table[t] = {ev: tuple(RatPoly(c) for c in comp)
+                        for ev, comp in by_exps.items()}
+        gamma._phi_table = table
+    return table
 
 
 def phi_eval(gamma, gens, levels):
-    """phi(gamma) at a level tuple: (prod m_i!) [lam^m] of the cochain value."""
-    value = gamma.value_on(tuple(gens))
-    fact = Fraction(1)
-    for m in levels:
-        fact *= factorial(m)
-    return tuple(fact * p.coeff_of_lams(tuple(levels)) for p in value)
+    """phi(gamma) at a level tuple: (prod m_i!) [lam^m] of the cochain value.
 
-
-def phi_index(gamma):
-    """A fast evaluator with the same contract as phi_eval.
-
-    Pre-splits every value into {lam-exponent tuple: d-polynomial} so each
-    level lookup is a dict access instead of a term scan; used by the bulk
-    transport suites.
+    A skew value is read on the sorted tuple, with the levels permuted alike
+    and the permutation's sign.
     """
-    q = gamma.q
-    cache = {}
-
-    def eval_at(gens, levels):
-        gens = tuple(gens)
-        table = cache.get(gens)
-        if table is None:
-            value = gamma.value_on(gens)
-            table = []
-            for p in value:
-                split = {}
-                for mono, coeff in p.terms.items():
-                    exps = [0] * q
-                    rest = []
-                    for v, e in mono:
-                        if v[0] == 0:
-                            exps[v[1] - 1] = e
-                        else:
-                            rest.append((v, e))
-                    key = tuple(exps)
-                    split.setdefault(key, {})[tuple(rest)] = coeff
-                table.append({k: RatPoly(t) for k, t in split.items()})
-            cache[gens] = table
-        fact = Fraction(1)
-        for m in levels:
-            fact *= factorial(m)
-        key = tuple(levels)
-        return tuple(
-            fact * comp.get(key, _RAT_ZERO) for comp in table
-        )
-
-    return eval_at
+    gens, levels = tuple(gens), tuple(levels)
+    sign = 1
+    if gamma.variant in _SKEW_VARIANTS:
+        perm = sorted(range(len(gens)), key=lambda s: (gens[s], s))
+        gens = tuple(gens[s] for s in perm)
+        levels = tuple(levels[s] for s in perm)
+        sign = permutation_sign(perm)
+    value = _phi_table(gamma).get(gens, {}).get(levels)
+    if value is None:
+        return zero_vec(gamma.module.dim)
+    return value if sign == 1 else tuple(-p for p in value)
 
 
-_RAT_ZERO = RatPoly.zero()
-
-
-def ce_differential_eval(gamma, gens, levels, phi=None):
+def ce_differential_eval(gamma, gens, levels):
     """The continuous Chevalley-Eilenberg differential of phi(gamma).
 
     gens/levels have length q+1; the module acts through its level actions
     and the bracket through ann_bracket, so no conformal differential is
-    involved.  ``phi`` may be a pre-indexed evaluator (phi_index) for bulk
-    runs; the default is the reference phi_eval.
+    involved.
     """
     module = gamma.module
     q1 = len(gens)
-    if phi is None:
-        phi = lambda g, m: phi_eval(gamma, g, m)
     total = zero_vec(module.dim)
     for i in range(q1):
         rest_g = gens[:i] + gens[i + 1:]
         rest_m = levels[:i] + levels[i + 1:]
-        inner = phi(rest_g, rest_m)
+        inner = phi_eval(gamma, rest_g, rest_m)
         if vec_is_zero(inner):
             continue
         term = act_level_on_value(module, gens[i], levels[i], inner)
@@ -224,7 +211,7 @@ def ce_differential_eval(gamma, gens, levels, phi=None):
             rest_m = tuple(levels[s] for s in range(q1) if s != i and s != j)
             acc = zero_vec(module.dim)
             for (k, lev), coeff in bracket.items():
-                val = phi((k,) + rest_g, (lev,) + rest_m)
+                val = phi_eval(gamma, (k,) + rest_g, (lev,) + rest_m)
                 if not vec_is_zero(val):
                     acc = tuple(a + coeff * b for a, b in zip(acc, val))
             if (i + j) % 2:

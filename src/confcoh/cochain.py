@@ -111,6 +111,8 @@ class Cochain:
                 if tuple(sorted(t)) != t:
                     raise ValueError("skew cochains store sorted tuples only")
         self.values = {t: v for t, v in values.items() if not vec_is_zero(v)}
+        # phi_eval's {tuple: {lam exponents: value}} table, filled on use
+        self._phi_table = None
 
     # -- construction ------------------------------------------------------
 

@@ -440,7 +440,9 @@ def truncation_sweep(spec, qmax, bound=8, representatives=False):
 
     A graded row sums the per-bidegree h over d <= D+2 and is stabilized when
     h vanishes at d = D+1 and D+2; a window row is stabilized when the three
-    bounds agree.
+    bounds agree.  Either flag is evidence, not proof: nothing above D+2 is
+    read.  Cur sl2 / M_V(8) at qmax 4, bound 4 has H^4 = 0, stabilized, yet
+    h(4, 10) = 1.
     """
     _check_counts(qmax, bound)
     store = SliceComplex(spec)

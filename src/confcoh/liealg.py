@@ -173,10 +173,6 @@ class Rep:
                 return f"[rho_{i}, rho_{j}] != rho([x_{i}, x_{j}])"
         return None
 
-    def act_vector(self, i, vec):
-        m = self.mats[i]
-        return [sum(m[r][s] * vec[s] for s in range(self.dim)) for r in range(self.dim)]
-
     def __repr__(self):
         return f"Rep(dim={self.dim} over {self.algebra!r})"
 
@@ -280,20 +276,22 @@ def quotient_rep(rep, subspace_vectors):
         v = linalg.reduce_mod_span(reduced, pivots, v)
         return [v.get(j, _ZERO) for j in comp]
 
-    for i in range(rep.algebra.dim):
+    for rho in rep.mats:
         for row in reduced:
-            image = rep.act_vector(i, [row.get(j, _ZERO) for j in range(rep.dim)])
-            img = {j: image[j] for j in range(rep.dim) if image[j]}
+            img = {}
+            for j, x in row.items():
+                for r in range(rep.dim):
+                    if rho[r][j]:
+                        img[r] = img.get(r, _ZERO) + rho[r][j] * x
+            img = {r: v for r, v in img.items() if v}
             if linalg.reduce_mod_span(reduced, pivots, img):
                 raise ValueError("subspace is not invariant")
 
     mats = []
-    for i in range(rep.algebra.dim):
+    for rho in rep.mats:
         m = _fm_zero(len(comp))
         for col, j in enumerate(comp):
-            basis_vec = [_ZERO] * rep.dim
-            basis_vec[j] = _ONE
-            image = project(rep.act_vector(i, basis_vec))
+            image = project([rho_r[j] for rho_r in rho])
             for r in range(len(comp)):
                 m[r][col] = image[r]
         mats.append(m)

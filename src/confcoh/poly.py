@@ -389,10 +389,6 @@ def vec_add(u, v):
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def vec_scale(c, u):
     return tuple(c * a for a in u)
 

@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from math import comb, factorial
 
 from confcoh.algebra import (
+    ConformalModule,
+    adjoint_module,
     build_current,
     build_m_delta_alpha,
     build_m_u,
@@ -10,14 +13,25 @@ from confcoh.algebra import (
     build_vir,
 )
 from confcoh.annihilation import (
+    _add_term,
     ann_bracket,
     ce_differential_eval,
     del_functional_eval,
     derivation_t,
+    level_image,
     phi_eval,
     v_minus_action,
 )
-from confcoh.cochain import BASIC, Cochain, d_basic, del_action, random_skew_cochain
+from confcoh.cochain import (
+    BASIC,
+    REDUCED,
+    Cochain,
+    as_leibniz,
+    d_basic,
+    del_action,
+    random_skew_cochain,
+)
+from confcoh.extensions import extend_algebra
 from confcoh.liealg import adjoint_rep, sl2, sl2_irrep, sl3
 from confcoh.poly import DEL, RatPoly, lam
 
@@ -216,3 +230,156 @@ def test_del_transport():
                 assert phi_eval(dg, (0,) * q, levels) == del_functional_eval(
                     gamma, (0,) * q, levels
                 )
+
+
+# -- the tabled evaluators against the reference ones ----------------------------
+#
+# The reference evaluators below recompute every j-th product by scanning the
+# polynomial terms, and read phi through Cochain.value_on (lam relabelling by
+# substitution), on every call.  The tabled evaluators must agree with them
+# exactly, with Fraction coefficients.
+
+
+def _jth_product_oracle(algebra, i, j, order):
+    vec = algebra.table[i][j]
+    out = []
+    for p in vec:
+        out.append(Fraction(factorial(order)) * p.coeff_of_lams((order,)))
+    return tuple(out)
+
+
+def _ann_bracket_oracle(algebra, x, y):
+    (i, m), (j, n) = x, y
+    out = {}
+    for order in range(m + 1):
+        prod = _jth_product_oracle(algebra, i, j, order)
+        if all(not p for p in prod):
+            continue
+        image = level_image(prod, m + n - order)
+        c = comb(m, order)
+        for key, coeff in image.items():
+            _add_term(out, key, c * coeff)
+    return out
+
+
+def _module_jth_product_oracle(module, i, j):
+    mats = module.action[i]
+    out = []
+    for r in range(module.dim):
+        out.append(
+            tuple(
+                Fraction(factorial(j)) * mats[r][c].coeff_of_lams((j,))
+                for c in range(module.dim)
+            )
+        )
+    return out
+
+
+def _v_minus_action_oracle(module, x, vec_level):
+    (i, m), (b, n) = x, vec_level
+    out = {}
+    for order in range(m + 1):
+        mats = _module_jth_product_oracle(module, i, order)
+        column = tuple(mats[r][b] for r in range(module.dim))
+        if all(not p for p in column):
+            continue
+        image = level_image(column, m + n - order)
+        c = comb(m, order)
+        for key, coeff in image.items():
+            _add_term(out, key, c * coeff)
+    return out
+
+
+def _phi_eval_oracle(gamma, gens, levels):
+    value = gamma.value_on(tuple(gens))
+    fact = Fraction(1)
+    for m in levels:
+        fact *= factorial(m)
+    return tuple(fact * p.coeff_of_lams(tuple(levels)) for p in value)
+
+
+def _central():
+    """Vir + C with the cocycle lam^3: its second generator is torsion."""
+    return extend_algebra(VIR, build_trivial(1, 0), {(0, 0): (L1 ** 3,)}).algebra
+
+
+def _assert_fraction_dict(got, want):
+    assert got == want
+    assert all(type(c) is Fraction for c in got.values())
+
+
+def _assert_fraction_vec(got, want):
+    assert got == want
+    for p in got:
+        assert all(type(c) is Fraction for c in p.terms.values())
+
+
+def test_ann_bracket_matches_oracle():
+    central = _central()
+    assert central.del_scalars == (None, Fraction(0))
+    for alg in (VIR, CUR2, central):
+        basis = [(i, m) for i in range(alg.ngens) for m in range(7)]
+        for x, y in product(basis, repeat=2):
+            want = _ann_bracket_oracle(alg, x, y)
+            # the second call reads the filled table
+            for _ in range(2):
+                _assert_fraction_dict(ann_bracket(alg, x, y), want)
+
+
+def test_v_minus_action_matches_oracle():
+    g = sl2()
+    # Vir + C acting through L, the central generator acting by zero
+    central_m = ConformalModule(
+        "free", 1, action=[[[D + 2 * L1]], [[RatPoly.zero()]]]
+    )
+    fixtures = [
+        (VIR, build_m_delta_alpha(1, 0)),
+        (VIR, build_m_delta_alpha(2, Fraction(1, 3))),
+        (VIR, adjoint_module(VIR)),
+        (CUR2, build_m_u(g, adjoint_rep(g))),
+        (CUR2, build_m_u(g, sl2_irrep(g, 2))),
+        (_central(), central_m),
+    ]
+    for alg, mod in fixtures:
+        gens = [(i, m) for i in range(alg.ngens) for m in range(7)]
+        vecs = [(b, n) for b in range(mod.dim) for n in range(7)]
+        for x, v in product(gens, vecs):
+            want = _v_minus_action_oracle(mod, x, v)
+            for _ in range(2):
+                _assert_fraction_dict(v_minus_action(mod, x, v), want)
+
+
+def _phi_cochains():
+    """Basic, reduced and Leibniz cochains, with their differentials, over
+    Vir, Cur sl2 and the central extension; some with non-integral
+    coefficients."""
+    rng = random.Random(53)
+    g = sl2()
+    fixtures = [
+        (VIR, build_trivial(1, 0), 0, 3),
+        (VIR, build_m_delta_alpha(1, 0), 1, 3),
+        (CUR2, build_m_u(g, sl2_irrep(g, 2)), 1, 2),
+        (CUR2, build_trivial(1, 2), 0, 3),
+        (_central(), build_trivial(1, 0), 0, 3),
+    ]
+    for alg, mod, max_del, qmax in fixtures:
+        for q in range(qmax + 1):
+            basic = random_skew_cochain(alg, mod, q, 3, rng, max_del=max_del)
+            reduced = random_skew_cochain(alg, mod, q, 3, rng, variant=REDUCED)
+            for c in (basic, reduced.scale(Fraction(2, 3))):
+                yield c
+                yield as_leibniz(c)
+            if q < qmax:
+                yield d_basic(basic)
+
+
+def test_phi_eval_matches_oracle():
+    variants = set()
+    for gamma in _phi_cochains():
+        variants.add(gamma.variant)
+        ngens, q = gamma.algebra.ngens, gamma.q
+        for gens in product(range(ngens), repeat=q):
+            for levels in product(range(7), repeat=q):
+                _assert_fraction_vec(phi_eval(gamma, gens, levels),
+                                     _phi_eval_oracle(gamma, gens, levels))
+    assert variants == {BASIC, REDUCED, "leibniz"}

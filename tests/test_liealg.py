@@ -114,3 +114,17 @@ def test_wedge2_sl3_mod_adjoint_quotient():
     assert quot.dim == 20
     # the quotient contains no copy of the adjoint
     assert len(equivariant_maps(ad, quot)) == 0
+
+
+def test_quotient_rep_of_a_direct_sum():
+    g = sl2()
+    v2 = sl2_irrep(g, 2)
+    # V(2) + V(0), the trivial summand last
+    total = Rep(g, [[row + [0] for row in m] + [[0] * 4] for m in v2.mats])
+    quot, comp, project = quotient_rep(total, [[0, 0, 0, 1]])
+    assert comp == [0, 1, 2]
+    assert quot.mats == v2.mats
+    assert project([1, 2, 3, 4]) == [1, 2, 3]
+    # the line through v0 + w is not invariant: f v0 = v1
+    with pytest.raises(ValueError, match="not invariant"):
+        quotient_rep(total, [[1, 0, 0, 1]])
