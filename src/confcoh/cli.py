@@ -129,8 +129,9 @@ def parse_algebra(text):
 
 
 def parse_module(text, algebra_name, g):
-    """(module, rep): rep is the representation of g an mu: module is built
-    on, None for the others."""
+    """(module, reps): for an mu: module, reps maps "U" to the representation
+    of g it is built on, and "ad" and "wedge2" to the adjoint and its
+    (exterior square, pairs) when building U made them; None for the others."""
     if text == "trivial":
         return build_trivial(1, 0), None
     if text.startswith("ca:"):
@@ -147,33 +148,35 @@ def parse_module(text, algebra_name, g):
             raise ParseError("mu modules live over cur:sl2 and cur:sl3")
         name = text[3:]
         if name == "adjoint":
-            rep = adjoint_rep(g)
+            ad = adjoint_rep(g)
+            reps = {"U": ad, "ad": ad}
         elif name == "trivial":
-            rep = trivial_rep(g)
+            reps = {"U": trivial_rep(g)}
         elif name.startswith("V"):
             digits = name[1:].strip("()")
             if algebra_name != "cur:sl2":
                 raise ParseError("V(m) irreducibles are the sl2 modules")
             if not digits.isdigit():
                 raise ParseError(f"V(m) needs a non-negative integer m, got {text!r}")
-            rep = sl2_irrep(g, int(digits))
+            reps = {"U": sl2_irrep(g, int(digits))}
         elif name == "wedge2modg":
             if algebra_name != "cur:sl3":
                 raise ParseError("wedge2modg is the sl3 module")
-            rep = _wedge2_mod_g(g)
+            reps = _wedge2_mod_g(g)
         else:
             raise ParseError(f"unknown module spec {text!r}")
-        return build_m_u(g, rep), rep
+        return build_m_u(g, reps["U"]), reps
     raise ParseError(f"unknown module spec {text!r}")
 
 
 def _wedge2_mod_g(g):
+    """The reps of parse_module for wedge^2 g / g."""
     ad = adjoint_rep(g)
-    w2, _ = wedge2_rep(ad)
+    w2, pairs = wedge2_rep(ad)
     embed = equivariant_maps(ad, w2)[0]
     sub = [[embed[r][c] for r in range(w2.dim)] for c in range(g.dim)]
     quot, _, _ = quotient_rep(w2, sub)
-    return quot
+    return {"U": quot, "ad": ad, "wedge2": (w2, pairs)}
 
 
 def load_spec_file(path):
@@ -240,21 +243,21 @@ def load_spec_file(path):
 
 
 def _resolve(args):
-    """(algebra, module, name, rep); rep as in parse_module."""
-    rep = None
+    """(algebra, module, name, reps); reps as in parse_module."""
+    reps = None
     if getattr(args, "spec_file", None):
         algebra, module = load_spec_file(args.spec_file)
         name = args.spec_file
         if algebra is None:
             raise ParseError("spec file has no algebra section")
         if module is None and getattr(args, "module", None):
-            module, rep = parse_module(args.module, name, None)
-        return algebra, module, name, rep
+            module, reps = parse_module(args.module, name, None)
+        return algebra, module, name, reps
     algebra, name, g = parse_algebra(args.algebra)
     module = None
     if getattr(args, "module", None):
-        module, rep = parse_module(args.module, name, g)
-    return algebra, module, name, rep
+        module, reps = parse_module(args.module, name, g)
+    return algebra, module, name, reps
 
 
 # -- subcommands -------------------------------------------------------------
@@ -385,17 +388,20 @@ def cmd_annih_compare(args):
     return EXIT_OK
 
 
-def _remark81_datum(algebra_name, module, rep):
-    """The abelian-extension cocycles of current algebras, as a datum table."""
+def _remark81_datum(algebra_name, module, reps):
+    """The abelian-extension cocycles of current algebras, as a datum table;
+    reps as in parse_module, whose adjoint and exterior square are reused."""
     if algebra_name not in _CURRENT_LIE:
         raise ParseError("remark81 cocycles are defined for cur:sl2 and cur:sl3")
-    if rep is None:
+    if reps is None:
         raise ParseError("remark81 cocycles take an mu: module")
+    rep = reps["U"]
     g = rep.algebra
+    ad = reps["ad"] if "ad" in reps else adjoint_rep(g)
     d = RatPoly.var(DEL)
     l1 = RatPoly.var(lam(1))
     if algebra_name == "cur:sl2":
-        sym2, basis = sym_power_rep(adjoint_rep(g), 2)
+        sym2, basis = sym_power_rep(ad, 2)
         maps = equivariant_maps(sym2, rep)
         if not maps:
             raise NotACocycle("no equivariant Sym^2 -> U map exists")
@@ -410,7 +416,7 @@ def _remark81_datum(algebra_name, module, rep):
             for i in range(3)
             for j in range(3)
         }
-    w2, pairs = wedge2_rep(adjoint_rep(g))
+    w2, pairs = reps["wedge2"] if "wedge2" in reps else wedge2_rep(ad)
     maps = equivariant_maps(w2, rep)
     if not maps:
         raise NotACocycle("no equivariant wedge^2 g -> U map exists")
@@ -450,11 +456,11 @@ def _read_cocycle(path, algebra, module):
 
 
 def cmd_extend(args):
-    algebra, module, name, rep = _resolve(args)
+    algebra, module, name, reps = _resolve(args)
     if module is None:
         return _fail(EXIT_PARSE, "extend needs --module")
     if args.cocycle == "remark81":
-        datum = _remark81_datum(name, module, rep)
+        datum = _remark81_datum(name, module, reps)
     else:
         datum = _read_cocycle(args.cocycle, algebra, module)
     try:

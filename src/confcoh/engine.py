@@ -25,8 +25,10 @@ Two computation modes, decided over the columns the computation reads:
   degrees <= D are exact (membership in the d-action ideal is decided by
   restriction to the hyperplane sum lam_i = -a); the coboundary space is
   approximated by images of the window, and agreement across bounds D, D+1,
-  D+2 is reported as the stabilized flag.  The three bounds read the same
-  stored slices.
+  D+2 is reported as the stabilized flag.  Per degree q the store keeps one
+  cocycle kernel, of the top window D+2, whose prefixes are the kernels of
+  the smaller windows, and one coboundary RREF, grown from bound to bound;
+  h is the rank of the cocycles' remainders modulo that RREF.
 
 The scalar-module reduced complex is the quotient by the image of
 multiplication by (a + sum lam_i); the quotient is taken here, on slices,
@@ -36,6 +38,7 @@ never by eliminating a variable.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -211,6 +214,8 @@ class SliceComplex:
         self._restriction_memo = {}  # restricted monomials and powers
         self._quotients = {}
         self._ranks = {}
+        self._cocycles = {}  # q -> (bound, free indices, kernel vectors)
+        self._coboundaries = {}  # q -> (bound, RREF rows, pivots)
 
     def pairs(self, q, d):
         key = (q, d)
@@ -311,44 +316,88 @@ class SliceComplex:
             return h, []
         prev_cols = self._graded_matrix(q - 1, d - shift, shift) if has_prev else []
         cocycles = [{domain[j]: x for j, x in kvec.items()} for kvec in kernel]
-        return h, _representatives(self.spec, q, h, prev_cols, cocycles)
+        normal = _remainder_rref(*linalg.sparse_rref(prev_cols), cocycles)
+        return h, [coords_to_cochain(self.spec, q, row) for row in normal[:h]]
 
     # -- window mode -------------------------------------------------------------
 
+    def window_cocycles(self, q, bound):
+        """Kernel basis of the degree-q cocycle condition over d <= bound.
+
+        One kernel is kept per q, for the largest window read so far.  The
+        domain is ordered by d and kernel_of_columns picks pivots in column
+        order, so a kernel vector's largest index is its free index, and the
+        RREF of a column prefix is the prefix of the RREF: the kernel of a
+        smaller window is the run of stored vectors whose free index falls
+        inside it, vector for vector.
+        """
+        stored = self._cocycles.get(q)
+        if stored is None or stored[0] < bound:
+            scalar = self.spec.scalar_quotient
+            domain = []
+            zcols = []
+            for d in range(bound + 1):
+                domain += self.pairs(q, d)
+                zcols += self.restricted_columns(q, d) if scalar else self.columns(q, d)
+            kernel = linalg.kernel_of_columns(zcols)
+            stored = self._cocycles[q] = (
+                bound,
+                [max(kvec) for kvec in kernel],
+                [{domain[j]: x for j, x in kvec.items()} for kvec in kernel],
+            )
+        _, frees, vectors = stored
+        width = sum(len(self.pairs(q, d)) for d in range(bound + 1))
+        return vectors[:bisect_left(frees, width)]
+
+    def window_coboundaries(self, q, bound):
+        """RREF (rows, pivots) of the coboundaries in degree q over d <= bound:
+        the differentials of degree q - 1 and, for scalar coefficients, the
+        (a + sum lam_i) multiples.
+
+        The RREF is kept per q for the largest window read so far and grown
+        by eliminating it together with the rows of the new d; the RREF of a
+        span is unique, so that equals a fresh elimination.  A smaller window
+        is eliminated afresh.
+        """
+        stored = self._coboundaries.get(q)
+        if stored is not None and stored[0] == bound:
+            return stored[1], stored[2]
+        keep = stored is None or stored[0] < bound
+        start, rows = 0, []
+        if stored is not None and keep:
+            start, rows = stored[0] + 1, list(stored[1])
+        for d in range(start, bound + 1):
+            if q > 0:
+                rows += self.columns(q - 1, d)
+            if self.spec.scalar_quotient:
+                rows += self.mult_rows(q, d)
+        reduced, pivots = linalg.sparse_rref([r for r in rows if r])
+        if keep:
+            self._coboundaries[q] = (bound, reduced, pivots)
+        return reduced, pivots
+
     def window_h(self, q, bound, want_reps=False):
-        """(h, representatives) in degree q over the window d <= bound."""
-        scalar = self.spec.scalar_quotient
-        domain = []
-        zcols = []
-        for d in range(bound + 1):
-            domain += self.pairs(q, d)
-            zcols += self.restricted_columns(q, d) if scalar else self.columns(q, d)
-        kernel = linalg.kernel_of_columns(zcols)
-        zvecs = [{domain[j]: x for j, x in kvec.items()} for kvec in kernel]
-        brows = []
-        if q > 0:
-            for d in range(bound + 1):
-                brows += self.columns(q - 1, d)
-        if scalar:
-            for d in range(bound + 1):
-                brows += self.mult_rows(q, d)
-        brows = [r for r in brows if r]
-        h = len(zvecs) - linalg.intersection_dim(zvecs, brows)
-        if not (want_reps and h > 0):
-            return h, []
-        return h, _representatives(self.spec, q, h, brows, zvecs)
+        """(h, representatives) in degree q over the window d <= bound.
+
+        The cocycle basis is independent, so h = len(Z) - dim(Z & B) is the
+        rank of its remainders modulo the coboundaries, and the RREF of the
+        remainders gives the normalized representatives.
+        """
+        normal = _remainder_rref(*self.window_coboundaries(q, bound),
+                                 self.window_cocycles(q, bound))
+        reps = [coords_to_cochain(self.spec, q, row) for row in normal] if want_reps else []
+        return len(normal), reps
 
 
-def _representatives(spec, q, h, span_rows, vectors):
-    """h normalized classes: the vectors modulo the span of span_rows, in RREF."""
-    reduced, pivots = linalg.sparse_rref(span_rows)
+def _remainder_rref(reduced, pivots, vectors):
+    """RREF of the vectors modulo an already-reduced span; its length is the
+    dimension of their image in the quotient."""
     remainders = []
     for v in vectors:
         rem = linalg.reduce_mod_span(reduced, pivots, v)
         if rem:
             remainders.append(rem)
-    normal, _ = linalg.sparse_rref(remainders)
-    return [coords_to_cochain(spec, q, row) for row in normal[:h]]
+    return linalg.sparse_rref(remainders)[0]
 
 
 @dataclass
@@ -440,9 +489,12 @@ def truncation_sweep(spec, qmax, bound=8, representatives=False):
 
     A graded row sums the per-bidegree h over d <= D+2 and is stabilized when
     h vanishes at d = D+1 and D+2; a window row is stabilized when the three
-    bounds agree.  Either flag is evidence, not proof: nothing above D+2 is
-    read.  Cur sl2 / M_V(8) at qmax 4, bound 4 has H^4 = 0, stabilized, yet
-    h(4, 10) = 1.
+    bounds agree.  A window row eliminates once for the cocycles of the top
+    window D+2 (the lower windows read prefixes of that kernel), grows one
+    coboundary RREF through D, D+1 and D+2, and takes h at each bound as the
+    rank of the cocycles' remainders modulo it.  Either flag is evidence, not
+    proof: nothing above D+2 is read.  Cur sl2 / M_V(8) at qmax 4, bound 4
+    has H^4 = 0, stabilized, yet h(4, 10) = 1.
     """
     _check_counts(qmax, bound)
     store = SliceComplex(spec)
@@ -451,6 +503,7 @@ def truncation_sweep(spec, qmax, bound=8, representatives=False):
     rows = []
     for q in range(qmax + 1):
         if shift is None:
+            store.window_cocycles(q, top)  # the one kernel; lower bounds read prefixes
             lower = [store.window_h(q, b)[0] for b in (bound, bound + 1)]
             dim, reps = store.window_h(q, top, representatives)
             stabilized = lower[0] == lower[1] == dim

@@ -70,6 +70,8 @@ def sparse_rref(rows):
     return reduced, pivots
 
 
+# rank and intersection_dim have no caller left in the engine; they stay
+# because bench/tracer.py wraps them by name (--trace 1, bench/test_bench.py)
 def rank(rows):
     return len(sparse_rref(rows)[0])
 

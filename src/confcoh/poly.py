@@ -515,6 +515,35 @@ def bracket_residual(outer, inner, table, deltas, commutator):
     return residual
 
 
+def bracket_support(outer, inner, table, commutator):
+    """support(i, j): a set holding every (r, s) at which
+    bracket_residual(outer, inner, table, ., commutator)(i, j, r, s) can be
+    nonzero.
+
+    Each term of entry (r, s) carries outer_i[r][l] inner_j[l][s],
+    outer_j[r][l] inner_i[l][s] (the commutator term) or outer_k[r][s] with
+    table_ij^k != 0, so every other entry is zero whatever the polynomials.
+    """
+    def pattern(mats):
+        return [[[c for c, p in enumerate(row) if p] for row in m] for m in mats]
+
+    out_nz, in_nz = pattern(outer), pattern(inner)
+
+    def product_support(a, b):
+        return {(r, s) for r, row in enumerate(a) for l in row for s in b[l]}
+
+    def support(i, j):
+        out = product_support(out_nz[i], in_nz[j])
+        if commutator:
+            out |= product_support(out_nz[j], in_nz[i])
+        for k, c in enumerate(table[i][j]):
+            if c:
+                out.update((r, s) for r, row in enumerate(out_nz[k]) for s in row)
+        return out
+
+    return support
+
+
 # -- expression grammar ------------------------------------------------------
 
 _TOKEN = re.compile(

@@ -216,12 +216,15 @@ def test_malformed_specs_are_parse_failures(capsys, argv, needle):
 
 
 # each command builds its Lie presentation once, and its representations:
-# U for the module, then ad, and Sym^2 ad or wedge^2 ad for remark81
+# U for the module (ad, wedge^2 ad and the quotient for wedge2modg), then
+# for remark81 ad and Sym^2 ad or wedge^2 ad unless building U made them
 @pytest.mark.parametrize("argv, nreps", [
     (("check", "--algebra", "cur:sl3", "--module", "mu:adjoint"), 1),
     (("extend", "--algebra", "cur:sl2", "--module", "mu:V4", "--cocycle",
       "remark81"), 3),
     (("extend", "--algebra", "cur:sl3", "--module", "mu:adjoint", "--cocycle",
+      "remark81"), 2),
+    (("extend", "--algebra", "cur:sl3", "--module", "mu:wedge2modg", "--cocycle",
       "remark81"), 3),
 ])
 def test_builtin_structures_are_built_once(capsys, monkeypatch, argv, nreps):

@@ -10,7 +10,7 @@ from confcoh.algebra import (
     build_trivial,
     build_vir,
 )
-from confcoh.cochain import BASIC, REDUCED, Cochain, random_skew_cochain
+from confcoh.cochain import BASIC, REDUCED, Cochain, del_action, random_skew_cochain
 from confcoh.engine import (
     ComplexSpec,
     SliceComplex,
@@ -24,6 +24,7 @@ from confcoh.engine import (
 )
 from confcoh.errors import NotEquivariant, UnsupportedComplex
 from confcoh.liealg import (
+    abelian,
     adjoint_rep,
     equivariant_maps,
     sl2,
@@ -264,6 +265,28 @@ def test_vir_c_reduced_classes_localize_in_bidegree():
         assert table.dims()[q] == sum(h for (p, _), h in dims.items() if p == q)
 
 
+def test_long_exact_sequence_for_c_a():
+    # 0 -> basic -(d-action)-> basic -> reduced -> 0 gives the long exact
+    # sequence ... -> H^q(basic) -> H^q(basic) -> H^q(reduced) ->
+    # H^(q+1)(basic) -> ...; the reduced cohomology of Vir/C_1 vanishes, so
+    # the d-action is an isomorphism on each H^q(basic) and maps every basic
+    # class to a nonzero class
+    c1 = build_trivial(1, 1)
+    basic_spec = ComplexSpec(VIR, c1, BASIC)
+    basic = truncation_sweep(basic_spec, 3, 8, representatives=True)
+    reduced = truncation_sweep(ComplexSpec(VIR, c1, REDUCED), 3, 8)
+    assert basic.dims() == [1, 0, 0, 1]
+    assert {row.mode for row in basic.rows} == {"graded"}
+    assert reduced.dims() == [0, 0, 0, 0]
+    assert {row.mode for row in reduced.rows} == {"window"}
+    assert all(row.stabilized for row in basic.rows + reduced.rows)
+    for row in basic.rows:
+        assert len(row.representatives) == row.dim
+        for gamma in row.representatives:
+            res = verify_cocycle(basic_spec, del_action(gamma))
+            assert res.is_cocycle and not res.is_coboundary
+
+
 def test_current_degree_zero_subcomplex_is_chevalley_eilenberg():
     # an independent brute-force CE computation of H(sl2): exterior-power
     # differentials from the structure constants alone
@@ -334,3 +357,113 @@ def test_graded_slicing_consistent_with_window_sum():
         hg = sum(store.graded_h(q, d, shift)[0] for d in range(5))
         hw, _ = store.window_h(q, 4)
         assert hg == hw
+
+
+def _window_h_oracle(store, q, bound, want_reps=False):
+    """The separate elimination per window: a kernel over the whole window,
+    then dim(Z & B) by three ranks, then the representatives."""
+    from confcoh import linalg
+
+    scalar = store.spec.scalar_quotient
+    domain = []
+    zcols = []
+    for d in range(bound + 1):
+        domain += store.pairs(q, d)
+        zcols += store.restricted_columns(q, d) if scalar else store.columns(q, d)
+    kernel = linalg.kernel_of_columns(zcols)
+    zvecs = [{domain[j]: x for j, x in kvec.items()} for kvec in kernel]
+    brows = []
+    if q > 0:
+        for d in range(bound + 1):
+            brows += store.columns(q - 1, d)
+    if scalar:
+        for d in range(bound + 1):
+            brows += store.mult_rows(q, d)
+    brows = [r for r in brows if r]
+    h = len(zvecs) - linalg.intersection_dim(zvecs, brows)
+    if not (want_reps and h > 0):
+        return h, []
+    reduced, pivots = linalg.sparse_rref(brows)
+    remainders = []
+    for v in zvecs:
+        rem = linalg.reduce_mod_span(reduced, pivots, v)
+        if rem:
+            remainders.append(rem)
+    normal, _ = linalg.sparse_rref(remainders)
+    return h, [coords_to_cochain(store.spec, q, row) for row in normal[:h]]
+
+
+def _window_fixtures():
+    g = sl2()
+    cur = build_current(g)
+    out = [pytest.param(ComplexSpec(VIR, build_trivial(1, a), REDUCED), 2, 6,
+                        False, id=f"vir/ca:{a}")
+           for a in (1, Fraction(1, 2), Fraction(-7, 3))]
+    out += [pytest.param(ComplexSpec(cur, build_trivial(1, a), REDUCED), 2, 4,
+                         False, id=f"cur_sl2/ca:{a}")
+            for a in (-1, 5)]
+    out += [pytest.param(ComplexSpec(VIR, build_m_delta_alpha(dl, al), REDUCED),
+                         3, 5, False, id=f"vir/mda:{dl},{al}")
+            for dl, al in ((1, 1), (2, Fraction(1, 3)))]
+    # the bracket of an abelian current algebra is zero, so every cochain is
+    # a cocycle, and the quotient by (a + sum lam_i) leaves a class count
+    # that grows with the window
+    out.append(pytest.param(ComplexSpec(build_current(abelian(2)), build_trivial(1, 2),
+                                        REDUCED), 2, 1, True, id="cur_abelian2/ca:2"))
+    # graded complexes read through the window route, where h > 0
+    out += [pytest.param(ComplexSpec(VIR, C, REDUCED), 3, 3, True, id="vir/trivial"),
+            pytest.param(ComplexSpec(cur, build_m_u(g, sl2_irrep(g, 2)), REDUCED),
+                         2, 2, True, id="cur_sl2/V2")]
+    return out
+
+
+@pytest.mark.parametrize("spec, qmax, bound, has_classes", _window_fixtures())
+def test_window_h_matches_separate_eliminations(spec, qmax, bound, has_classes):
+    # the shared top-window kernel and the grown coboundary RREF give the
+    # h and the representatives of a separate elimination per window: in
+    # the sweep's call order, in a fresh store asked for one bound alone and
+    # with the bounds asked from the top down
+    oracle_store = SliceComplex(spec)
+    sweep = SliceComplex(spec)
+    top_down = SliceComplex(spec)
+    bounds = (bound, bound + 1, bound + 2)
+    oracle = []
+    for q in range(qmax + 1):
+        expected = {}
+        for b in bounds:
+            h, reps = _window_h_oracle(oracle_store, q, b, True)
+            expected[b] = (h, [cochain_coords(c) for c in reps])
+        oracle.append(expected)
+        sweep.window_cocycles(q, bounds[-1])
+        for store, order in ((sweep, bounds), (top_down, bounds[::-1])):
+            for b in order:
+                h, reps = store.window_h(q, b, True)
+                assert (h, [cochain_coords(c) for c in reps]) == expected[b], (q, b)
+        for b in bounds:
+            h, reps = SliceComplex(spec).window_h(q, b, True)
+            assert (h, [cochain_coords(c) for c in reps]) == expected[b], (q, b)
+            assert sweep.window_h(q, b) == (expected[b][0], [])
+    assert any(e[b][0] for e in oracle for b in bounds) == has_classes
+    table = truncation_sweep(spec, qmax, bound, representatives=True)
+    if table.rows[0].mode == "window":
+        for row, expected in zip(table.rows, oracle):
+            hs = [expected[b][0] for b in bounds]
+            assert (row.dim, [cochain_coords(c) for c in row.representatives]) == \
+                expected[bounds[-1]]
+            assert row.stabilized == (hs[0] == hs[1] == hs[2])
+
+
+def test_window_sweep_eliminates_once_per_degree_for_the_cocycles(monkeypatch):
+    # per degree: one kernel over the top window, three coboundary RREFs
+    # grown from bound to bound and three RREFs of the remainders
+    from confcoh import linalg
+
+    calls = []
+    for name in ("kernel_of_columns", "sparse_rref"):
+        real = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda rows, real=real, name=name:
+                            calls.append(name) or real(rows))
+    table = truncation_sweep(ComplexSpec(VIR, build_trivial(1, 1), REDUCED), 2, 4)
+    assert {row.mode for row in table.rows} == {"window"}
+    assert calls.count("kernel_of_columns") == 3
+    assert calls.count("sparse_rref") == 3 * 7

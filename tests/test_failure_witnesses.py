@@ -437,3 +437,20 @@ PINNED_STDOUT = {'associativity': '{"algebra": "SPEC", "associativity": false}\n
            '- 2*lam1^2*lam2\n',
  'skew': '{"algebra": "SPEC", "skew_symmetry": false}\n'
          'failing identity at (0, 0, 0): residual -d\n'}
+
+
+def test_witness_reached_through_one_term_alone():
+    # the first failing entry of the first algebra has only the commutator
+    # term nonzero, that of the second only the product (table) term, so
+    # the entries a check visits must cover both
+    z = ZERO
+    commutator_only = ConformalAlgebra(("a", "b", "c"), [
+        [(z, z, -ONE), (z, z, z), (z, z, ONE)],
+        [(z, z, z), (z, z, z), (z, D, ONE)],
+        [(z, z, z), (z, z, z), (z, z, z)],
+    ])
+    assert _show(check_jacobi(commutator_only)) == (False, (0, 1, 0, 1, "d"))
+    product_only = [[(z, z), (z, z)], [(z, D), (z, z)]]
+    for check, associative in ((check_jacobi, False), (check_associativity, True)):
+        alg = ConformalAlgebra(("a", "b"), product_only, associative=associative)
+        assert _show(check(alg)) == (False, (1, 0, 0, 1, "lam1*d + lam2*d"))
