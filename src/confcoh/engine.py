@@ -6,13 +6,27 @@ value the engine touches is a polynomial in the lam variables alone (reduced
 representatives are d-free, scalar coefficients never carry d), so
 coordinates are read off monomial-by-monomial.
 
-Every entry point (truncation_sweep, graded_bidegree_dims, assemble,
-verify_cocycle) reads one SliceComplex, made for that call.  The store fills
-each bidegree (q, d) on first read and keeps its basis pairs and its
-differential columns, plus, for scalar-coefficient reduced complexes, the
-rows of the (a + sum lam_i) image and the columns restricted to the
-hyperplane sum lam_i = -a.  Every column is built by apply_differential and
-read off by cochain_coords.
+The Betti entry points (truncation_sweep, graded_bidegree_dims) read one
+SliceComplex, made for that call.  The store fills each bidegree (q, d) on
+first read and keeps its basis pairs and its differential columns, plus, for
+scalar-coefficient reduced complexes, the rows of the (a + sum lam_i) image
+and the columns restricted to the hyperplane sum lam_i = -a.  Every column is
+built by apply_differential and read off by cochain_coords.
+
+The store reads only the pairs of Cartan weight 0.  For a current algebra
+(constant brackets, no torsion generator) take a generator h whose ad is
+diagonal on the generators with constant entries and which acts on a free
+module by a constant diagonal matrix (a scalar module has weight 0).  BKV's
+Cartan formula theta(a) = d iota(a) + iota(a) d for a = h (x) 1 gives a map
+that commutes with d, is null-homotopic, and acts on a basis pair (shape,
+u) by the scalar wt(u) - sum wt(a_i) over the shape's generators; it also
+commutes with multiplication by (a + sum lam_i).  Every nonzero weight space
+is therefore acyclic, and the cohomology is that of the weight-0 pairs
+alone, for every such h with a nonzero weight (cartan_weights).  The pairs
+keep their slice order, and d preserves weight, so kernels, RREFs and
+representatives are those of the full slice restricted to weight 0.
+slice_pairs, assemble and verify_cocycle read the full slice: a coboundary
+of nonzero weight needs primitives of that weight.
 
 Two computation modes, decided over the columns the computation reads:
 
@@ -130,12 +144,61 @@ def coords_to_cochain(spec, q, coords):
     )
 
 
+def cartan_weights(spec):
+    """[(generator weights, module weights)] of each Cartan generator with a
+    nonzero weight; [] unless the algebra is a current Lie conformal algebra
+    (constant brackets, no torsion generator).
+
+    A generator h is Cartan when [h_lam x_j] = w_j x_j with constant w_j for
+    every generator x_j and, on a free module, h acts by a constant diagonal
+    matrix; on a scalar module every weight is 0.
+    """
+    alg, module = spec.algebra, spec.module
+    n = alg.ngens
+    if alg.associative or not all(alg.is_free(k) for k in range(n)):
+        return []
+    if not all(_constant(p) for row in alg.table for vec in row for p in vec):
+        return []
+    out = []
+    for h in range(n):
+        ad = alg.table[h]
+        if any(ad[j][k] for j in range(n) for k in range(n) if k != j):
+            continue
+        if module.is_free():
+            act = module.action[h]
+            if any(act[r][s] if r != s else not _constant(act[r][r])
+                   for r in range(module.dim) for s in range(module.dim)):
+                continue
+            module_weights = tuple(act[u][u].const_value() for u in range(module.dim))
+        else:
+            module_weights = (0,) * module.dim
+        generator_weights = tuple(ad[j][j].const_value() for j in range(n))
+        if any(generator_weights) or any(module_weights):
+            out.append((generator_weights, module_weights))
+    return out
+
+
+def _constant(p):
+    return p.terms.keys() <= {()}
+
+
+def _weight(weights, pair):
+    """The eigenvalue of theta(h (x) 1) on a basis pair."""
+    generator_weights, module_weights = weights
+    elem, u = pair
+    return module_weights[u] - sum(generator_weights[k] for k, _ in elem)
+
+
 def pair_degree(pair):
     return sum(e for _, e in pair[0])
 
 
 def apply_differential(spec, c):
     return d_basic(c) if spec.variant == BASIC else d_reduced(c)
+
+
+def _differential_image(spec, q, pair):
+    return apply_differential(spec, basis_cochain(spec, q, pair))
 
 
 def _mult_factor(spec, q):
@@ -206,6 +269,7 @@ class SliceComplex:
 
     def __init__(self, spec):
         self.spec = spec
+        self._weights = None  # cartan_weights, found on the first read
         self._pairs = {}
         self._columns = {}
         self._images = {}  # differential images, until their restriction is read
@@ -218,9 +282,16 @@ class SliceComplex:
         self._coboundaries = {}  # q -> (bound, RREF rows, pivots)
 
     def pairs(self, q, d):
+        """The weight-0 basis pairs of (q, d), in slice order (all of them
+        when the algebra has no Cartan generator with a nonzero weight)."""
         key = (q, d)
         if key not in self._pairs:
-            self._pairs[key] = slice_pairs(self.spec, q, d)
+            if self._weights is None:
+                self._weights = cartan_weights(self.spec)
+            self._pairs[key] = [
+                p for p in slice_pairs(self.spec, q, d)
+                if not any(_weight(w, p) for w in self._weights)
+            ]
         return self._pairs[key]
 
     def columns(self, q, d):
@@ -230,7 +301,7 @@ class SliceComplex:
             cols = []
             images = []
             for pair in self.pairs(q, d):
-                image = apply_differential(self.spec, basis_cochain(self.spec, q, pair))
+                image = _differential_image(self.spec, q, pair)
                 images.append(image)
                 cols.append(cochain_coords(image))
             self._columns[key] = cols
@@ -565,8 +636,8 @@ def assemble(spec, q, d):
     Returns (domain_pairs, columns); the codomain is read off the column
     keys (their own bidegree is implied by the shape element).
     """
-    store = SliceComplex(spec)
-    return store.pairs(q, d), store.columns(q, d)
+    pairs = slice_pairs(spec, q, d)
+    return pairs, [cochain_coords(_differential_image(spec, q, p)) for p in pairs]
 
 
 @dataclass
@@ -590,18 +661,16 @@ def verify_cocycle(spec, gamma):
     if not target:
         return VerifyResult(True, True, witness=None)
     bound = max(gamma.lam_degree(), 0) + _COBOUNDARY_SLACK
-    store = SliceComplex(spec)
-    # differential columns first, so a solution index below len(pairs) is
-    # a coordinate of the witness
+    # the full slices, differential columns first, so a solution index below
+    # len(pairs) is a coordinate of the witness
     pairs = []
-    columns = []
     if q > 0:
         for d in range(bound + 1):
-            pairs += store.pairs(q - 1, d)
-            columns += store.columns(q - 1, d)
+            pairs += slice_pairs(spec, q - 1, d)
+    columns = [cochain_coords(_differential_image(spec, q - 1, p)) for p in pairs]
     if spec.scalar_quotient:
         for d in range(bound + 1):
-            columns += store.mult_rows(q, d)
+            columns += [_mult_coords(spec, q, p) for p in slice_pairs(spec, q, d)]
     sol = linalg.solve_columns(columns, target)
     if sol is None:
         return VerifyResult(True, False)

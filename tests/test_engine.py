@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from confcoh import engine
 from confcoh.algebra import (
     build_current,
     build_m_delta_alpha,
@@ -14,21 +15,26 @@ from confcoh.cochain import BASIC, REDUCED, Cochain, del_action, random_skew_coc
 from confcoh.engine import (
     ComplexSpec,
     SliceComplex,
+    apply_differential,
     assemble,
+    cartan_weights,
     cochain_coords,
     coords_to_cochain,
     graded_bidegree_dims,
     sl2_example_cocycle,
+    slice_pairs,
     truncation_sweep,
     verify_cocycle,
 )
 from confcoh.errors import NotEquivariant, UnsupportedComplex
 from confcoh.liealg import (
+    Rep,
     abelian,
     adjoint_rep,
     equivariant_maps,
     sl2,
     sl2_irrep,
+    sl3,
     sym_power_rep,
 )
 from confcoh.poly import RatPoly, lam
@@ -74,8 +80,6 @@ def test_assemble_empty_domain():
 
 def test_slice_matrix_composition_is_zero():
     # d_{q+1} o d_q = 0 on every assembled adjacent pair
-    from confcoh.liealg import sl3
-
     fixtures = [
         (ComplexSpec(VIR, C, REDUCED), 4),
         (ComplexSpec(VIR, C, BASIC), 4),
@@ -89,8 +93,6 @@ def test_slice_matrix_composition_is_zero():
                 pairs, cols = assemble(spec, q, d)
                 for pair, col in zip(pairs, cols):
                     image = coords_to_cochain(spec, q + 1, col)
-                    from confcoh.engine import apply_differential
-
                     assert apply_differential(spec, image).is_zero() or \
                         cochain_coords(apply_differential(spec, image)) == {}
 
@@ -265,16 +267,16 @@ def test_vir_c_reduced_classes_localize_in_bidegree():
         assert table.dims()[q] == sum(h for (p, _), h in dims.items() if p == q)
 
 
-def test_long_exact_sequence_for_c_a():
+def _check_long_exact_sequence_for_c1(algebra, bound):
     # 0 -> basic -(d-action)-> basic -> reduced -> 0 gives the long exact
     # sequence ... -> H^q(basic) -> H^q(basic) -> H^q(reduced) ->
-    # H^(q+1)(basic) -> ...; the reduced cohomology of Vir/C_1 vanishes, so
-    # the d-action is an isomorphism on each H^q(basic) and maps every basic
-    # class to a nonzero class
+    # H^(q+1)(basic) -> ...; the reduced cohomology with coefficients C_1
+    # vanishes, so the d-action is an isomorphism on each H^q(basic) and
+    # maps every basic class to a nonzero class
     c1 = build_trivial(1, 1)
-    basic_spec = ComplexSpec(VIR, c1, BASIC)
-    basic = truncation_sweep(basic_spec, 3, 8, representatives=True)
-    reduced = truncation_sweep(ComplexSpec(VIR, c1, REDUCED), 3, 8)
+    basic_spec = ComplexSpec(algebra, c1, BASIC)
+    basic = truncation_sweep(basic_spec, 3, bound, representatives=True)
+    reduced = truncation_sweep(ComplexSpec(algebra, c1, REDUCED), 3, bound)
     assert basic.dims() == [1, 0, 0, 1]
     assert {row.mode for row in basic.rows} == {"graded"}
     assert reduced.dims() == [0, 0, 0, 0]
@@ -285,6 +287,15 @@ def test_long_exact_sequence_for_c_a():
         for gamma in row.representatives:
             res = verify_cocycle(basic_spec, del_action(gamma))
             assert res.is_cocycle and not res.is_coboundary
+
+
+def test_long_exact_sequence_for_c_a():
+    _check_long_exact_sequence_for_c1(VIR, 8)
+
+
+def test_long_exact_sequence_for_c_a_over_cur_sl2():
+    # the same sequence read through the weight-0 slices of Cur sl2
+    _check_long_exact_sequence_for_c1(build_current(sl2()), 6)
 
 
 def test_current_degree_zero_subcomplex_is_chevalley_eilenberg():
@@ -467,3 +478,112 @@ def test_window_sweep_eliminates_once_per_degree_for_the_cocycles(monkeypatch):
     assert {row.mode for row in table.rows} == {"window"}
     assert calls.count("kernel_of_columns") == 3
     assert calls.count("sparse_rref") == 3 * 7
+
+
+def test_verify_cocycle_finds_coboundaries_of_nonzero_weight():
+    # d of the 0-cochain with value e has h-weight 2: its primitive lies
+    # outside the weight-0 pairs that the Betti store reads
+    g = sl2()
+    spec = ComplexSpec(build_current(g), build_m_u(g, adjoint_rep(g)), REDUCED)
+    e = g.names.index("e")
+    beta = Cochain(spec.algebra, spec.module, 0, REDUCED,
+                   {(): tuple(RatPoly.const(int(u == e)) for u in range(3))})
+    gamma = apply_differential(spec, beta)
+    assert gamma
+    res = verify_cocycle(spec, gamma)
+    assert res.is_cocycle and res.is_coboundary
+    assert apply_differential(spec, res.witness) == gamma
+
+
+def test_assemble_and_slice_pairs_read_the_full_slice():
+    g = sl2()
+    spec = ComplexSpec(build_current(g), build_m_u(g, sl2_irrep(g, 2)), REDUCED)
+    full = slice_pairs(spec, 1, 1)
+    weight_zero = SliceComplex(spec).pairs(1, 1)
+    assert weight_zero == [p for p in full if p in weight_zero]
+    assert 0 < len(weight_zero) < len(full)
+    pairs, columns = assemble(spec, 1, 1)
+    assert pairs == full and len(columns) == len(full)
+
+
+def _conjugated_v2(g):
+    """V(2) in a basis where h acts by a matrix that is not diagonal."""
+    p = [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
+    p_inv = [[1, -1, 0], [0, 1, 0], [0, 0, 1]]
+
+    def mul(a, b):
+        return [[sum(a[r][k] * b[k][s] for k in range(3)) for s in range(3)]
+                for r in range(3)]
+
+    return Rep(g, [mul(mul(p_inv, m), p) for m in sl2_irrep(g, 2).mats])
+
+
+def _weight_fixtures():
+    from confcoh.cli import parse_module
+
+    g2, g3 = sl2(), sl3()
+    cur2, cur3 = build_current(g2), build_current(g3)
+    out = [pytest.param(ComplexSpec(cur2, C, variant), 3, 4, True,
+                        id=f"cur_sl2/trivial/{variant}")
+           for variant in (BASIC, REDUCED)]
+    out += [pytest.param(ComplexSpec(cur2, build_m_u(g2, sl2_irrep(g2, m)), REDUCED),
+                         2, 3, True, id=f"cur_sl2/V{m}") for m in range(7)]
+    out += [
+        pytest.param(ComplexSpec(cur2, build_m_u(g2, adjoint_rep(g2)), REDUCED),
+                     2, 3, True, id="cur_sl2/adjoint"),
+        # h is skipped, not trusted, when it acts by a matrix that is not
+        # diagonal; sl2 has no other Cartan generator
+        pytest.param(ComplexSpec(cur2, build_m_u(g2, _conjugated_v2(g2)), REDUCED),
+                     2, 3, False, id="cur_sl2/V2_conjugated"),
+        pytest.param(ComplexSpec(cur3, C, REDUCED), 2, 2, True, id="cur_sl3/trivial"),
+        pytest.param(ComplexSpec(cur3, build_m_u(g3, adjoint_rep(g3)), REDUCED),
+                     1, 2, True, id="cur_sl3/adjoint"),
+        pytest.param(ComplexSpec(cur3, parse_module("mu:wedge2modg", "cur:sl3", g3)[0],
+                                 REDUCED), 1, 1, True, id="cur_sl3/wedge2modg"),
+    ]
+    out += [pytest.param(ComplexSpec(cur2, build_trivial(1, a), REDUCED), 2, 4, True,
+                         id=f"cur_sl2/ca:{a}") for a in (1, Fraction(-7, 3))]
+    # every weight of an abelian current algebra is 0
+    out.append(pytest.param(ComplexSpec(build_current(abelian(2)), build_trivial(1, 2),
+                                        REDUCED), 2, 1, False, id="cur_abelian2/ca:2"))
+    return out
+
+
+def _betti_reading(spec, qmax, bound):
+    """The sweep rows (dim, stabilized, mode, representative coordinates)
+    and, for a graded complex, the same per bidegree."""
+    def coords(reps):
+        return [cochain_coords(c) for c in reps]
+
+    table = truncation_sweep(spec, qmax, bound, representatives=True)
+    rows = [(row.dim, row.stabilized, row.mode, coords(row.representatives))
+            for row in table.rows]
+    store = SliceComplex(spec)
+    shift = store.graded_shift(qmax, bound)
+    if shift is None:
+        return rows, None
+    per_bidegree = {}
+    for q in range(qmax + 1):
+        for d in range(bound + 1):
+            h, reps = store.graded_h(q, d, shift, True)
+            per_bidegree[(q, d)] = (h, coords(reps))
+    dims = graded_bidegree_dims(spec, qmax, bound)
+    assert dims == {key: h for key, (h, _) in per_bidegree.items() if h}
+    return rows, per_bidegree
+
+
+@pytest.mark.parametrize("spec, qmax, bound, filtered", _weight_fixtures())
+def test_weight_zero_slices_match_the_full_slices(spec, qmax, bound, filtered,
+                                                  monkeypatch):
+    # the full slices, with no Cartan weight detected, are the oracle
+    assert bool(cartan_weights(spec)) == filtered
+    weight_zero = _betti_reading(spec, qmax, bound)
+    monkeypatch.setattr(engine, "cartan_weights", lambda spec: [])
+    assert _betti_reading(spec, qmax, bound) == weight_zero
+
+
+def test_h3_of_cur_sl2_with_v6_sits_at_degree_6():
+    # the m = 2n class of criterion 7 for n = 3, at d = n(n+1)/2
+    g = sl2()
+    spec = ComplexSpec(build_current(g), build_m_u(g, sl2_irrep(g, 6)), REDUCED)
+    assert graded_bidegree_dims(spec, 3, 8) == {(3, 6): 1}

@@ -454,3 +454,7 @@ def test_witness_reached_through_one_term_alone():
     for check, associative in ((check_jacobi, False), (check_associativity, True)):
         alg = ConformalAlgebra(("a", "b"), product_only, associative=associative)
         assert _show(check(alg)) == (False, (1, 0, 0, 1, "lam1*d + lam2*d"))
+    # skew-symmetry fails first where C_01^1 = 0 and only its mirror
+    # C_10^1 = d is nonzero
+    assert _show(check_skew_symmetry(ConformalAlgebra(("a", "b"), product_only))) \
+        == (False, (0, 1, 1, "d"))
