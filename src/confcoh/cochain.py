@@ -40,7 +40,10 @@ Each value of the input is split once into (lam exponents, d and parameter
 monomial, coefficient); every term is then a table lookup added into
 per-component {monomial: coeff} dicts.  Integral coefficients stay Python
 ints inside the kernel and become Fractions only when the output RatPolys
-are built, so ``RatPoly.terms`` keeps its {monomial: Fraction} contract.
+are built (``_d_values``), so ``RatPoly.terms`` keeps its {monomial:
+Fraction} contract.  ``d_reduced`` cuts d := -(lam1 + ... + lam_{q+1}) on
+those sums, before any RatPoly is built, through the multinomial table of
+``poly.multinomials``; parameters such as mu stay in each term's rest.
 The calculus substitutes through ``slot_insert`` / ``value_with_params``.
 """
 
@@ -48,16 +51,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from operator import add
 
 from .errors import ParseError, WrongModuleKind
 from .poly import (
     DEL,
     RatPoly,
     _mono_mul,
+    exact,
     is_lam,
     lam,
     mat_apply,
     mat_subst,
+    multinomials,
     parse_poly,
     vec_add,
     vec_is_zero,
@@ -399,13 +405,8 @@ def _expansion_terms(poly, v1, v2):
                 e2 = e
             else:
                 rest.append((v, e))
-        out.append((e1, e2, tuple(rest), _exact(coeff)))
+        out.append((e1, e2, tuple(rest), exact(coeff)))
     return out
-
-
-def _exact(coeff):
-    """An integral Fraction as int (cheaper arithmetic), others unchanged."""
-    return coeff.numerator if coeff.denominator == 1 else coeff
 
 
 def _split_values(c):
@@ -437,7 +438,7 @@ def _split_values(c):
                     m, params = rest[0][1], rest[1:]
                 else:
                     m, params = 0, rest
-                terms.append((tuple(ev), rest, m, params, _exact(coeff)))
+                terms.append((tuple(ev), rest, m, params, exact(coeff)))
             comps.append(terms)
         out[t] = comps
     return out
@@ -454,7 +455,8 @@ def _to_poly(acc, lams):
 
 
 def _d_terms(c, outputs, actions, products):
-    """The values of d(c) on ``outputs``, summed from two kinds of term.
+    """The sums of d(c) on ``outputs``, from two kinds of term: per output
+    tuple, one {(lam exponents, rest): coeff} accumulator per component.
 
     * (i, sign): the generator T[i] acting at lam_{i+1} on the value at the
       other slots, which read lam_1..lam_{i}, lam_{i+2}.. in order;
@@ -464,12 +466,11 @@ def _d_terms(c, outputs, actions, products):
       all others as they are stored.
 
     Table-driven: every term is expanded through the cached tables above
-    and added straight into per-component {(lam exponents, rest): coeff}
-    accumulators.
+    and added straight into the accumulators, whose coefficients stay int
+    where integral; ``_d_values`` turns them into RatPoly values.
     """
     A, M, q = c.algebra, c.module, c.q
     out_q = q + 1
-    lams = [lam(s + 1) for s in range(out_q)]
     split = _split_values(c)
     skew = c.variant in _SKEW_VARIANTS
     dim = M.dim
@@ -479,7 +480,7 @@ def _d_terms(c, outputs, actions, products):
         # output slot read by each slot of the fed tuple; None: the bracket
         slots = others[:pos] + [None] + others[pos:]
         layouts.append((i, j, pos, psign, others, slots))
-    values = {}
+    sums = {}
     for T in outputs:
         acc = [{} for _ in range(dim)]
         for i, sign in actions:
@@ -541,10 +542,38 @@ def _d_terms(c, outputs, actions, products):
                             key = (tuple(lv),
                                    _mono_mul(rest, grest) if grest else rest)
                             comp[key] = comp.get(key, 0) + coeff * gc
+        if any(acc):
+            sums[T] = acc
+    return sums
+
+
+def _d_values(sums, out_q):
+    """Cochain values {T: vector of RatPoly} from ``_d_terms`` sums."""
+    lams = [lam(s + 1) for s in range(out_q)]
+    values = {}
+    for T, acc in sums.items():
         vec = tuple(_to_poly(comp, lams) for comp in acc)
         if not vec_is_zero(vec):
             values[T] = vec
     return values
+
+
+def _cut_del(comp, out_q):
+    """An accumulator with d := -(lam_1 + ... + lam_{out_q}), expanded
+    through the multinomial table; parameters stay in each term's rest."""
+    out = {}
+    for (ev, rest), coeff in comp.items():
+        if not (rest and rest[0][0] == DEL):
+            key = (ev, rest)
+            out[key] = out.get(key, 0) + coeff
+            continue
+        m, rest = rest[0][1], rest[1:]
+        if m % 2:
+            coeff = -coeff
+        for k, mult in multinomials(out_q, m):
+            key = (tuple(map(add, ev, k)), rest)
+            out[key] = out.get(key, 0) + coeff * mult
+    return out
 
 
 def _actions(c):
@@ -557,7 +586,7 @@ def _actions(c):
 def _d_lie(c):
     """The two-sum differential, on representatives for either Lie variant:
     the actions, and every bracket [T[i]_lam_{i+1} T[j]] (i < j) fed into
-    the first slot with sign (-1)^(i+j)."""
+    the first slot with sign (-1)^(i+j); ``_d_terms`` sums."""
     out_q = c.q + 1
     products = [(i, j, 0, -1 if (i + j) % 2 else 1)
                 for i in range(out_q) for j in range(i + 1, out_q)]
@@ -568,18 +597,20 @@ def _d_lie(c):
 def d_basic(c):
     if c.variant != BASIC:
         raise ValueError("d_basic expects a basic cochain")
-    return c.copy_with(values=_d_lie(c), q=c.q + 1)
+    return c.copy_with(values=_d_values(_d_lie(c), c.q + 1), q=c.q + 1)
 
 
 def d_reduced(c):
-    """Lift to the basic complex, differentiate, return to representatives."""
+    """Lift to the basic complex, differentiate, return to representatives:
+    over a free module, d := -(lam1+...+lam_{q+1}) is cut on the sums."""
     if c.variant != REDUCED:
         raise ValueError("d_reduced expects a reduced cochain")
-    values = _d_lie(c)
+    out_q = c.q + 1
+    sums = _d_lie(c)
     if c.module.is_free():
-        cut = {DEL: -lam_sum(c.q + 1)}
-        values = {t: vec_subst(v, cut) for t, v in values.items()}
-    return c.copy_with(values=values, q=c.q + 1)
+        sums = {T: [_cut_del(comp, out_q) for comp in acc]
+                for T, acc in sums.items()}
+    return c.copy_with(values=_d_values(sums, out_q), q=out_q)
 
 
 def reduce_cochain(c):
@@ -617,8 +648,9 @@ def d_hochschild(c):
         raise WrongModuleKind("Hochschild cochains need a bimodule")
     out_q = q + 1
     # a1 acting on the left, then the adjacent products
-    left = _d_terms(c, all_tuples(A.ngens, out_q), [(0, 1)],
-                    [(s, s + 1, s, -1 if (s + 1) % 2 else 1) for s in range(q)])
+    left = _d_values(_d_terms(
+        c, all_tuples(A.ngens, out_q), [(0, 1)],
+        [(s, s + 1, s, -1 if (s + 1) % 2 else 1) for s in range(q)]), out_q)
     values = {}
     for T in all_tuples(A.ngens, out_q):
         total = left.get(T, zero_vec(M.dim))
@@ -652,7 +684,8 @@ def d_cyclic(c):
         raise ValueError("cyclic differential needs an associative algebra")
     products = [(s, s + 1, s, -1 if s % 2 else 1) for s in range(q)]
     products.append((q, 0, 0, -1 if q % 2 else 1))
-    values = _d_terms(c, all_tuples(A.ngens, q + 1), [], products)
+    values = _d_values(_d_terms(c, all_tuples(A.ngens, q + 1), [], products),
+                       q + 1)
     return c.copy_with(values=values, q=q + 1)
 
 
@@ -662,8 +695,8 @@ def d_leibniz(c):
     out_q = c.q + 1
     products = [(i, j, j - 1, -1 if (i + 1) % 2 else 1)
                 for i in range(out_q) for j in range(i + 1, out_q)]
-    values = _d_terms(c, _candidates(c, c.module.is_free()), _actions(c),
-                      products)
+    values = _d_values(_d_terms(c, _candidates(c, c.module.is_free()),
+                                _actions(c), products), out_q)
     return c.copy_with(values=values, q=out_q)
 
 

@@ -11,7 +11,14 @@ SliceComplex, made for that call.  The store fills each bidegree (q, d) on
 first read and keeps its basis pairs and its differential columns, plus, for
 scalar-coefficient reduced complexes, the rows of the (a + sum lam_i) image
 and the columns restricted to the hyperplane sum lam_i = -a.  Every column is
-built by apply_differential and read off by cochain_coords.
+built by apply_differential and read off by cochain_coords, which takes each
+monomial's (basis element, sign) from a placement memo kept by the store
+(assemble and verify_cocycle keep one per call).  The other two slice maps
+never build a RatPoly: the (a + sum lam_i) rows read a on the pair and raise
+one slot's exponent per term, and the restriction expands lam1^e := (-a -
+lam2 - ... - lamq)^e on exponent vectors from the multinomial table and
+sums each column in ints over one common denominator (for a = n/m, each
+monomial's image is kept times m^e).
 
 The store reads only the pairs of Cartan weight 0.  For a current algebra
 (constant brackets, no torsion generator) take a generator h whose ad is
@@ -55,19 +62,14 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import add
 
 from . import linalg
-from .cochain import (
-    BASIC,
-    REDUCED,
-    Cochain,
-    d_basic,
-    d_reduced,
-    lam_sum,
-)
+from .cochain import BASIC, REDUCED, Cochain, d_basic, d_reduced
 from .errors import NotEquivariant, UnstableTruncation, UnsupportedComplex
 from .liealg import check_equivariant, sym_power_rep, adjoint_rep
-from .poly import RatPoly, lam, vec_is_zero, vec_scale
+from .poly import RatPoly, exact, is_lam, lam, multinomials, vec_is_zero
 from .skew import (element_tuple, element_value, monomial_coordinates,
                    permutation_sign, skew_basis)
 
@@ -112,14 +114,15 @@ def basis_cochain(spec, q, pair):
     )
 
 
-def cochain_coords(c):
-    """Coordinates {(shape, u): coeff} of a lam-only-valued skew cochain."""
+def cochain_coords(c, placements):
+    """Coordinates {(shape, u): coeff} of a lam-only-valued skew cochain;
+    ``placements`` is the caller's placement memo (monomial_coordinates)."""
     coords = {}
     for t, vec in c.values.items():
         for u, p in enumerate(vec):
             if not p:
                 continue
-            for elem, coeff in monomial_coordinates(p, t).items():
+            for elem, coeff in monomial_coordinates(p, t, placements).items():
                 key = (elem, u)
                 prev = coords.get(key)
                 if prev is None:
@@ -201,66 +204,89 @@ def _differential_image(spec, q, pair):
     return apply_differential(spec, basis_cochain(spec, q, pair))
 
 
-def _mult_factor(spec, q):
-    a = spec.module.del_scalar if spec.scalar_quotient else 0
-    return RatPoly.const(a) + lam_sum(q)
-
-
 def _mult_coords(spec, q, pair):
-    """Coordinates of (a + sum lam_i) times a basis cochain."""
-    c = basis_cochain(spec, q, pair)
-    factor = _mult_factor(spec, q)
-    scaled = c.copy_with(
-        values={t: vec_scale(factor, v) for t, v in c.values.items()}
-    )
-    return cochain_coords(scaled)
+    """Coordinates of (a + sum lam_i) times a basis cochain.
+
+    a stays on the pair itself.  sum lam_i is symmetric, so it commutes with
+    the antisymmetrization and raises one slot's exponent at a time.  Pairs
+    are ordered by generator, then exponent, so a raised pair stays below
+    the pair before it or equals it; the element stays sorted, with sign +1,
+    or repeats a pair and antisymmetrizes to zero.
+    """
+    elem, u = pair
+    a = exact(spec.module.del_scalar) if spec.scalar_quotient else 0
+    coords = {pair: a} if a else {}
+    for s, (k, e) in enumerate(elem):
+        raised = (k, e + 1)
+        if s and elem[s - 1] == raised:
+            continue
+        coords[(elem[:s] + (raised,) + elem[s + 1:], u)] = 1
+    return coords
 
 
 def _restriction_coords(spec, c, memo):
     """Coordinates of the value after lam1 := -a - lam2 - ... - lamq.
 
     Vanishing is equivalent to divisibility by (a + sum lam_i); keys are
-    (tuple, monomial, u) and need not be skew-decomposed.  ``memo`` keeps,
-    across calls, the restricted terms of each monomial and the powers of
-    the substituted polynomial; a polynomial adds its terms up in the order
-    a substitution would.
+    (tuple, u, exponents of lam2..lamq, other variables) and need not be
+    skew-decomposed.  ``memo`` keeps the restricted terms of each monomial
+    across calls.  The sums run on ints over one common denominator, the
+    lcm of each term's coefficient denominator times m^e for a = n/m and
+    lam1^e, and are divided by it once at the end.
     """
     q = c.q
-    out = {}
+    terms = []
+    den = 1
     for t, vec in c.values.items():
         for u, p in enumerate(vec):
-            restricted = {}
             for mono, coeff in p.terms.items():
                 image = memo.get((q, mono))
                 if image is None:
-                    image = memo[(q, mono)] = _restrict_monomial(spec, q, mono, memo)
-                for m, c2 in image:
-                    if m not in restricted:
-                        restricted[m] = coeff * c2
-                        continue
-                    total = restricted[m] + coeff * c2
-                    if total:
-                        restricted[m] = total
-                    else:
-                        del restricted[m]
-            for mono, coeff in restricted.items():
-                out[(t, mono, u)] = coeff
+                    image = memo[(q, mono)] = _restrict_monomial(
+                        spec.module.del_scalar, q, mono)
+                terms.append((t, u, coeff, image))
+                den = lcm(den, coeff.denominator * image[0])
+    out = {}
+    for t, u, coeff, (scale, image) in terms:
+        base = coeff.numerator * (den // (coeff.denominator * scale))
+        for exps, rest, c2 in image:
+            key = (t, u, exps, rest)
+            total = out.get(key, 0) + base * c2
+            if total:
+                out[key] = total
+            else:
+                del out[key]
+    if den != 1:
+        for key, total in out.items():
+            out[key] = exact(Fraction(total, den))
     return out
 
 
-def _restrict_monomial(spec, q, mono, memo):
-    """The terms of a monomial after lam1 := -a - lam2 - ... - lamq; the
-    power of the substituted polynomial is kept in ``memo`` under (q, e)."""
-    if not mono or mono[0][0] != lam(1):
-        return ((mono, Fraction(1)),)
-    e = mono[0][1]
-    power = memo.get((q, e))
-    if power is None:
-        repl = -RatPoly.const(spec.module.del_scalar)
-        for s in range(1, q):
-            repl = repl - RatPoly.var(lam(s + 1))
-        power = memo[(q, e)] = repl ** e
-    return tuple((RatPoly({mono[1:]: Fraction(1)}) * power).terms.items())
+def _restrict_monomial(a, q, mono):
+    """(m^e, [(exponents of lam2..lamq, other variables, int coeff)]) of a
+    monomial after lam1 := -a - lam2 - ... - lamq, for a = n/m, expanded on
+    exponent vectors and times m^e:
+    (-1)^e sum over k of e!/(k_0! ... k_{q-1}!) n^k_0 m^(e-k_0) lam2^k_1 ... lamq^k_{q-1}."""
+    exps = [0] * q
+    rest = []
+    for v, e in mono:
+        if is_lam(v):
+            exps[v[1] - 1] = e
+        else:
+            rest.append((v, e))
+    rest = tuple(rest)
+    e, tail = exps[0], exps[1:]
+    if not e:
+        return 1, ((tuple(tail), rest, 1),)
+    a = Fraction(a)
+    n, m = a.numerator, a.denominator
+    sign = -1 if e % 2 else 1
+    return m ** e, tuple(
+        (tuple(map(add, tail, k[1:])), rest,
+         sign * mult * n ** k[0] * m ** (e - k[0]))
+        for k, mult in multinomials(q, e)
+        if n or not k[0]
+    )
 
 
 class SliceComplex:
@@ -275,7 +301,8 @@ class SliceComplex:
         self._images = {}  # differential images, until their restriction is read
         self._mult = {}
         self._restricted = {}
-        self._restriction_memo = {}  # restricted monomials and powers
+        self._restriction_memo = {}  # restricted terms per monomial
+        self._placements = {}  # skew placements per (tuple, monomial)
         self._quotients = {}
         self._ranks = {}
         self._cocycles = {}  # q -> (bound, free indices, kernel vectors)
@@ -303,7 +330,7 @@ class SliceComplex:
             for pair in self.pairs(q, d):
                 image = _differential_image(self.spec, q, pair)
                 images.append(image)
-                cols.append(cochain_coords(image))
+                cols.append(cochain_coords(image, self._placements))
             self._columns[key] = cols
             if self.spec.scalar_quotient:
                 self._images[key] = images
@@ -637,7 +664,9 @@ def assemble(spec, q, d):
     keys (their own bidegree is implied by the shape element).
     """
     pairs = slice_pairs(spec, q, d)
-    return pairs, [cochain_coords(_differential_image(spec, q, p)) for p in pairs]
+    placements = {}
+    return pairs, [cochain_coords(_differential_image(spec, q, p), placements)
+                   for p in pairs]
 
 
 @dataclass
@@ -657,7 +686,8 @@ def verify_cocycle(spec, gamma):
     if not is_cocycle:
         return VerifyResult(False, False)
     q = gamma.q
-    target = cochain_coords(gamma)
+    placements = {}
+    target = cochain_coords(gamma, placements)
     if not target:
         return VerifyResult(True, True, witness=None)
     bound = max(gamma.lam_degree(), 0) + _COBOUNDARY_SLACK
@@ -667,7 +697,8 @@ def verify_cocycle(spec, gamma):
     if q > 0:
         for d in range(bound + 1):
             pairs += slice_pairs(spec, q - 1, d)
-    columns = [cochain_coords(_differential_image(spec, q - 1, p)) for p in pairs]
+    columns = [cochain_coords(_differential_image(spec, q - 1, p), placements)
+               for p in pairs]
     if spec.scalar_quotient:
         for d in range(bound + 1):
             columns += [_mult_coords(spec, q, p) for p in slice_pairs(spec, q, d)]

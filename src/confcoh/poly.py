@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import comb
 
 from .errors import ParseError
 
@@ -370,6 +371,34 @@ def _mono_mul(m1, m2):
     for v, e in m2:
         d[v] = d.get(v, 0) + e
     return tuple(sorted(d.items()))
+
+
+def exact(coeff):
+    """An integral Fraction as int (cheaper arithmetic), others unchanged."""
+    return coeff.numerator if coeff.denominator == 1 else coeff
+
+
+_MULTINOMIALS = {}
+
+
+def multinomials(n, m):
+    """The expansion of (x_1 + ... + x_n)^m: every exponent vector k of n
+    parts summing to m, with its int coefficient m! / (k_1! ... k_n!).
+    Filled on first use."""
+    key = (n, m)
+    out = _MULTINOMIALS.get(key)
+    if out is None:
+        if n == 1:
+            out = (((m,), 1),)
+        else:
+            # k_1 = j, the rest a vector of n - 1 parts summing to m - j
+            out = tuple(
+                ((j,) + k, comb(m, j) * c)
+                for j in range(m + 1)
+                for k, c in multinomials(n - 1, m - j)
+            )
+        _MULTINOMIALS[key] = out
+    return out
 
 
 # -- vectors of polynomials (module- and algebra-valued values) -------------

@@ -102,34 +102,46 @@ def element_value(elem, q):
     return total
 
 
-def monomial_coordinates(value_poly, sorted_tuple):
+def monomial_coordinates(value_poly, sorted_tuple, placements):
     """Decompose a skew value on a sorted tuple into basis coordinates.
 
     Returns {element: coefficient}.  Monomials whose (gen, exp) pairs repeat
     belong to no basis element and must carry coefficient zero; the redundant
     reads of one element from its q! placements must agree (both are
-    asserted, catching non-skew input).
+    asserted, catching non-skew input).  ``placements`` is the caller's memo
+    of the (element, sign) of each (tuple, monomial) read so far.
     """
-    q = len(sorted_tuple)
     coords = {}
     for mono, coeff in value_poly.terms.items():
-        exps = [0] * q
-        for v, e in mono:
-            if v[0] != 0:
-                raise ValueError("slice values must only involve lam variables")
-            exps[v[1] - 1] = e
-        pairs = [(sorted_tuple[s], exps[s]) for s in range(q)]
-        order = sorted(range(q), key=lambda s: pairs[s], reverse=True)
-        elem = tuple(pairs[s] for s in order)
-        if any(elem[i] == elem[i + 1] for i in range(q - 1)):
-            raise AssertionError(f"repeated pair with nonzero coefficient: {elem}")
-        c = permutation_sign(order) * coeff
+        key = (sorted_tuple, mono)
+        placed = placements.get(key)
+        if placed is None:
+            placed = placements[key] = _placement(mono, sorted_tuple)
+        elem, sign = placed
+        c = coeff if sign == 1 else -coeff
         prev = coords.get(elem)
         if prev is None:
             coords[elem] = c
         elif prev != c:
             raise AssertionError(f"inconsistent skew value at {elem}")
     return coords
+
+
+def _placement(mono, sorted_tuple):
+    """The basis element a lam monomial on a sorted tuple reads, and the
+    sign of the sort that places it."""
+    q = len(sorted_tuple)
+    exps = [0] * q
+    for v, e in mono:
+        if v[0] != 0:
+            raise ValueError("slice values must only involve lam variables")
+        exps[v[1] - 1] = e
+    pairs = [(sorted_tuple[s], exps[s]) for s in range(q)]
+    order = sorted(range(q), key=lambda s: pairs[s], reverse=True)
+    elem = tuple(pairs[s] for s in order)
+    if any(elem[i] == elem[i + 1] for i in range(q - 1)):
+        raise AssertionError(f"repeated pair with nonzero coefficient: {elem}")
+    return elem, permutation_sign(order)
 
 
 def skew_symmetrize(raw, q):

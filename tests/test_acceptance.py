@@ -340,13 +340,15 @@ def test_criterion_07_current_sl2_modules(cur2, sl2_g):
     table = truncation_sweep(spec, 1, 8, representatives=True)
     rep = table.rows[1].representatives[0]
     columns = []
+    placements = {}
     for d in range(4):
         for pair in slice_pairs(spec, 0, d):
             columns.append(cochain_coords(
-                apply_differential(spec, basis_cochain(spec, 0, pair))
+                apply_differential(spec, basis_cochain(spec, 0, pair)),
+                placements,
             ))
-    columns.append(cochain_coords(rep))
-    sol = solve_columns(columns, cochain_coords(alpha))
+    columns.append(cochain_coords(rep, placements))
+    sol = solve_columns(columns, cochain_coords(alpha, placements))
     assert sol is not None and sol.get(len(columns) - 1)
     _report(7, "dim H^n(Cur sl2, M_V(m)) = [m in {2n, 2(n-3)}] and the n=1 "
                "class matches the constructed cocycle")

@@ -253,7 +253,8 @@ def test_abelian_current_spec(capsys):
 
 
 # betti commands whose stdout is committed byte for byte under tests/golden:
-# the README ones plus two window sweeps, all with representatives
+# the README ones, three window sweeps (one with h = 2) and a free rank-3
+# module with a -1/2 in its representative, all with representatives
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_BETTI = {
     "vir_trivial_reduced_q4": ("--algebra", "vir", "--module", "trivial",
@@ -263,6 +264,10 @@ GOLDEN_BETTI = {
     "vir_ca_1_2_q2": ("--algebra", "vir", "--module", "ca:1/2", "--qmax", "2"),
     "cur_sl2_ca_m7_3_q2_b6": ("--algebra", "cur:sl2", "--module", "ca:-7/3",
                               "--qmax", "2", "--bound", "6"),
+    "cur_abelian_2_ca_2_q1": ("--algebra", "cur:abelian:2", "--module", "ca:2",
+                              "--qmax", "1"),
+    "cur_sl2_mu_v2_q2_b3": ("--algebra", "cur:sl2", "--module", "mu:V2",
+                            "--qmax", "2", "--bound", "3"),
 }
 
 

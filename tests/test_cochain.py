@@ -22,6 +22,7 @@ from confcoh.cochain import (
     REDUCED,
     Cochain,
     _d_lie,
+    _d_values,
     all_tuples,
     as_leibniz,
     cochain_from_obj,
@@ -34,6 +35,7 @@ from confcoh.cochain import (
     d_reduced,
     del_action,
     differential,
+    lam_sum,
     lam_var,
     random_plain_cochain,
     random_skew_cochain,
@@ -42,7 +44,7 @@ from confcoh.cochain import (
 )
 from confcoh.errors import WrongModuleKind
 from confcoh.extensions import extend_algebra
-from confcoh.liealg import adjoint_rep, sl2, sl3
+from confcoh.liealg import adjoint_rep, sl2, sl2_irrep, sl3
 from confcoh.poly import (
     DEL,
     RatPoly,
@@ -300,7 +302,7 @@ def _assert_equal_exactly(got, want):
 
 
 def _assert_matches_oracle(c):
-    _assert_equal_exactly(_d_lie(c), _d_lie_oracle(c))
+    _assert_equal_exactly(_d_values(_d_lie(c), c.q + 1), _d_lie_oracle(c))
 
 
 def _oracle_fixtures():
@@ -367,6 +369,45 @@ def test_table_driven_d_lie_matches_oracle_with_parameters():
                     for v in contracted.values.values() for p in v
                 )
     assert with_mu > 20
+
+
+def _d_reduced_oracle(c):
+    """The former d_reduced: the differential's values, then the cut
+    d := -(lam1 + ... + lam_{q+1}) by RatPoly substitution."""
+    values = _d_values(_d_lie(c), c.q + 1)
+    if c.module.is_free():
+        cut = {DEL: -lam_sum(c.q + 1)}
+        values = {t: vec_subst(v, cut) for t, v in values.items()}
+    return c.copy_with(values=values, q=c.q + 1)
+
+
+def test_d_reduced_cut_matches_oracle():
+    # random reduced cochains and their contractions, whose values carry the
+    # external parameter mu next to d; the cut must keep mu in place
+    rng = random.Random(71)
+    mu = param("mu")
+    g = sl2()
+    fixtures = _oracle_fixtures() + [
+        (build_current(g), build_m_u(g, sl2_irrep(g, 4)), 1),
+    ]
+    cut = with_mu = 0
+    for alg, mod, _ in fixtures:
+        for q in (0, 1, 2, 3):
+            gamma = random_skew_cochain(alg, mod, q, 2, rng, variant=REDUCED)
+            inputs = [gamma]
+            for i in range(alg.ngens if q else 0):
+                a = tuple(
+                    RatPoly.const(1) + D if k == i else RatPoly.zero()
+                    for k in range(alg.ngens)
+                )
+                inputs.append(contract_lambda(a, gamma))
+            for c in inputs:
+                got = d_reduced(c)
+                _assert_equal_exactly(got.values, _d_reduced_oracle(c).values)
+                cut += mod.is_free() and not got.is_zero()
+                with_mu += any(mu in p.variables()
+                               for v in got.values.values() for p in v)
+    assert cut > 25 and with_mu > 40
 
 
 # -- Leibniz -------------------------------------------------------------------

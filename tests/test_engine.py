@@ -11,7 +11,14 @@ from confcoh.algebra import (
     build_trivial,
     build_vir,
 )
-from confcoh.cochain import BASIC, REDUCED, Cochain, del_action, random_skew_cochain
+from confcoh.cochain import (
+    BASIC,
+    REDUCED,
+    Cochain,
+    del_action,
+    lam_sum,
+    random_skew_cochain,
+)
 from confcoh.engine import (
     ComplexSpec,
     SliceComplex,
@@ -37,11 +44,13 @@ from confcoh.liealg import (
     sl3,
     sym_power_rep,
 )
-from confcoh.poly import RatPoly, lam
+from confcoh.poly import DEL, RatPoly, lam, param, vec_scale
+from confcoh.skew import monomial_coordinates, permutation_sign
 
 VIR = build_vir()
 C = build_trivial(1, 0)
 L1, L2, L3 = (RatPoly.var(lam(i)) for i in (1, 2, 3))
+MU = RatPoly.var(param("mu"))
 
 
 def test_unsupported_basic_free():
@@ -55,7 +64,7 @@ def test_coords_round_trip():
     rng = random.Random(5)
     gamma = random_skew_cochain(spec.algebra, spec.module, 2, 3, rng,
                                 variant=REDUCED)
-    coords = cochain_coords(gamma)
+    coords = cochain_coords(gamma, {})
     assert coords_to_cochain(spec, 2, coords) == gamma
 
 
@@ -94,7 +103,7 @@ def test_slice_matrix_composition_is_zero():
                 for pair, col in zip(pairs, cols):
                     image = coords_to_cochain(spec, q + 1, col)
                     assert apply_differential(spec, image).is_zero() or \
-                        cochain_coords(apply_differential(spec, image)) == {}
+                        cochain_coords(apply_differential(spec, image), {}) == {}
 
 
 def test_window_and_graded_agree_on_vir_c():
@@ -141,6 +150,173 @@ def test_slice_ranks_agree_with_bareiss():
                     assert rank_bareiss(dense) == rank(vectors)
                     checked += rank(vectors) > 0
     assert checked > 0
+
+
+# -- slice assembly against the former RatPoly routes ---------------------------
+
+
+def _monomial_coordinates_oracle(value_poly, sorted_tuple):
+    """The former skew.monomial_coordinates: every monomial placed afresh."""
+    q = len(sorted_tuple)
+    coords = {}
+    for mono, coeff in value_poly.terms.items():
+        exps = [0] * q
+        for v, e in mono:
+            if v[0] != 0:
+                raise ValueError("slice values must only involve lam variables")
+            exps[v[1] - 1] = e
+        pairs = [(sorted_tuple[s], exps[s]) for s in range(q)]
+        order = sorted(range(q), key=lambda s: pairs[s], reverse=True)
+        elem = tuple(pairs[s] for s in order)
+        if any(elem[i] == elem[i + 1] for i in range(q - 1)):
+            raise AssertionError(f"repeated pair with nonzero coefficient: {elem}")
+        c = permutation_sign(order) * coeff
+        prev = coords.get(elem)
+        if prev is None:
+            coords[elem] = c
+        elif prev != c:
+            raise AssertionError(f"inconsistent skew value at {elem}")
+    return coords
+
+
+def _cochain_coords_oracle(c):
+    coords = {}
+    for t, vec in c.values.items():
+        for u, p in enumerate(vec):
+            if p:
+                for elem, coeff in _monomial_coordinates_oracle(p, t).items():
+                    coords[(elem, u)] = coeff
+    return coords
+
+
+def _mult_coords_oracle(spec, q, pair):
+    """The former _mult_coords: the basis cochain times (a + sum lam_i) as
+    RatPoly products, skew-decomposed again."""
+    c = engine.basis_cochain(spec, q, pair)
+    a = spec.module.del_scalar if spec.scalar_quotient else 0
+    factor = RatPoly.const(a) + lam_sum(q)
+    scaled = c.copy_with(
+        values={t: vec_scale(factor, v) for t, v in c.values.items()}
+    )
+    return _cochain_coords_oracle(scaled)
+
+
+def _restriction_coords_oracle(spec, c, memo):
+    """The former _restriction_coords: lam1 := -a - lam2 - ... - lamq by
+    RatPoly products with cached powers; keys (tuple, monomial, u)."""
+    q = c.q
+    out = {}
+    for t, vec in c.values.items():
+        for u, p in enumerate(vec):
+            restricted = {}
+            for mono, coeff in p.terms.items():
+                image = memo.get((q, mono))
+                if image is None:
+                    image = memo[(q, mono)] = _restrict_monomial_oracle(
+                        spec, q, mono, memo)
+                for m, c2 in image:
+                    if m not in restricted:
+                        restricted[m] = coeff * c2
+                        continue
+                    total = restricted[m] + coeff * c2
+                    if total:
+                        restricted[m] = total
+                    else:
+                        del restricted[m]
+            for mono, coeff in restricted.items():
+                out[(t, mono, u)] = coeff
+    return out
+
+
+def _restrict_monomial_oracle(spec, q, mono, memo):
+    if not mono or mono[0][0] != lam(1):
+        return ((mono, Fraction(1)),)
+    e = mono[0][1]
+    power = memo.get((q, e))
+    if power is None:
+        repl = -RatPoly.const(spec.module.del_scalar)
+        for s in range(1, q):
+            repl = repl - RatPoly.var(lam(s + 1))
+        power = memo[(q, e)] = repl ** e
+    return tuple((RatPoly({mono[1:]: Fraction(1)}) * power).terms.items())
+
+
+def _restricted_polys(coords, old_keys):
+    """{(tuple, u): the restricted value as a RatPoly}, from either key form."""
+    out = {}
+    for key, coeff in coords.items():
+        if old_keys:
+            t, mono, u = key
+        else:
+            t, u, exps, rest = key
+            mono = tuple((lam(s + 2), e) for s, e in enumerate(exps) if e) + rest
+        out[(t, u)] = out.get((t, u), RatPoly.zero()) + RatPoly({mono: coeff})
+    return out
+
+
+def _assembly_fixtures():
+    g, g3 = sl2(), sl3()
+    cur2 = build_current(g)
+    # (spec, highest lam-degree of the domain slices, q <= 3)
+    return [
+        (ComplexSpec(VIR, C, REDUCED), 7),
+        (ComplexSpec(VIR, build_trivial(1, 5), REDUCED), 6),
+        (ComplexSpec(VIR, build_trivial(1, Fraction(1, 2)), REDUCED), 6),
+        (ComplexSpec(VIR, build_trivial(1, Fraction(-7, 3)), REDUCED), 6),
+        (ComplexSpec(VIR, build_m_delta_alpha(1, 0), REDUCED), 6),
+        (ComplexSpec(VIR, build_m_delta_alpha(2, Fraction(1, 3)), REDUCED), 6),
+        (ComplexSpec(cur2, C, REDUCED), 3),
+        (ComplexSpec(cur2, build_trivial(1, Fraction(-7, 3)), REDUCED), 3),
+        (ComplexSpec(cur2, build_m_u(g, sl2_irrep(g, 4)), REDUCED), 1),
+        (ComplexSpec(cur2, build_m_u(g, adjoint_rep(g)), REDUCED), 1),
+        (ComplexSpec(build_current(g3), C, REDUCED), 1),
+    ]
+
+
+def test_slice_assembly_matches_the_ratpoly_routes():
+    # columns through the placement memo, (a + sum lam_i) rows and the
+    # restriction to sum lam_i = -a, each against its former RatPoly route;
+    # one memo per fixture, as a store keeps them
+    counts = {"columns": 0, "mult": 0, "restricted": 0}
+    for spec, dmax in _assembly_fixtures():
+        placements, memo, oracle_memo = {}, {}, {}
+        for q in range(4):
+            for d in range(dmax + 1):
+                for pair in slice_pairs(spec, q, d):
+                    image = apply_differential(spec, engine.basis_cochain(spec, q, pair))
+                    col = cochain_coords(image, placements)
+                    assert col == _cochain_coords_oracle(image)
+                    assert all(type(x) is Fraction for x in col.values())
+                    counts["columns"] += bool(col)
+                    assert engine._mult_coords(spec, q, pair) == \
+                        _mult_coords_oracle(spec, q, pair), (q, pair)
+                    counts["mult"] += 1
+                    if not spec.scalar_quotient:
+                        continue
+                    # a parameter next to the lams stays in the key
+                    for value in (image, image.scale(1 + MU)):
+                        got = engine._restriction_coords(spec, value, memo)
+                        want = _restriction_coords_oracle(spec, value, oracle_memo)
+                        assert _restricted_polys(got, False) == \
+                            _restricted_polys(want, True), (q, pair)
+                        assert bool(got) == bool(want)
+                        counts["restricted"] += bool(got)
+    assert counts["columns"] > 900 and counts["mult"] > 1000
+    assert counts["restricted"] > 1200
+
+
+def test_placement_memo_keeps_both_skew_assertions():
+    placements = {}
+    skew = L1 - L2
+    assert monomial_coordinates(skew, (0, 0), placements) == {((0, 1), (0, 0)): 1}
+    assert monomial_coordinates(skew, (0, 0), placements) == {((0, 1), (0, 0)): 1}
+    for _ in range(2):  # a placement already in the memo is checked again
+        with pytest.raises(AssertionError, match="inconsistent skew value"):
+            monomial_coordinates(L1 + L2, (0, 0), placements)
+        with pytest.raises(AssertionError, match="repeated pair"):
+            monomial_coordinates(L1 * L2, (0, 0), placements)
+        with pytest.raises(ValueError, match="only involve lam"):
+            monomial_coordinates(L1 * RatPoly.var(DEL), (0,), placements)
 
 
 def test_window_mode_on_filtered_module():
@@ -265,6 +441,57 @@ def test_vir_c_reduced_classes_localize_in_bidegree():
     table = truncation_sweep(spec, 4, 6)
     for q in range(5):
         assert table.dims()[q] == sum(h for (p, _), h in dims.items() if p == q)
+
+
+def _euler_fixtures():
+    g = sl2()
+    cur2 = build_current(g)
+    # (spec, qmax, highest d read at qmax)
+    return [
+        (ComplexSpec(VIR, C, REDUCED), 4, 10),
+        (ComplexSpec(VIR, C, BASIC), 4, 10),
+        (ComplexSpec(VIR, build_m_delta_alpha(1, 0), REDUCED), 3, 7),
+        (ComplexSpec(VIR, build_m_delta_alpha(-4, 0), REDUCED), 4, 9),
+        # shift 0 here: a slice (q, d) is empty once q distinct (generator,
+        # exponent) pairs need a degree above d, so q reaches 6
+        (ComplexSpec(cur2, C, REDUCED), 6, 4),
+        (ComplexSpec(cur2, build_m_u(g, sl2_irrep(g, 2)), REDUCED), 6, 4),
+        (ComplexSpec(cur2, build_m_u(g, sl2_irrep(g, 4)), REDUCED), 6, 4),
+    ]
+
+
+@pytest.mark.parametrize("spec, qmax, dtop", _euler_fixtures())
+def test_euler_characteristic_along_each_diagonal(spec, qmax, dtop):
+    """Along a diagonal d = d0 + q * shift whose quotient slice at q = qmax + 1
+    is empty, the complex is finite, so sum (-1)^q (quotient slice dim) equals
+    sum (-1)^q h.  graded_h takes h as the kernel dimension less the rank it
+    kept from (q - 1, d - shift); this checks that carried rank, which must
+    be the rank of the map along the same diagonal.  It is not an
+    independent rank: the kernel and the rank come from one elimination.
+    """
+    store = SliceComplex(spec)
+    shift = store.graded_shift(qmax, dtop)
+    assert shift is not None
+
+    def quotient_dim(q, d):
+        if d < 0:
+            return 0
+        return len(store.pairs(q, d)) - len(store._quotient(q, d)[1])
+
+    h = {}
+    for q in range(qmax + 1):
+        for d in range(dtop + 1):
+            h[(q, d)] = store.graded_h(q, d, shift)[0]
+    checked = classes = 0
+    for d0 in range(-qmax * shift, dtop - qmax * shift + 1):
+        if quotient_dim(qmax + 1, d0 + (qmax + 1) * shift):
+            continue
+        diagonal = [(q, d0 + q * shift) for q in range(qmax + 1)]
+        chi = sum((-1) ** q * quotient_dim(q, d) for q, d in diagonal)
+        assert chi == sum((-1) ** q * h.get((q, d), 0) for q, d in diagonal), d0
+        checked += any(quotient_dim(q, d) for q, d in diagonal)
+        classes += sum(h.get(key, 0) for key in diagonal)
+    assert checked >= 3 and classes >= 1
 
 
 def _check_long_exact_sequence_for_c1(algebra, bound):
@@ -443,23 +670,23 @@ def test_window_h_matches_separate_eliminations(spec, qmax, bound, has_classes):
         expected = {}
         for b in bounds:
             h, reps = _window_h_oracle(oracle_store, q, b, True)
-            expected[b] = (h, [cochain_coords(c) for c in reps])
+            expected[b] = (h, [cochain_coords(c, {}) for c in reps])
         oracle.append(expected)
         sweep.window_cocycles(q, bounds[-1])
         for store, order in ((sweep, bounds), (top_down, bounds[::-1])):
             for b in order:
                 h, reps = store.window_h(q, b, True)
-                assert (h, [cochain_coords(c) for c in reps]) == expected[b], (q, b)
+                assert (h, [cochain_coords(c, {}) for c in reps]) == expected[b], (q, b)
         for b in bounds:
             h, reps = SliceComplex(spec).window_h(q, b, True)
-            assert (h, [cochain_coords(c) for c in reps]) == expected[b], (q, b)
+            assert (h, [cochain_coords(c, {}) for c in reps]) == expected[b], (q, b)
             assert sweep.window_h(q, b) == (expected[b][0], [])
     assert any(e[b][0] for e in oracle for b in bounds) == has_classes
     table = truncation_sweep(spec, qmax, bound, representatives=True)
     if table.rows[0].mode == "window":
         for row, expected in zip(table.rows, oracle):
             hs = [expected[b][0] for b in bounds]
-            assert (row.dim, [cochain_coords(c) for c in row.representatives]) == \
+            assert (row.dim, [cochain_coords(c, {}) for c in row.representatives]) == \
                 expected[bounds[-1]]
             assert row.stabilized == (hs[0] == hs[1] == hs[2])
 
@@ -553,7 +780,7 @@ def _betti_reading(spec, qmax, bound):
     """The sweep rows (dim, stabilized, mode, representative coordinates)
     and, for a graded complex, the same per bidegree."""
     def coords(reps):
-        return [cochain_coords(c) for c in reps]
+        return [cochain_coords(c, {}) for c in reps]
 
     table = truncation_sweep(spec, qmax, bound, representatives=True)
     rows = [(row.dim, row.stabilized, row.mode, coords(row.representatives))

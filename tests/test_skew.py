@@ -86,10 +86,12 @@ def test_alternation_of_lam1_on_two_slots():
 
 
 def test_coordinates_round_trip():
+    placements = {}  # one memo across every read
     for q, d, g in [(1, 4, 2), (2, 3, 2), (3, 3, 1), (2, 4, 3)]:
         basis = skew_basis(q, d, g)
         for elem in basis.elements:
-            coords = monomial_coordinates(element_value(elem, q), element_tuple(elem))
+            coords = monomial_coordinates(element_value(elem, q),
+                                          element_tuple(elem), placements)
             assert coords == {elem: 1}
 
 
@@ -109,6 +111,6 @@ def test_brute_force_alternation_lands_in_span():
                 for t, val in out.items():
                     if val.is_zero():
                         continue
-                    coords = monomial_coordinates(val, t)
+                    coords = monomial_coordinates(val, t, {})
                     for elem in coords:
                         assert elem in lookup
