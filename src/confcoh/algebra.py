@@ -71,9 +71,10 @@ class ConformalAlgebra:
                 row.append(tuple(vec))
             self.table.append(row)
         # the Lie differential's bracket expansion table and the annihilation
-        # algebra's j-th products, filled on use
+        # algebra's j-th products and level brackets, filled on use
         self._bracket_expansions = {}
         self._jth_products = {}
+        self._level_brackets = {}
 
     @property
     def ngens(self):

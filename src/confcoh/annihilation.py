@@ -22,8 +22,13 @@ reads it from a table {lam exponents: phi value} per stored tuple, built once
 per cochain and kept on it.  The standard continuous Chevalley-Eilenberg
 differential, evaluated lazily through this transport, matches the conformal
 differential exactly (the headline test of this module).  Its bracket terms
-come from the binomial formula and its module terms act through
-``ConformalModule.act`` on polynomial values; neither shares code with the
+are the level brackets, each computed once by the binomial formula and kept
+on the algebra.  Its module terms act through the module's j-th products:
+
+    a_m v = sum_{s <= m} binom(m, s) a_(s) d^(m-s) v,
+
+with d^k the k-th derivative in d, which is m! [lam^m] of a_lam v without
+the substitution d -> d + lam.  Neither reads the expansion tables of the
 table-driven ``cochain._d_terms``, so the comparison exercises two
 independent code paths.
 """
@@ -35,7 +40,7 @@ from math import comb, factorial, prod
 
 from .cochain import _SKEW_VARIANTS, _split_values
 from .errors import WrongModuleKind
-from .poly import DEL, RatPoly, lam, vec_is_zero, zero_vec
+from .poly import DEL, RatPoly, _mono_mul, vec_is_zero, zero_vec
 from .skew import permutation_sign
 
 
@@ -101,10 +106,16 @@ def jth_product(algebra, i, j, order):
 
 
 def ann_bracket(algebra, x, y):
-    """[a_m, b_n] as a dict {(generator, level): coefficient}."""
-    (i, m), (j, n) = x, y
-    return _binomial_levels(lambda order: jth_product(algebra, i, j, order),
-                            m, n)
+    """[a_m, b_n] as a dict {(generator, level): coefficient}, tabled on the
+    algebra; the caller must not mutate it."""
+    key = (x, y)
+    out = algebra._level_brackets.get(key)
+    if out is None:
+        (i, m), (j, n) = x, y
+        out = algebra._level_brackets[key] = _binomial_levels(
+            lambda order: jth_product(algebra, i, j, order), m, n
+        )
+    return out
 
 
 def derivation_t(x):
@@ -138,10 +149,27 @@ def v_minus_action(module, x, vec_level):
 
 
 def act_level_on_value(module, i, m, value):
-    """Action of a_m on an M-element (tuple of d-polynomials): m! [lam^m] a_lam v."""
+    """Action of a_m on an M-element (tuple of d-polynomials):
+    sum_{s <= m} binom(m, s) a_(s) d^(m-s) v, the derivatives taken in d."""
     if not module.is_free():
         return zero_vec(module.dim)
-    return _divided_power(module.act(i, RatPoly.var(lam(1)), value), m)
+    acc = [{} for _ in range(module.dim)]
+    deriv = value
+    for s in range(m, -1, -1):
+        if s < m:
+            deriv = tuple(p.derivative(DEL) for p in deriv)
+        if vec_is_zero(deriv):
+            break
+        c = comb(m, s)
+        for out, row in zip(acc, module_jth_product(module, i, s)):
+            for entry, p in zip(row, deriv):
+                if not (entry and p):
+                    continue
+                for m1, c1 in entry.terms.items():
+                    scaled = c * c1
+                    for m2, c2 in p.terms.items():
+                        _add_term(out, _mono_mul(m1, m2), scaled * c2)
+    return tuple(RatPoly(out) for out in acc)
 
 
 def _phi_table(gamma):
@@ -170,7 +198,7 @@ def phi_eval(gamma, gens, levels):
     """
     gens, levels = tuple(gens), tuple(levels)
     sign = 1
-    if gamma.variant in _SKEW_VARIANTS:
+    if gamma.variant in _SKEW_VARIANTS and gens != tuple(sorted(gens)):
         perm = sorted(range(len(gens)), key=lambda s: (gens[s], s))
         gens = tuple(gens[s] for s in perm)
         levels = tuple(levels[s] for s in perm)

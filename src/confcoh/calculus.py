@@ -88,16 +88,21 @@ def lie_theta(a, gamma):
     """(theta_mu(a) gamma): the conformal action of a on cochains."""
     n = gamma.q
     A, M = gamma.algebra, gamma.module
+    # [a_mu e_k] for each generator k, the bracket fed into a slot holding e_k
+    brackets = []
+    for k in range(A.ngens):
+        gen = tuple(
+            RatPoly.const(1) if s == k else RatPoly.zero()
+            for s in range(A.ngens)
+        )
+        br = bracket_eval(A, a, gen, param=EXT_POLY)
+        brackets.append(None if vec_is_zero(br) else br)
     values = {}
     for T in sorted_tuples(A.ngens, n):
         acc = M.act_element(a, EXT_POLY, gamma.value_on(T))
         for i in range(n):
-            gen = tuple(
-                RatPoly.const(1) if k == T[i] else RatPoly.zero()
-                for k in range(A.ngens)
-            )
-            br = bracket_eval(A, a, gen, param=EXT_POLY)
-            if all(not p for p in br):
+            br = brackets[T[i]]
+            if br is None:
                 continue
             rest = T[:i] + T[i + 1:]
             rest_params = [lam_var(s + 1) for s in range(n) if s != i]

@@ -38,6 +38,7 @@ from .errors import NotACocycle, NotReducedCocycle
 from .poly import (
     DEL,
     RatPoly,
+    _mono_mul,
     bracket_residual,
     bracket_support,
     lam,
@@ -50,26 +51,65 @@ from .poly import (
     zero_vec,
 )
 
-_L1 = RatPoly.var(lam(1))
-_L2 = RatPoly.var(lam(2))
+_LAM1, _LAM2 = lam(1), lam(2)
+_L1 = RatPoly.var(_LAM1)
+_L2 = RatPoly.var(_LAM2)
 _DELP = RatPoly.var(DEL)
+
+
+def _on_section(p, swap, powers):
+    """p, or -p with lam1 and lam2 exchanged if swap, at lam2 := -lam1 - d_M;
+    powers[e] holds the terms of (-lam1 - d_M)^e."""
+    sign = -1 if swap else 1
+    out = {}
+    for mono, coeff in p.terms.items():
+        e1 = e2 = 0
+        rest = []
+        for v, e in mono:
+            if v == _LAM1:
+                e1 = e
+            elif v == _LAM2:
+                e2 = e
+            else:
+                rest.append((v, e))
+        if swap:
+            e1, e2 = e2, e1
+        head = (((_LAM1, e1),) if e1 else ()) + tuple(rest)
+        coeff = sign * coeff
+        for mono2, coeff2 in powers[e2].items():
+            key = _mono_mul(head, mono2)
+            out[key] = out.get(key, 0) + coeff * coeff2
+    return RatPoly({k: c for k, c in out.items() if c})
 
 
 def datum_from_cochain(cocycle):
     """One-parameter table c_ij(lam[, d]) from a reduced 2-cochain.
 
     The representative is a class mod (d + lam1 + lam2); the canonical
-    section substitutes lam2 := -lam1 - d_M.
+    section substitutes lam2 := -lam1 - d_M, expanded on exponents through
+    one table of the powers of -lam1 - d_M shared by every pair.
     """
     if cocycle.q != 2 or cocycle.variant != REDUCED:
         raise ValueError("expected a reduced 2-cochain")
     module = cocycle.module
     n = cocycle.algebra.ngens
-    section = [_L1, -_L1 - module.del_poly()]
+    step = -_L1 - module.del_poly()
+    power = RatPoly.const(1)
+    powers = [power.terms]
+    for _ in range(cocycle.lam_degree()):
+        power = power * step
+        powers.append(power.terms)
     table = {}
     for i in range(n):
         for j in range(n):
-            table[(i, j)] = cocycle.value_with_params((i, j), section)
+            # the skew value on (i, j) with i > j is -gamma_(j, i)(lam2, lam1)
+            swap = i > j
+            vec = cocycle.values.get((j, i) if swap else (i, j))
+            if vec is None:
+                table[(i, j)] = zero_vec(module.dim)
+            else:
+                table[(i, j)] = tuple(_on_section(p, swap, powers)
+                                      for p in vec)
     return table
 
 

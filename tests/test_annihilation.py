@@ -14,6 +14,8 @@ from confcoh.algebra import (
 )
 from confcoh.annihilation import (
     _add_term,
+    _divided_power,
+    act_level_on_value,
     ann_bracket,
     ce_differential_eval,
     del_functional_eval,
@@ -33,7 +35,7 @@ from confcoh.cochain import (
 )
 from confcoh.extensions import extend_algebra
 from confcoh.liealg import adjoint_rep, sl2, sl2_irrep, sl3
-from confcoh.poly import DEL, RatPoly, lam
+from confcoh.poly import DEL, RatPoly, lam, param, zero_vec
 
 VIR = build_vir()
 CUR2 = build_current(sl2())
@@ -322,8 +324,87 @@ def test_ann_bracket_matches_oracle():
         for x, y in product(basis, repeat=2):
             want = _ann_bracket_oracle(alg, x, y)
             # the second call reads the filled table
-            for _ in range(2):
-                _assert_fraction_dict(ann_bracket(alg, x, y), want)
+            first = ann_bracket(alg, x, y)
+            _assert_fraction_dict(first, want)
+            second = ann_bracket(alg, x, y)
+            assert second is first
+            _assert_fraction_dict(second, want)
+
+
+def test_level_bracket_memo_survives_the_transport():
+    """The continuous differential only reads the tabled level brackets: after
+    it has run over a full level range, every kept dict is still the oracle's."""
+    g = sl2()
+    fixtures = [
+        (build_vir(), build_m_delta_alpha(1, 0), 3, 5),
+        (build_current(g), build_m_u(g, sl2_irrep(g, 2)), 2, 3),
+    ]
+    rng = random.Random(59)
+    for alg, mod, q, levels in fixtures:
+        assert alg._level_brackets == {}
+        pool = [(k, m) for k in range(alg.ngens) for m in range(levels + 1)]
+        gamma = random_skew_cochain(alg, mod, q, 3, rng, max_del=1)
+        dg = d_basic(gamma)
+        for pairs in combinations_with_replacement(pool, q + 1):
+            gens = tuple(p[0] for p in pairs)
+            lev = tuple(p[1] for p in pairs)
+            assert ce_differential_eval(gamma, gens, lev) == phi_eval(dg, gens,
+                                                                     lev)
+        kept = alg._level_brackets
+        assert len(kept) == len(pool) * (len(pool) + 1) // 2
+        for (x, y), got in kept.items():
+            _assert_fraction_dict(got, _ann_bracket_oracle(alg, x, y))
+            assert ann_bracket(alg, x, y) is got
+
+
+def _act_level_oracle(module, i, m, value):
+    """Action of a_m on an M-element (tuple of d-polynomials): m! [lam^m] a_lam v."""
+    if not module.is_free():
+        return zero_vec(module.dim)
+    return _divided_power(module.act(i, RatPoly.var(lam(1)), value), m)
+
+
+def _module_values(dim, rng):
+    """M-elements with d-powers up to 3, Fraction coefficients, zero entries,
+    and one carrying the parameter mu."""
+    mu = RatPoly.var(param("mu"))
+    out = [zero_vec(dim)]
+    for _ in range(6):
+        vec = []
+        for _ in range(dim):
+            p = RatPoly.zero()
+            for e in range(4):
+                if rng.random() < 0.6:
+                    c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                    p = p + c * D ** e
+            vec.append(p)
+        out.append(tuple(vec))
+    out.append(tuple((D ** 3 - mu * D + 2) * (k + 1) for k in range(dim)))
+    return out
+
+
+def test_act_level_on_value_matches_oracle():
+    g = sl2()
+    fixtures = [
+        build_m_delta_alpha(1, 0),
+        build_m_delta_alpha(2, Fraction(1, 3)),
+        build_m_u(g, sl2_irrep(g, 2)),
+        build_m_u(g, adjoint_rep(g)),
+    ]
+    rng = random.Random(61)
+    for mod in fixtures:
+        ngens = len(mod.action)
+        for value in _module_values(mod.dim, rng):
+            for i, m in product(range(ngens), range(7)):
+                want = _act_level_oracle(mod, i, m, value)
+                _assert_fraction_vec(act_level_on_value(mod, i, m, value), want)
+
+
+def test_act_level_on_value_scalar_module_is_zero():
+    for mod in (build_trivial(1, 0), build_trivial(2, Fraction(5, 2))):
+        value = tuple(RatPoly.const(k + 1) for k in range(mod.dim))
+        for m in range(4):
+            assert act_level_on_value(mod, 0, m, value) == zero_vec(mod.dim)
 
 
 def test_v_minus_action_matches_oracle():

@@ -12,6 +12,7 @@ from confcoh.algebra import (
     build_vir,
     check_module,
 )
+from confcoh.calculus import EXT, contract_lambda
 from confcoh.cochain import REDUCED, random_skew_cochain
 from confcoh.engine import ComplexSpec, truncation_sweep, verify_cocycle
 from confcoh.errors import NotACocycle, NotReducedCocycle
@@ -171,6 +172,67 @@ def test_datum_cochain_round_trip():
     datum = datum_from_cochain(gamma)
     back = cochain_from_datum(VIR, mod, datum)
     assert back == gamma
+
+
+def _datum_from_cochain_oracle(cocycle):
+    """The section lam2 := -lam1 - d_M by substitution, one pair at a time."""
+    if cocycle.q != 2 or cocycle.variant != REDUCED:
+        raise ValueError("expected a reduced 2-cochain")
+    module = cocycle.module
+    n = cocycle.algebra.ngens
+    section = [L1, -L1 - module.del_poly()]
+    table = {}
+    for i in range(n):
+        for j in range(n):
+            table[(i, j)] = cocycle.value_with_params((i, j), section)
+    return table
+
+
+def _datum_cochains():
+    """Reduced 2-cochains over Cur sl2 and Vir, free and scalar modules; some
+    with non-integral coefficients, some whose values carry d or mu."""
+    rng = random.Random(109)
+    g = sl2()
+    cur2 = build_current(g)
+    fixtures = [
+        (cur2, adjoint_module(cur2)),
+        (cur2, build_m_u(g, sl2_irrep(g, 2))),
+        (cur2, build_trivial(1, Fraction(-7, 3))),
+        (VIR, build_m_delta_alpha(1, 0)),
+        (VIR, build_m_delta_alpha(2, Fraction(1, 3))),
+        (VIR, C),
+        (VIR, build_trivial(1, 5)),
+    ]
+    for alg, mod in fixtures:
+        yield random_skew_cochain(alg, mod, 2, 4, rng, variant=REDUCED)
+        yield random_skew_cochain(alg, mod, 2, 3, rng,
+                                  variant=REDUCED).scale(Fraction(2, 3))
+        # values carrying d: a basic representative read as a reduced one
+        with_d = random_skew_cochain(alg, mod, 2, 3, rng, max_del=3)
+        with_d = with_d.copy_with(values={
+            t: tuple(p * (D - 2) ** 2 for p in v)
+            for t, v in with_d.values.items()
+        })
+        yield with_d.copy_with(variant=REDUCED).scale(Fraction(-5, 4))
+        # values carrying the contraction parameter mu
+        three = random_skew_cochain(alg, mod, 3, 3, rng, variant=REDUCED)
+        yield contract_lambda(tuple(RatPoly.const(k + 1)
+                                    for k in range(alg.ngens)), three)
+
+
+def test_datum_from_cochain_matches_oracle():
+    seen_d = seen_mu = 0
+    for gamma in _datum_cochains():
+        assert gamma.q == 2 and gamma.variant == REDUCED
+        got = datum_from_cochain(gamma)
+        assert got == _datum_from_cochain_oracle(gamma)
+        for vec in got.values():
+            for p in vec:
+                assert all(type(c) is Fraction for c in p.terms.values())
+        seen_d += gamma.has_del()
+        seen_mu += any(EXT in p.variables()
+                       for v in gamma.values.values() for p in v)
+    assert seen_d >= 7 and seen_mu >= 1
 
 
 def test_part2_extension_and_coboundary_iso():
