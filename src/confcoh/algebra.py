@@ -115,7 +115,6 @@ class ConformalModule:
             self.del_scalar = Fraction(del_scalar if del_scalar is not None else 0)
         else:
             raise ValueError(f"unknown module kind {kind!r}")
-        self._act_cache = {}
         # the Lie differential's action expansion table and the level
         # module's j-th products, filled on use
         self._action_expansions = {}
@@ -135,11 +134,7 @@ class ConformalModule:
         """
         if self.kind == "scalar":
             return zero_vec(self.dim)
-        key = (gen, param)
-        mat = self._act_cache.get(key)
-        if mat is None:
-            mat = mat_subst(self.action[gen], {_L1: param})
-            self._act_cache[key] = mat
+        mat = mat_subst(self.action[gen], {_L1: param})
         shifted = vec_subst(value, {DEL: _DELP + param})
         return mat_apply(mat, shifted)
 

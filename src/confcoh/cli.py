@@ -180,11 +180,22 @@ def _wedge2_mod_g(g):
 
 
 def load_spec_file(path):
+    """(algebra, module) of a spec file; None for a missing section."""
     with open(path) as fh:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path} is not valid JSON: {exc}") from None
+    try:
+        return _spec_from_obj(obj, path)
+    except (KeyError, TypeError, AttributeError) as exc:
+        # a missing key, or a value of the wrong JSON type
+        raise ParseError(
+            f"malformed spec file {path}: {type(exc).__name__}: {exc}"
+        ) from None
+
+
+def _spec_from_obj(obj, path):
     algebra = None
     module = None
     if "algebra" in obj:
@@ -443,9 +454,9 @@ def _read_cocycle(path, algebra, module):
     with open(path) as fh:
         try:
             cochain = cochain_from_obj(algebra, module, json.load(fh))
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
             # invalid JSON, a missing key, a non-integer degree, unsorted
-            # skew args
+            # skew args, a value that is not an object
             raise ParseError(f"malformed cochain file {path}: {exc}") from None
     if cochain.variant != REDUCED or cochain.q != 2:
         raise ParseError(

@@ -22,29 +22,30 @@ Variants:
   shift of the n+1 arguments.
 * ``leibniz`` -- no symmetry constraint.
 
-Every differential is built from two kinds of term: a generator acting on
-the value at the other slots, and a bracket (product) of two arguments fed
-into one slot, with a position and a sign.  One kernel, ``_d_terms``,
-enumerates both; each variant supplies its list of actions and products
-(``d_hochschild`` adds its right action through RatPoly substitution, the
-one term no table covers).  The kernel is table-driven.  Two expansion
-tables are filled lazily, on first use, and kept on the algebra and on the
-module:
+Every differential is built from three kinds of term, each with a
+position and a sign: a generator acting on the value at the other slots
+from the left, or (Hochschild) from the right, and a product of two
+arguments fed into one slot.  One kernel, ``_d_terms``, enumerates all
+three; each variant supplies its list of actions and products.  The kernel
+is table-driven.  Two expansion tables are filled lazily, on first use,
+and kept on the algebra and on the module:
 
 * bracket: table[a][b][k](x, d := -(x+y)) * (x+y)^e -- the bracket fed
   into a slot at parameter x+y, times that slot's lam^e in the value;
-* action: action[g][r][u](x, d) * (d + x)^m -- the sesquilinear shift of
-  a value's d^m under the action at parameter x.
+* action, keyed by side: action[g][r][u](x, d) * (d + x)^m on the left,
+  right_action[g][r][u](lam1 := -d - x, d) * (d + x)^m on the right --
+  the sesquilinear shift of a value's d^m under the action at parameter x.
 
 Each value of the input is split once into (lam exponents, d and parameter
 monomial, coefficient); every term is then a table lookup added into
 per-component {monomial: coeff} dicts.  Integral coefficients stay Python
 ints inside the kernel and become Fractions only when the output RatPolys
 are built (``_d_values``), so ``RatPoly.terms`` keeps its {monomial:
-Fraction} contract.  ``d_reduced`` cuts d := -(lam1 + ... + lam_{q+1}) on
-those sums, before any RatPoly is built, through the multinomial table of
-``poly.multinomials``; parameters such as mu stay in each term's rest.
-The calculus substitutes through ``slot_insert`` / ``value_with_params``.
+Fraction} contract.  Both reduced variants cut d := -(lam1 + ... +
+lam_{q+1}) on those sums, before any RatPoly is built, through the
+multinomial table of ``poly.multinomials`` (``_cut_del``); parameters such
+as mu stay in each term's rest.  The calculus substitutes through
+``slot_insert`` / ``value_with_params``.
 """
 
 from __future__ import annotations
@@ -61,8 +62,6 @@ from .poly import (
     exact,
     is_lam,
     lam,
-    mat_apply,
-    mat_subst,
     multinomials,
     parse_poly,
     vec_add,
@@ -376,19 +375,24 @@ def _bracket_expansion(algebra, a, b, k, e):
     return terms
 
 
-def _action_expansion(module, g, r, u, m):
-    """[(ex, ed, rest, coeff)]: action[g][r][u](x, d) * (d + x)^m.
+def _action_expansion(module, right, g, r, u, m):
+    """[(ex, ed, rest, coeff)]: action[g][r][u](x, d) * (d + x)^m, or,
+    on the right, right_action[g][r][u](lam1 := -d - x, d) * (d + x)^m.
 
     The sesquilinear shift of a value term d^m under the action at slot
     parameter x.
     """
     cache = module._action_expansions
-    key = (g, r, u, m)
+    key = (right, g, r, u, m)
     terms = cache.get(key)
     if terms is None:
         x = lam_var(1)
-        poly = module.action[g][r][u] * (_DELP + x) ** m
-        terms = cache[key] = _expansion_terms(poly, lam(1), DEL)
+        if right:
+            poly = module.right_action[g][r][u].substitute(lam(1), -_DELP - x)
+        else:
+            poly = module.action[g][r][u]
+        terms = cache[key] = _expansion_terms(poly * (_DELP + x) ** m,
+                                              lam(1), DEL)
     return terms
 
 
@@ -455,11 +459,13 @@ def _to_poly(acc, lams):
 
 
 def _d_terms(c, outputs, actions, products):
-    """The sums of d(c) on ``outputs``, from two kinds of term: per output
+    """The sums of d(c) on ``outputs``, from three kinds of term: per output
     tuple, one {(lam exponents, rest): coeff} accumulator per component.
 
-    * (i, sign): the generator T[i] acting at lam_{i+1} on the value at the
-      other slots, which read lam_1..lam_{i}, lam_{i+2}.. in order;
+    * (i, sign, right): the generator T[i] acting at lam_{i+1} on the value
+      at the other slots, which read lam_1..lam_{i}, lam_{i+2}.. in order;
+      through ``module.action`` on the left, or ``module.right_action`` on
+      the right;
     * (i, j, pos, sign): [T[i]_lam_{i+1} T[j]] fed into slot ``pos`` of
       the other arguments (kept in order) at lam_{i+1} + lam_{j+1}; skew
       values are read on the sorted tuple with the permutation's parity,
@@ -483,12 +489,12 @@ def _d_terms(c, outputs, actions, products):
     sums = {}
     for T in outputs:
         acc = [{} for _ in range(dim)]
-        for i, sign in actions:
+        for i, sign, right in actions:
             inner = split.get(T[:i] + T[i + 1:])
             if inner is None:
                 continue
             g = T[i]
-            row = M.action[g]
+            row = (M.right_action if right else M.action)[g]
             for r in range(dim):
                 for u in range(dim):
                     if not row[r][u]:
@@ -498,7 +504,7 @@ def _d_terms(c, outputs, actions, products):
                         coeff *= sign
                         head, tail = ev[:i], ev[i:]
                         for ex, ed, hrest, hc in _action_expansion(
-                            M, g, r, u, m
+                            M, right, g, r, u, m
                         ):
                             rest = _mono_mul(params, hrest) if hrest else params
                             if ed:
@@ -558,29 +564,32 @@ def _d_values(sums, out_q):
     return values
 
 
-def _cut_del(comp, out_q):
-    """An accumulator with d := -(lam_1 + ... + lam_{out_q}), expanded
+def _cut_del(sums, out_q):
+    """``_d_terms`` sums with d := -(lam_1 + ... + lam_{out_q}), expanded
     through the multinomial table; parameters stay in each term's rest."""
     out = {}
-    for (ev, rest), coeff in comp.items():
-        if not (rest and rest[0][0] == DEL):
-            key = (ev, rest)
-            out[key] = out.get(key, 0) + coeff
-            continue
-        m, rest = rest[0][1], rest[1:]
-        if m % 2:
-            coeff = -coeff
-        for k, mult in multinomials(out_q, m):
-            key = (tuple(map(add, ev, k)), rest)
-            out[key] = out.get(key, 0) + coeff * mult
+    for T, acc in sums.items():
+        out[T] = cut = [{} for _ in acc]
+        for comp, new in zip(acc, cut):
+            for (ev, rest), coeff in comp.items():
+                if not (rest and rest[0][0] == DEL):
+                    key = (ev, rest)
+                    new[key] = new.get(key, 0) + coeff
+                    continue
+                m, rest = rest[0][1], rest[1:]
+                if m % 2:
+                    coeff = -coeff
+                for k, mult in multinomials(out_q, m):
+                    key = (tuple(map(add, ev, k)), rest)
+                    new[key] = new.get(key, 0) + coeff * mult
     return out
 
 
 def _actions(c):
-    """(i, (-1)^i) at every output slot, over a free module."""
+    """(i, (-1)^i) at every output slot, on the left, over a free module."""
     if not c.module.is_free():
         return []
-    return [(i, -1 if i % 2 else 1) for i in range(c.q + 1)]
+    return [(i, -1 if i % 2 else 1, False) for i in range(c.q + 1)]
 
 
 def _d_lie(c):
@@ -608,8 +617,7 @@ def d_reduced(c):
     out_q = c.q + 1
     sums = _d_lie(c)
     if c.module.is_free():
-        sums = {T: [_cut_del(comp, out_q) for comp in acc]
-                for T, acc in sums.items()}
+        sums = _cut_del(sums, out_q)
     return c.copy_with(values=_d_values(sums, out_q), q=out_q)
 
 
@@ -641,36 +649,21 @@ def del_action(c):
 
 
 def d_hochschild(c):
+    """a_1 acting on the left, the adjacent products (-1)^(s+1) a_{s+1} a_{s+2}
+    fed into slot s, and a_{q+1} acting on the right at lam_{q+1} with sign
+    (-1)^(q+1); the reduced variant cuts d on the sums."""
     A, M, q = c.algebra, c.module, c.q
     if not A.associative:
         raise ValueError("Hochschild differential needs an associative algebra")
     if M.right_action is None:
         raise WrongModuleKind("Hochschild cochains need a bimodule")
     out_q = q + 1
-    # a1 acting on the left, then the adjacent products
-    left = _d_values(_d_terms(
-        c, all_tuples(A.ngens, out_q), [(0, 1)],
-        [(s, s + 1, s, -1 if (s + 1) % 2 else 1) for s in range(q)]), out_q)
-    values = {}
-    for T in all_tuples(A.ngens, out_q):
-        total = left.get(T, zero_vec(M.dim))
-        # right action at -d - lam_{q+1}: no expansion table covers it
-        val = c.value_on(T[:q])
-        if not vec_is_zero(val):
-            shifted = vec_subst(val, {DEL: _DELP + lam_var(out_q)})
-            mat = mat_subst(
-                M.right_action[T[q]], {lam(1): -_DELP - lam_var(out_q)}
-            )
-            term = mat_apply(mat, shifted)
-            if out_q % 2:
-                term = vec_scale(-1, term)
-            total = vec_add(total, term)
-        if not vec_is_zero(total):
-            values[T] = total
+    actions = [(0, 1, False), (q, -1 if out_q % 2 else 1, True)]
+    products = [(s, s + 1, s, -1 if (s + 1) % 2 else 1) for s in range(q)]
+    sums = _d_terms(c, _candidates(c, True), actions, products)
     if c.variant == HOCHSCHILD_REDUCED:
-        cut = {DEL: -lam_sum(out_q)}
-        values = {t: vec_subst(v, cut) for t, v in values.items()}
-    return c.copy_with(values=values, q=out_q)
+        sums = _cut_del(sums, out_q)
+    return c.copy_with(values=_d_values(sums, out_q), q=out_q)
 
 
 def d_cyclic(c):

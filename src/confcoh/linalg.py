@@ -70,21 +70,11 @@ def sparse_rref(rows):
     return reduced, pivots
 
 
-# rank and intersection_dim have no caller left in the engine; they stay
-# because bench/tracer.py wraps them by name (--trace 1, bench/test_bench.py)
+# rank and intersection_dim have no caller in src; they stay only because
+# bench/tracer.py names them in TARGETS and wraps them by name (--trace 1,
+# bench/test_bench.py)
 def rank(rows):
     return len(sparse_rref(rows)[0])
-
-
-def span_contains(basis_rows, vector):
-    """Whether vector lies in the row span (basis_rows need not be reduced)."""
-    reduced, pivots = sparse_rref(basis_rows)
-    v = dict(vector)
-    for row, key in zip(reduced, pivots):
-        c = v.get(key)
-        if c is not None:
-            vec_axpy(v, -c, row)
-    return not v
 
 
 def reduce_mod_span(reduced_rows, pivots, vector):

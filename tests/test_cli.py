@@ -303,9 +303,18 @@ VIR_SPEC = {"generators": ["L"], "brackets": {"L,L": {"L": "d + 2*lam1"}}}
     json.dumps({"algebra": VIR_SPEC,
                 "module": {"kind": "free", "basis": ["v", "w"],
                            "actions": {"L": [["d + lam1"]]}}}),
+    # a missing key, or a value of the wrong JSON type
+    json.dumps({"algebra": {"brackets": VIR_SPEC["brackets"]}}),
+    json.dumps({"algebra": VIR_SPEC,
+                "module": {"kind": "free", "basis": ["v"]}}),
+    json.dumps({"algebra": {"generators": ["L"],
+                            "brackets": {"L,L": {"L": 2}}}}),
+    json.dumps({"algebra": {"generators": ["L"],
+                            "brackets": {"L,L": ["d + 2*lam1"]}}}),
 ], ids=["invalid-json", "bracket-key-name", "bracket-key-comma",
         "bracket-output-name", "del-scalars-name", "actions-name",
-        "actions-too-wide", "actions-too-small"])
+        "actions-too-wide", "actions-too-small", "no-generators",
+        "no-actions", "non-string-poly", "bracket-list"])
 def test_malformed_spec_files_are_parse_failures(tmp_path, capsys, text):
     spec = tmp_path / "spec.json"
     spec.write_text(text)
@@ -339,9 +348,12 @@ def _entries(value, args=("L", "L")):
                 "entries": _entries({"L": "lam1 - lam2"})}),
     ("deform", {"variant": "reduced", "q": 2,
                 "entries": _entries({"v0": "lam1 - lam2"})}),
+    # a value of the wrong JSON type
+    ("extend", {"variant": "reduced", "q": 2,
+                "entries": _entries(["lam1^3 - lam2^3"])}),
 ], ids=["lam-above-degree", "basis-name", "generator-name", "args-length",
         "unknown-variant", "extend-basic", "extend-degree-3", "deform-basic",
-        "deform-basis-name"])
+        "deform-basis-name", "value-list"])
 def test_malformed_cochain_files_are_parse_failures(tmp_path, capsys, command,
                                                     payload):
     path = tmp_path / "cochain.json"

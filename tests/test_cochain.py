@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from confcoh.algebra import (
+    ConformalModule,
     build_current,
     build_m_delta_alpha,
     build_m_u,
@@ -624,12 +625,34 @@ def _d_cyclic_oracle(c):
     return c.copy_with(values=values, q=out_q)
 
 
+def _lam_del_bimodule():
+    """A rank-2 module over the dual numbers whose left and right matrices
+    depend on lam1 and d.  It is no bimodule (the axioms fail), but the
+    differential and its oracle are compared as algebraic identities, and
+    the right action's lam1 := -d - lam_{q+1} shift is exercised only by
+    matrices that carry lam1 and d."""
+    half = Fraction(1, 2)
+    left = [
+        [[D + L1, half * L1 ** 2], [1 - D * L1, 3 * D ** 2]],
+        [[L1 * D, RatPoly.const(2)], [D - 2 * L1, half * L1]],
+    ]
+    right = [
+        [[L1 - D, D * L1 ** 2], [RatPoly.const(-3), half * D + L1]],
+        [[L1 ** 2 + D, half - L1], [D ** 2 * L1, 2 * L1 * D - 1]],
+    ]
+    return ConformalModule("free", 2, action=left, right_action=right)
+
+
 def test_d_hochschild_matches_oracle(mat2_current):
     rng = random.Random(73)
     nonzero = 0
-    # the dual numbers, and Cur M_2(Q), where the order of a product matters
-    for alg in (dual_numbers_current(), mat2_current):
-        bim = regular_bimodule(alg)
+    dual = dual_numbers_current()
+    # the dual numbers, and Cur M_2(Q), where the order of a product
+    # matters, on their regular bimodules; the dual numbers again on
+    # matrices in lam1 and d
+    for alg, bim in ((dual, regular_bimodule(dual)),
+                     (mat2_current, regular_bimodule(mat2_current)),
+                     (dual, _lam_del_bimodule())):
         for variant in (HOCHSCHILD, HOCHSCHILD_REDUCED):
             for q in range(4):
                 for e in (0, 0, 1, 1, 2):  # values carrying d^e: the shifts

@@ -7,7 +7,6 @@ from confcoh.linalg import (
     rank,
     rank_bareiss,
     solve_columns,
-    span_contains,
     sparse_rref,
 )
 
@@ -55,8 +54,6 @@ def test_span_and_intersection():
     u = dict_rows([[1, 0, 0], [0, 1, 0]])
     v = dict_rows([[1, 1, 0], [0, 0, 1]])
     assert intersection_dim(u, v) == 1
-    assert span_contains(u, {0: Fraction(2), 1: Fraction(-7)})
-    assert not span_contains(u, {2: Fraction(1)})
 
 
 def test_bareiss_matches_rational_elimination():
