@@ -18,19 +18,23 @@ A basic cochain gamma transports to the functional
     phi(gamma)(a1_(m1), ..., an_(mn)) = (prod m_i!) [lam^m] gamma,
 
 which has finite support because the values are polynomials.  ``phi_eval``
-reads it from a table {lam exponents: phi value} per stored tuple, built once
-per cochain and kept on it.  The standard continuous Chevalley-Eilenberg
-differential, evaluated lazily through this transport, matches the conformal
-differential exactly (the headline test of this module).  Its bracket terms
-are the level brackets, each computed once by the binomial formula and kept
-on the algebra.  Its module terms act through the module's j-th products:
+reads it from a table {lam exponents: per component {monomial: coeff}} per
+stored tuple, built once per cochain and kept on it, coefficients int where
+integral.  The standard continuous Chevalley-Eilenberg differential,
+evaluated lazily through this transport, matches the conformal differential
+exactly (the headline test of this module).  Its bracket terms are the level
+brackets, each computed once by the binomial formula and kept on the
+algebra.  Its module terms act through the module's j-th products:
 
     a_m v = sum_{s <= m} binom(m, s) a_(s) d^(m-s) v,
 
-with d^k the k-th derivative in d, which is m! [lam^m] of a_lam v without
-the substitution d -> d + lam.  Neither reads the expansion tables of the
-table-driven ``cochain._d_terms``, so the comparison exercises two
-independent code paths.
+with d^k the k-th derivative in d, taken term by term, which is m! [lam^m]
+of a_lam v without the substitution d -> d + lam.  Every term is added into
+one {monomial: coeff} dict per component, each phi value read from the
+table with its sign; one RatPoly per component is built at the end.
+Neither term reads the expansion tables of the table-driven
+``cochain._d_terms``, so the comparison exercises two independent code
+paths.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from math import comb, factorial, prod
 
 from .cochain import _SKEW_VARIANTS, _split_values
 from .errors import WrongModuleKind
-from .poly import DEL, RatPoly, _mono_mul, vec_is_zero, zero_vec
+from .poly import DEL, RatPoly, _mono_mul, exact, from_terms, zero_vec
 from .skew import permutation_sign
 
 
@@ -148,65 +152,81 @@ def v_minus_action(module, x, vec_level):
     )
 
 
+def _add_level_action(acc, module, i, m, comps, scale):
+    """Add scale * a_m v into ``acc`` (per component {monomial: coeff}),
+    v given by its per-component {monomial: coeff}:
+    a_m v = sum_{s <= m} binom(m, s) a_(s) d^(m-s) v, the derivatives taken
+    in d term by term, d^e -> e!/(e-r)! d^(e-r)."""
+    for u, comp in enumerate(comps):
+        for mono, c in comp.items():
+            e = mono[0][1] if mono and mono[0][0] == DEL else 0
+            rest = mono[1:] if e else mono
+            fall = scale * c
+            for r in range(min(e, m) + 1):
+                if r:
+                    fall *= e - r + 1
+                left = e - r
+                dmono = ((DEL, left),) + rest if left else rest
+                coeff = comb(m, r) * fall
+                for out, row in zip(acc, module_jth_product(module, i, m - r)):
+                    entry = row[u]
+                    if not entry:
+                        continue
+                    for m1, c1 in entry.terms.items():
+                        key = _mono_mul(m1, dmono)
+                        out[key] = out.get(key, 0) + coeff * c1
+
+
 def act_level_on_value(module, i, m, value):
     """Action of a_m on an M-element (tuple of d-polynomials):
     sum_{s <= m} binom(m, s) a_(s) d^(m-s) v, the derivatives taken in d."""
     if not module.is_free():
         return zero_vec(module.dim)
     acc = [{} for _ in range(module.dim)]
-    deriv = value
-    for s in range(m, -1, -1):
-        if s < m:
-            deriv = tuple(p.derivative(DEL) for p in deriv)
-        if vec_is_zero(deriv):
-            break
-        c = comb(m, s)
-        for out, row in zip(acc, module_jth_product(module, i, s)):
-            for entry, p in zip(row, deriv):
-                if not (entry and p):
-                    continue
-                for m1, c1 in entry.terms.items():
-                    scaled = c * c1
-                    for m2, c2 in p.terms.items():
-                        _add_term(out, _mono_mul(m1, m2), scaled * c2)
-    return tuple(RatPoly(out) for out in acc)
+    _add_level_action(acc, module, i, m, [p.terms for p in value], 1)
+    return tuple(map(from_terms, acc))
 
 
 def _phi_table(gamma):
-    """{stored tuple: {lam exponents: phi value}}, built once and kept on gamma."""
+    """{stored tuple: {lam exponents: per component {rest: phi coeff}}},
+    coefficients int where integral; built once and kept on gamma."""
     table = gamma._phi_table
     if table is None:
         table = {}
         dim = gamma.module.dim
         for t, comps in _split_values(gamma).items():
-            by_exps = {}
+            by_exps = table[t] = {}
             for u, terms in enumerate(comps):
                 for ev, rest, _, _, coeff in terms:
                     comp = by_exps.setdefault(ev, [{} for _ in range(dim)])[u]
-                    comp[rest] = Fraction(coeff * prod(map(factorial, ev)))
-            table[t] = {ev: tuple(RatPoly(c) for c in comp)
-                        for ev, comp in by_exps.items()}
+                    comp[rest] = coeff * prod(map(factorial, ev))
         gamma._phi_table = table
     return table
 
 
-def phi_eval(gamma, gens, levels):
-    """phi(gamma) at a level tuple: (prod m_i!) [lam^m] of the cochain value.
-
-    A skew value is read on the sorted tuple, with the levels permuted alike
-    and the permutation's sign.
-    """
-    gens, levels = tuple(gens), tuple(levels)
+def _phi_read(gamma, gens, levels):
+    """(sign, per component {rest: coeff}) of phi(gamma) at a level tuple,
+    or None where it is zero.  A skew value is read on the sorted tuple,
+    with the levels permuted alike and the permutation's sign."""
     sign = 1
     if gamma.variant in _SKEW_VARIANTS and gens != tuple(sorted(gens)):
-        perm = sorted(range(len(gens)), key=lambda s: (gens[s], s))
+        perm = sorted(range(len(gens)), key=gens.__getitem__)
         gens = tuple(gens[s] for s in perm)
         levels = tuple(levels[s] for s in perm)
         sign = permutation_sign(perm)
-    value = _phi_table(gamma).get(gens, {}).get(levels)
-    if value is None:
+    by_exps = _phi_table(gamma).get(gens)
+    value = by_exps.get(levels) if by_exps else None
+    return None if value is None else (sign, value)
+
+
+def phi_eval(gamma, gens, levels):
+    """phi(gamma) at a level tuple: (prod m_i!) [lam^m] of the cochain value."""
+    read = _phi_read(gamma, tuple(gens), tuple(levels))
+    if read is None:
         return zero_vec(gamma.module.dim)
-    return value if sign == 1 else tuple(-p for p in value)
+    sign, comps = read
+    return tuple(from_terms({m: sign * c for m, c in comp.items()})
+                 for comp in comps)
 
 
 def ce_differential_eval(gamma, gens, levels):
@@ -214,38 +234,40 @@ def ce_differential_eval(gamma, gens, levels):
 
     gens/levels have length q+1; the module acts through its level actions
     and the bracket through ann_bracket, so no conformal differential is
-    involved.
+    involved.  Every term is added into one {monomial: coeff} dict per
+    component, the phi values read with their sign.
     """
     module = gamma.module
+    gens, levels = tuple(gens), tuple(levels)
     q1 = len(gens)
-    total = zero_vec(module.dim)
-    for i in range(q1):
-        rest_g = gens[:i] + gens[i + 1:]
-        rest_m = levels[:i] + levels[i + 1:]
-        inner = phi_eval(gamma, rest_g, rest_m)
-        if vec_is_zero(inner):
-            continue
-        term = act_level_on_value(module, gens[i], levels[i], inner)
-        if i % 2:
-            term = tuple(-p for p in term)
-        total = tuple(a + b for a, b in zip(total, term))
+    acc = [{} for _ in range(module.dim)]
+    if module.is_free():
+        for i in range(q1):
+            read = _phi_read(gamma, gens[:i] + gens[i + 1:],
+                             levels[:i] + levels[i + 1:])
+            if read is not None:
+                sign, comps = read
+                _add_level_action(acc, module, gens[i], levels[i], comps,
+                                  -sign if i % 2 else sign)
     for i in range(q1):
         for j in range(i + 1, q1):
             bracket = ann_bracket(gamma.algebra, (gens[i], levels[i]),
                                   (gens[j], levels[j]))
             if not bracket:
                 continue
-            rest_g = tuple(gens[s] for s in range(q1) if s != i and s != j)
-            rest_m = tuple(levels[s] for s in range(q1) if s != i and s != j)
-            acc = zero_vec(module.dim)
+            rest_g = gens[:i] + gens[i + 1:j] + gens[j + 1:]
+            rest_m = levels[:i] + levels[i + 1:j] + levels[j + 1:]
+            pair_sign = -1 if (i + j) % 2 else 1
             for (k, lev), coeff in bracket.items():
-                val = phi_eval(gamma, (k,) + rest_g, (lev,) + rest_m)
-                if not vec_is_zero(val):
-                    acc = tuple(a + coeff * b for a, b in zip(acc, val))
-            if (i + j) % 2:
-                acc = tuple(-p for p in acc)
-            total = tuple(a + b for a, b in zip(total, acc))
-    return total
+                read = _phi_read(gamma, (k,) + rest_g, (lev,) + rest_m)
+                if read is None:
+                    continue
+                sign, comps = read
+                c = exact(coeff) * sign * pair_sign
+                for out, comp in zip(acc, comps):
+                    for mono, v in comp.items():
+                        out[mono] = out.get(mono, 0) + c * v
+    return tuple(map(from_terms, acc))
 
 
 def del_functional_eval(gamma, gens, levels):

@@ -16,7 +16,16 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import bracket_eval
-from .cochain import Cochain, lam_sum, lam_var, sorted_tuples
+from .cochain import (
+    Cochain,
+    SlotParam,
+    antilinear_feeds,
+    lam_count,
+    lam_sum,
+    lam_var,
+    sorted_tuples,
+    terms_to_vec,
+)
 from .errors import DegreeZero, WrongContext
 from .poly import (
     RatPoly,
@@ -75,17 +84,26 @@ def contract_lambda(a, gamma):
     n = gamma.q
     if n == 0:
         raise DegreeZero("cannot contract a 0-cochain")
+    width = max(n - 1, lam_count(a))
+    slot = SlotParam(EXT_POLY, width)
+    params = [slot] + [SlotParam(lam_var(s + 1), width) for s in range(n - 1)]
+    feeds = antilinear_feeds(a, slot)
     values = {}
     for T in sorted_tuples(gamma.algebra.ngens, n - 1):
-        rest_params = [lam_var(s + 1) for s in range(n - 1)]
-        val = gamma.slot_insert(a, EXT_POLY, T, rest_params, pos=0)
+        acc = [{} for _ in range(gamma.module.dim)]
+        gamma.add_inserted(acc, feeds, 0, T, params)
+        val = terms_to_vec(acc, width)
         if not vec_is_zero(val):
             values[T] = val
     return Cochain(gamma.algebra, gamma.module, n - 1, gamma.variant, values)
 
 
 def lie_theta(a, gamma):
-    """(theta_mu(a) gamma): the conformal action of a on cochains."""
+    """(theta_mu(a) gamma): the conformal action of a on cochains.
+
+    The bracket [a_mu e_k] is fed into each slot i holding e_k at
+    mu + lam_{i+1}; its antilinear expansion is made once per (i, k).
+    """
     n = gamma.q
     A, M = gamma.algebra, gamma.module
     # [a_mu e_k] for each generator k, the bracket fed into a slot holding e_k
@@ -95,23 +113,25 @@ def lie_theta(a, gamma):
             RatPoly.const(1) if s == k else RatPoly.zero()
             for s in range(A.ngens)
         )
-        br = bracket_eval(A, a, gen, param=EXT_POLY)
-        brackets.append(None if vec_is_zero(br) else br)
+        brackets.append(bracket_eval(A, a, gen, param=EXT_POLY))
+    width = max([n, lam_count(a)] + [lam_count(br) for br in brackets])
+    lams = [SlotParam(lam_var(s + 1), width) for s in range(n)]
+    slots = [SlotParam(EXT_POLY + lam_var(i + 1), width) for i in range(n)]
+    params = [lams[:i] + [slots[i]] + lams[i + 1:] for i in range(n)]
+    feeds = {}
     values = {}
     for T in sorted_tuples(A.ngens, n):
-        acc = M.act_element(a, EXT_POLY, gamma.value_on(T))
+        acc = [{} for _ in range(M.dim)]
         for i in range(n):
-            br = brackets[T[i]]
-            if br is None:
-                continue
-            rest = T[:i] + T[i + 1:]
-            rest_params = [lam_var(s + 1) for s in range(n) if s != i]
-            term = gamma.slot_insert(
-                br, EXT_POLY + lam_var(i + 1), rest, rest_params, pos=i
-            )
-            acc = vec_add(acc, vec_scale(-1, term))
-        if not vec_is_zero(acc):
-            values[T] = acc
+            key = (i, T[i])
+            if key not in feeds:
+                feeds[key] = antilinear_feeds(brackets[T[i]], slots[i])
+            gamma.add_inserted(acc, feeds[key], i, T[:i] + T[i + 1:],
+                               params[i], scale=-1)
+        val = vec_add(M.act_element(a, EXT_POLY, gamma.value_on(T)),
+                      terms_to_vec(acc, width))
+        if not vec_is_zero(val):
+            values[T] = val
     return Cochain(A, M, n, gamma.variant, values)
 
 

@@ -29,9 +29,10 @@ Inline spec files are JSON with the polynomial grammar of the library::
       }
     }
 
-Bracket keys are "gen,gen"; missing entries are zero.  Free-module actions
-give one row-major matrix of polynomials per generator; scalar modules give
-"del_scalar" and no actions.
+Generator and basis names are distinct and not empty.  Bracket keys are
+"gen,gen"; missing entries are zero.  Free-module actions give one
+row-major matrix (a list of lists) of polynomials per generator; scalar
+modules give "del_scalar" and no actions.
 """
 
 from __future__ import annotations
@@ -195,12 +196,25 @@ def load_spec_file(path):
         ) from None
 
 
+def _names(values, what, path):
+    """A non-empty tuple of distinct names, or a ParseError naming the file:
+    a repeated name would resolve every use to its first occurrence."""
+    names = tuple(values)
+    if not names:
+        raise ParseError(f"spec file {path} lists no {what}")
+    for name in names:
+        if names.count(name) > 1:
+            raise ParseError(f"spec file {path} repeats the {what[:-1]} "
+                             f"{name!r}")
+    return names
+
+
 def _spec_from_obj(obj, path):
     algebra = None
     module = None
     if "algebra" in obj:
         spec = obj["algebra"]
-        names = tuple(spec["generators"])
+        names = _names(spec["generators"], "generators", path)
         n = len(names)
         zero = RatPoly.zero()
         entries = [[[zero] * n for _ in range(n)] for _ in range(n)]
@@ -224,7 +238,7 @@ def _spec_from_obj(obj, path):
         )
     if "module" in obj:
         spec = obj["module"]
-        basis = tuple(spec.get("basis", ("v",)))
+        basis = _names(spec.get("basis", ("v",)), "basis names", path)
         if spec.get("kind", "free") == "scalar":
             module = ConformalModule(
                 "scalar", len(basis),
@@ -243,7 +257,9 @@ def _spec_from_obj(obj, path):
                 rows = actions.get(name)
                 if rows is None:
                     action.append([[RatPoly.zero()] * dim for _ in range(dim)])
-                elif len(rows) != dim or any(len(row) != dim for row in rows):
+                elif (not isinstance(rows, list) or len(rows) != dim
+                      or any(not isinstance(row, list) or len(row) != dim
+                             for row in rows)):
                     raise ParseError(
                         f"the action of {name!r} is not a {dim}x{dim} matrix"
                     )
@@ -341,20 +357,20 @@ def cmd_cartan(args):
                 algebra, module, q, args.degmax, rng,
                 max_del=1 if module.is_free() else 0,
             )
+            dg = d_basic(gamma)
             for i in range(algebra.ngens):
                 a = tuple(
                     RatPoly.const(1 if k == i else 0)
                     for k in range(algebra.ngens)
                 )
-                lhs = d_basic(contract_lambda(a, gamma)) + contract_lambda(
-                    a, d_basic(gamma)
-                )
+                lhs = (d_basic(contract_lambda(a, gamma))
+                       + contract_lambda(a, dg))
                 theta = lie_theta(a, gamma)
                 if lhs != theta:
                     print(json.dumps({"identity": "cartan", "ok": False,
                                       "q": q, "generator": i}))
                     return EXIT_AXIOM
-                if d_basic(theta) != lie_theta(a, d_basic(gamma)):
+                if d_basic(theta) != lie_theta(a, dg):
                     print(json.dumps({"identity": "d-theta", "ok": False,
                                       "q": q, "generator": i}))
                     return EXIT_AXIOM

@@ -44,8 +44,16 @@ are built (``_d_values``), so ``RatPoly.terms`` keeps its {monomial:
 Fraction} contract.  Both reduced variants cut d := -(lam1 + ... +
 lam_{q+1}) on those sums, before any RatPoly is built, through the
 multinomial table of ``poly.multinomials`` (``_cut_del``); parameters such
-as mu stay in each term's rest.  The calculus substitutes through
-``slot_insert`` / ``value_with_params``.
+as mu stay in each term's rest.
+
+Slot insertion (``slot_insert``, ``value_with_params``, and the calculus
+through ``add_inserted``) reads the same split values, kept on the cochain.
+A skew value's stored lam_{s+1} goes to the parameter of slot perm[s] on
+its exponent vector, with the permutation's sign.  A bare lam parameter is
+a relabel; any other, such as mu + lam_i, is a ``SlotParam`` whose powers
+are expanded once, in ints where integral, and the argument's d becomes
+-slot_param through the same powers (``antilinear_feeds``).  The terms go
+into per-component dicts as above; no RatPoly is substituted.
 """
 
 from __future__ import annotations
@@ -116,7 +124,9 @@ class Cochain:
                 if tuple(sorted(t)) != t:
                     raise ValueError("skew cochains store sorted tuples only")
         self.values = {t: v for t, v in values.items() if not vec_is_zero(v)}
-        # phi_eval's {tuple: {lam exponents: value}} table, filled on use
+        # _split_values(self) for slot insertion, and phi_eval's {tuple:
+        # {lam exponents: value}} table; both filled on use
+        self._split = None
         self._phi_table = None
 
     # -- construction ------------------------------------------------------
@@ -184,15 +194,12 @@ class Cochain:
 
     def value_on(self, t):
         """Value on an arbitrary generator tuple, in canonical lam1..lamq."""
-        if self.variant not in _SKEW_VARIANTS:
-            return self.values.get(t, zero_vec(self.module.dim))
-        st = tuple(sorted(t))
+        st, perm = self._stored(t)
         base = self.values.get(st)
         if base is None:
             return zero_vec(self.module.dim)
         if st == t:
             return base
-        perm = sorted(range(self.q), key=lambda s: (t[s], s))
         sign = permutation_sign(perm)
         relabel = {
             lam(s + 1): lam_var(perm[s] + 1)
@@ -204,13 +211,13 @@ class Cochain:
 
     def value_with_params(self, t, params):
         """Value with the s-th slot parameter set to params[s] (simultaneous)."""
-        base = self.value_on(t)
-        mapping = {}
-        for s, p in enumerate(params):
-            v = lam(s + 1)
-            if not (len(p.terms) == 1 and p.terms.get(((v, 1),)) == 1):
-                mapping[v] = p
-        return vec_subst(base, mapping) if mapping else base
+        if not t:
+            return self.value_on(t)
+        n = lam_count(params)
+        acc = [{} for _ in range(self.module.dim)]
+        self.add_inserted(acc, [(t[0], unit_terms(n))], 0, t[1:],
+                          [SlotParam(p, n) for p in params])
+        return terms_to_vec(acc, n)
 
     def slot_insert(self, avec, slot_param, rest_gens, rest_params, pos=0):
         """Feed an algebra-valued polynomial into the slot at ``pos``.
@@ -218,20 +225,76 @@ class Cochain:
         The argument's d is consumed by conformal antilinearity at the slot
         parameter: d^m L^k contributes (-slot_param)^m gamma(..., L^k, ...).
         """
-        total = zero_vec(self.module.dim)
-        antilinear = {DEL: -slot_param}
-        for k, coeff in enumerate(avec):
-            if not coeff:
+        # only generators whose fed tuple has a stored value are expanded
+        split = self._split_table()
+        avec = [
+            p if self._stored(rest_gens[:pos] + (k,) + rest_gens[pos:])[0]
+            in split else RatPoly.zero()
+            for k, p in enumerate(avec)
+        ]
+        if vec_is_zero(avec):
+            return zero_vec(self.module.dim)
+        n = lam_count([slot_param, *rest_params, *avec])
+        slot = SlotParam(slot_param, n)
+        params = [SlotParam(p, n) for p in rest_params]
+        params.insert(pos, slot)
+        acc = [{} for _ in range(self.module.dim)]
+        self.add_inserted(acc, antilinear_feeds(avec, slot), pos, rest_gens,
+                          params)
+        return terms_to_vec(acc, n)
+
+    def add_inserted(self, acc, feeds, pos, rest_gens, params, scale=1):
+        """Add scale * sum_k scal_k * gamma(rest_gens with k at ``pos``), the
+        s-th slot at params[s], into ``acc``: per component,
+        {(lam exponents, rest): coeff}.
+
+        ``feeds`` is [(k, scal_k terms)] from ``antilinear_feeds`` and
+        ``params`` holds one SlotParam per slot of the fed tuple.  A skew
+        value is read on the sorted tuple: its stored lam_{s+1} is the slot
+        perm[s], so it takes params[perm[s]], and the permutation's sign.
+        """
+        split = self._split_table()
+        for k, scal in feeds:
+            stored, perm = self._stored(rest_gens[:pos] + (k,)
+                                        + rest_gens[pos:])
+            comps = split.get(stored)
+            if comps is None:
                 continue
-            scal = coeff.subst_many(antilinear)
-            if not scal:
-                continue
-            t = rest_gens[:pos] + (k,) + rest_gens[pos:]
-            params = rest_params[:pos] + [slot_param] + rest_params[pos:]
-            val = self.value_with_params(t, params)
-            if not vec_is_zero(val):
-                total = vec_add(total, vec_scale(scal, val))
-        return total
+            sign = scale * permutation_sign(perm)
+            read = [params[p] for p in perm]
+            n = read[0].n
+            for comp, terms in zip(acc, comps):
+                for ev, rest, _, _, coeff in terms:
+                    # bare lam parameters relabel; the others expand
+                    lv = [0] * n
+                    powers = []
+                    for p, e in zip(read, ev):
+                        if not e:
+                            continue
+                        if p.lam is None:
+                            powers.append(p.power(e))
+                        else:
+                            lv[p.lam] += e
+                    parts = [(tuple(lv), rest, coeff * sign)]
+                    for terms_e in powers:
+                        parts = mul_terms(parts, terms_e)
+                    for key_ev, key_rest, c in mul_terms(parts, scal):
+                        key = (key_ev, key_rest)
+                        comp[key] = comp.get(key, 0) + c
+
+    def _stored(self, t):
+        """(stored tuple, perm) for a value on t: the stored lam_{s+1} is
+        slot perm[s] of t, the value signed by the parity of perm."""
+        if self.variant not in _SKEW_VARIANTS:
+            return t, range(self.q)
+        perm = sorted(range(self.q), key=t.__getitem__)
+        return tuple(t[p] for p in perm), perm
+
+    def _split_table(self):
+        """``_split_values`` of this cochain, read once and kept."""
+        if self._split is None:
+            self._split = _split_values(self)
+        return self._split
 
     def eval_on_elements(self, args):
         """Multilinear, conformally antilinear evaluation on algebra elements."""
@@ -310,6 +373,106 @@ class Cochain:
                     return t
             return None
         return None
+
+
+# -- slot insertion: parameter powers and term products ------------------------
+#
+# A term is (lam exponents over lam1..lam_n, rest, coeff): rest is the
+# monomial in d and the named parameters, coeff an int where integral.
+
+
+def lam_count(polys):
+    """The largest lam index occurring in ``polys`` (0 if none)."""
+    return max((v[1] for p in polys for v in p.variables() if is_lam(v)),
+               default=0)
+
+
+def lam_terms(poly, n):
+    """The terms of poly, whose lam indices must be at most n."""
+    out = []
+    for mono, coeff in poly.terms.items():
+        ev = [0] * n
+        rest = []
+        for v, e in mono:
+            if is_lam(v):
+                if v[1] > n:
+                    raise ValueError(
+                        f"a degree-{n} cochain value uses lam{v[1]}"
+                    )
+                ev[v[1] - 1] = e
+            else:
+                rest.append((v, e))
+        out.append((tuple(ev), tuple(rest), exact(coeff)))
+    return out
+
+
+def unit_terms(n):
+    return [((0,) * n, (), 1)]
+
+
+def mul_terms(xs, ys):
+    """The term-by-term product of two term lists (not collected)."""
+    return [(tuple(map(add, e1, e2)), _mono_mul(r1, r2), c1 * c2)
+            for e1, r1, c1 in xs for e2, r2, c2 in ys]
+
+
+def _collect(terms):
+    """The terms with like (lam exponents, rest) summed, zeros dropped."""
+    acc = {}
+    for ev, rest, c in terms:
+        key = (ev, rest)
+        acc[key] = acc.get(key, 0) + c
+    return [(ev, rest, c) for (ev, rest), c in acc.items() if c]
+
+
+class SlotParam:
+    """A slot parameter, a polynomial over lam1..lam_n, d and named
+    parameters.  A bare lam variable only relabels (``lam`` is its 0-based
+    index); any other parameter expands its powers, with int coefficients
+    where integral, on first use, and keeps them, so one instance serves
+    every slot insertion of a calculus call."""
+
+    __slots__ = ("n", "lam", "terms", "_powers")
+
+    def __init__(self, poly, n):
+        self.n = n
+        self.terms = lam_terms(poly, n)
+        self.lam = None
+        if len(self.terms) == 1:
+            ev, rest, c = self.terms[0]
+            if not rest and c == 1 and sum(ev) == 1:
+                self.lam = ev.index(1)
+        self._powers = [unit_terms(n)]
+
+    def power(self, e):
+        powers = self._powers
+        while len(powers) <= e:
+            powers.append(_collect(mul_terms(powers[-1], self.terms)))
+        return powers[e]
+
+
+def antilinear_feeds(avec, slot):
+    """[(k, scal_k terms)]: each nonzero avec[k] with d := -slot, the
+    conformal antilinearity of a slot at parameter ``slot``."""
+    feeds = []
+    for k, coeff in enumerate(avec):
+        terms = []
+        for ev, rest, c in lam_terms(coeff, slot.n):
+            m = 0
+            if rest and rest[0][0] == DEL:
+                m, rest = rest[0][1], rest[1:]
+            terms += mul_terms([(ev, rest, -c if m % 2 else c)],
+                               slot.power(m))
+        terms = _collect(terms)
+        if terms:
+            feeds.append((k, terms))
+    return feeds
+
+
+def terms_to_vec(acc, n):
+    """A vector of RatPoly from per-component {(lam exponents, rest): coeff}."""
+    lams = [lam(s + 1) for s in range(n)]
+    return tuple(_to_poly(comp, lams) for comp in acc)
 
 
 # -- the differentials: one term enumerator ------------------------------------
@@ -419,30 +582,17 @@ def _split_values(c):
     rest is the monomial in d and the named parameters; params is rest
     without d.
     """
-    q = c.q
     out = {}
     for t, vec in c.values.items():
         comps = []
         for p in vec:
             terms = []
-            for mono, coeff in p.terms.items():
-                ev = [0] * q
-                rest = []
-                for v, e in mono:
-                    if is_lam(v):
-                        if v[1] > q:
-                            raise ValueError(
-                                f"a degree-{q} cochain value uses lam{v[1]}"
-                            )
-                        ev[v[1] - 1] = e
-                    else:
-                        rest.append((v, e))
-                rest = tuple(rest)
+            for ev, rest, coeff in lam_terms(p, c.q):
                 if rest and rest[0][0] == DEL:
                     m, params = rest[0][1], rest[1:]
                 else:
                     m, params = 0, rest
-                terms.append((tuple(ev), rest, m, params, exact(coeff)))
+                terms.append((ev, rest, m, params, coeff))
             comps.append(terms)
         out[t] = comps
     return out

@@ -378,6 +378,12 @@ def exact(coeff):
     return coeff.numerator if coeff.denominator == 1 else coeff
 
 
+def from_terms(terms):
+    """RatPoly from {monomial: int or Fraction}; zeros are dropped."""
+    return RatPoly({m: c if type(c) is Fraction else Fraction(c)
+                    for m, c in terms.items() if c})
+
+
 _MULTINOMIALS = {}
 
 

@@ -35,7 +35,7 @@ from confcoh.cochain import (
 )
 from confcoh.extensions import extend_algebra
 from confcoh.liealg import adjoint_rep, sl2, sl2_irrep, sl3
-from confcoh.poly import DEL, RatPoly, lam, param, zero_vec
+from confcoh.poly import DEL, RatPoly, lam, param, vec_is_zero, zero_vec
 
 VIR = build_vir()
 CUR2 = build_current(sl2())
@@ -464,3 +464,63 @@ def test_phi_eval_matches_oracle():
                 _assert_fraction_vec(phi_eval(gamma, gens, levels),
                                      _phi_eval_oracle(gamma, gens, levels))
     assert variants == {BASIC, REDUCED, "leibniz"}
+
+
+def _ce_differential_oracle(gamma, gens, levels):
+    """The continuous differential by RatPoly vector sums, each term read
+    through the oracles above: phi through value_on, the level action
+    through module.act, the level bracket by scanning the table."""
+    module = gamma.module
+    q1 = len(gens)
+    total = zero_vec(module.dim)
+    for i in range(q1):
+        inner = _phi_eval_oracle(gamma, gens[:i] + gens[i + 1:],
+                                 levels[:i] + levels[i + 1:])
+        if vec_is_zero(inner):
+            continue
+        term = _act_level_oracle(module, gens[i], levels[i], inner)
+        if i % 2:
+            term = tuple(-p for p in term)
+        total = tuple(a + b for a, b in zip(total, term))
+    for i in range(q1):
+        for j in range(i + 1, q1):
+            bracket = _ann_bracket_oracle(gamma.algebra, (gens[i], levels[i]),
+                                          (gens[j], levels[j]))
+            rest_g = tuple(gens[s] for s in range(q1) if s != i and s != j)
+            rest_m = tuple(levels[s] for s in range(q1) if s != i and s != j)
+            acc = zero_vec(module.dim)
+            for (k, lev), coeff in bracket.items():
+                val = _phi_eval_oracle(gamma, (k,) + rest_g, (lev,) + rest_m)
+                acc = tuple(a + coeff * b for a, b in zip(acc, val))
+            if (i + j) % 2:
+                acc = tuple(-p for p in acc)
+            total = tuple(a + b for a, b in zip(total, acc))
+    return total
+
+
+def test_ce_differential_eval_matches_oracle():
+    """Vir/C, Vir/M_{2,1} and Cur sl2/M_ad, values with d-powers, every
+    ordering of the generators (unsorted tuples too), and each cochain also
+    scaled by 2/3 and stored on all tuples (Leibniz)."""
+    rng = random.Random(79)
+    g = sl2()
+    fixtures = [
+        (VIR, build_trivial(1, 0), 0, 3, 4),
+        (VIR, build_m_delta_alpha(2, 1), 2, 2, 4),
+        (CUR2, build_m_u(g, adjoint_rep(g)), 1, 2, 2),
+    ]
+    variants = set()
+    nonzero = 0
+    for alg, mod, max_del, qmax, top in fixtures:
+        for q in range(qmax + 1):
+            gamma = random_skew_cochain(alg, mod, q, 3, rng, max_del=max_del)
+            for c in (gamma, as_leibniz(gamma.scale(Fraction(2, 3)))):
+                variants.add(c.variant)
+                for gens in product(range(alg.ngens), repeat=q + 1):
+                    for lev in product(range(top + 1), repeat=q + 1):
+                        got = ce_differential_eval(c, gens, lev)
+                        _assert_fraction_vec(
+                            got, _ce_differential_oracle(c, gens, lev))
+                        nonzero += not vec_is_zero(got)
+    assert variants == {BASIC, "leibniz"}
+    assert nonzero >= 800

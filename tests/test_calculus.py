@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -16,10 +18,31 @@ from confcoh.calculus import (
     lie_theta,
     wedge,
 )
-from confcoh.cochain import BASIC, Cochain, d_basic, del_action, random_skew_cochain
+from confcoh.algebra import bracket_eval
+from confcoh.cochain import (
+    BASIC,
+    LEIBNIZ,
+    Cochain,
+    as_leibniz,
+    d_basic,
+    del_action,
+    lam_var,
+    random_skew_cochain,
+    sorted_tuples,
+)
 from confcoh.errors import DegreeZero, WrongContext
 from confcoh.liealg import adjoint_rep, sl2
-from confcoh.poly import DEL, RatPoly, lam, param
+from confcoh.poly import (
+    DEL,
+    RatPoly,
+    lam,
+    param,
+    vec_add,
+    vec_is_zero,
+    vec_scale,
+    vec_subst,
+    zero_vec,
+)
 from confcoh.skew import skew_basis
 
 VIR = build_vir()
@@ -187,3 +210,176 @@ def test_homotopy_outside_context_rejected():
     m = build_m_delta_alpha(1, 0)
     with pytest.raises(WrongContext):
         homotopy_k(Cochain(VIR, m, 1, BASIC, {(0,): (L1,)}))
+
+
+# -- table-driven slot insertion against RatPoly substitution ----------------
+#
+# The oracles are the substitution routes of slot insertion: value_on
+# relabels a skew value by substitution, the slot parameters are substituted
+# into it at once, and the argument's d becomes -slot_param through
+# RatPoly.subst_many.  contract_lambda and lie_theta are rebuilt on them.
+
+
+def _value_with_params_oracle(gamma, t, params):
+    base = gamma.value_on(t)
+    mapping = {}
+    for s, p in enumerate(params):
+        v = lam(s + 1)
+        if not (len(p.terms) == 1 and p.terms.get(((v, 1),)) == 1):
+            mapping[v] = p
+    return vec_subst(base, mapping) if mapping else base
+
+
+def _slot_insert_oracle(gamma, avec, slot_param, rest_gens, rest_params,
+                        pos=0):
+    total = zero_vec(gamma.module.dim)
+    antilinear = {DEL: -slot_param}
+    for k, coeff in enumerate(avec):
+        if not coeff:
+            continue
+        scal = coeff.subst_many(antilinear)
+        if not scal:
+            continue
+        t = rest_gens[:pos] + (k,) + rest_gens[pos:]
+        params = rest_params[:pos] + [slot_param] + rest_params[pos:]
+        val = _value_with_params_oracle(gamma, t, params)
+        if not vec_is_zero(val):
+            total = vec_add(total, vec_scale(scal, val))
+    return total
+
+
+def _contract_oracle(a, gamma):
+    n = gamma.q
+    values = {}
+    for T in sorted_tuples(gamma.algebra.ngens, n - 1):
+        rest_params = [lam_var(s + 1) for s in range(n - 1)]
+        val = _slot_insert_oracle(gamma, a, MU, T, rest_params, pos=0)
+        if not vec_is_zero(val):
+            values[T] = val
+    return Cochain(gamma.algebra, gamma.module, n - 1, gamma.variant, values)
+
+
+def _theta_oracle(a, gamma):
+    n = gamma.q
+    A, M = gamma.algebra, gamma.module
+    brackets = []
+    for k in range(A.ngens):
+        gen = tuple(RatPoly.const(int(s == k)) for s in range(A.ngens))
+        br = bracket_eval(A, a, gen, param=MU)
+        brackets.append(None if vec_is_zero(br) else br)
+    values = {}
+    for T in sorted_tuples(A.ngens, n):
+        acc = M.act_element(a, MU, gamma.value_on(T))
+        for i in range(n):
+            br = brackets[T[i]]
+            if br is None:
+                continue
+            rest = T[:i] + T[i + 1:]
+            rest_params = [lam_var(s + 1) for s in range(n) if s != i]
+            term = _slot_insert_oracle(gamma, br, MU + lam_var(i + 1), rest,
+                                       rest_params, pos=i)
+            acc = vec_add(acc, vec_scale(-1, term))
+        if not vec_is_zero(acc):
+            values[T] = acc
+    return Cochain(A, M, n, gamma.variant, values)
+
+
+def _assert_fraction_vec(got, want):
+    assert got == want
+    for p in got:
+        assert all(type(c) is Fraction for c in p.terms.values())
+
+
+def _slot_cochains():
+    """Skew cochains with d-powers over Vir/C, Vir/M_{2,1} and Cur sl2/M_ad,
+    and each one scaled by 2/3 and stored on all tuples (Leibniz)."""
+    rng = random.Random(67)
+    g = sl2()
+    fixtures = [
+        (VIR, C, 0),
+        (VIR, build_m_delta_alpha(2, 1), 2),
+        (build_current(g), build_m_u(g, adjoint_rep(g)), 1),
+    ]
+    for alg, mod, max_del in fixtures:
+        for q in (1, 2, 3):
+            gamma = random_skew_cochain(alg, mod, q, 3, rng, max_del=max_del)
+            yield gamma
+            yield as_leibniz(gamma.scale(Fraction(2, 3)))
+
+
+def _elements(ngens):
+    """Algebra elements: a generator, d-powers with a Fraction coefficient,
+    and one carrying lam1 and mu."""
+    zero = RatPoly.zero()
+    last = ngens - 1
+    return [
+        tuple(RatPoly.const(int(k == last)) for k in range(ngens)),
+        tuple(D ** 2 - 3 * D + 1 if k == 0 else
+              Fraction(1, 2) * D ** 3 if k == last else zero
+              for k in range(ngens)),
+        tuple(D * MU + 2 * L1 - 1 if k == last else zero
+              for k in range(ngens)),
+    ]
+
+
+def test_slot_insert_matches_oracle():
+    rng = random.Random(71)
+    variants = set()
+    nonzero = 0
+    for gamma in _slot_cochains():
+        variants.add(gamma.variant)
+        q, ngens = gamma.q, gamma.algebra.ngens
+        lams = [lam_var(s + 1) for s in range(q)]
+        for rest_gens in product(range(ngens), repeat=q - 1):
+            for pos in range(q):
+                others = lams[:pos] + lams[pos + 1:]
+                slot_params = [MU, MU + lams[pos], lams[0] + 2 * lams[-1],
+                               Fraction(1, 2) * MU - D]
+                rest_choices = [others, others[::-1],
+                                [p + MU for p in others], [-D] * (q - 1)]
+                for avec in _elements(ngens):
+                    slot = rng.choice(slot_params)
+                    rest = rng.choice(rest_choices)
+                    want = _slot_insert_oracle(gamma, avec, slot, rest_gens,
+                                               rest, pos)
+                    got = gamma.slot_insert(avec, slot, rest_gens, rest, pos)
+                    _assert_fraction_vec(got, want)
+                    nonzero += not vec_is_zero(got)
+    assert variants == {BASIC, LEIBNIZ}
+    assert nonzero >= 200
+
+
+def test_value_with_params_matches_oracle():
+    rng = random.Random(73)
+    nonzero = 0
+    for gamma in _slot_cochains():
+        q, ngens = gamma.q, gamma.algebra.ngens
+        lams = [lam_var(s + 1) for s in range(q)]
+        for t in product(range(ngens), repeat=q):
+            for params in (lams, lams[::-1], rng.sample(lams, q),
+                           [p + MU for p in lams], [-D - p for p in lams]):
+                got = gamma.value_with_params(t, params)
+                _assert_fraction_vec(got, _value_with_params_oracle(gamma, t,
+                                                                    params))
+                nonzero += not vec_is_zero(got)
+    assert nonzero >= 300
+
+
+def _assert_same_cochain(got, want):
+    """Equal cochains with Fraction coefficients; 1 if nonzero."""
+    assert (got.q, got.variant) == (want.q, want.variant)
+    assert got.values.keys() == want.values.keys()
+    for t, vec in got.values.items():
+        _assert_fraction_vec(vec, want.values[t])
+    return int(not got.is_zero())
+
+
+def test_contract_and_theta_match_oracle():
+    nonzero = 0
+    for gamma in _slot_cochains():
+        for a in _elements(gamma.algebra.ngens):
+            nonzero += _assert_same_cochain(contract_lambda(a, gamma),
+                                            _contract_oracle(a, gamma))
+            nonzero += _assert_same_cochain(lie_theta(a, gamma),
+                                            _theta_oracle(a, gamma))
+    assert nonzero >= 80

@@ -311,10 +311,27 @@ VIR_SPEC = {"generators": ["L"], "brackets": {"L,L": {"L": "d + 2*lam1"}}}
                             "brackets": {"L,L": {"L": 2}}}}),
     json.dumps({"algebra": {"generators": ["L"],
                             "brackets": {"L,L": ["d + 2*lam1"]}}}),
+    # repeated or no generator names: both passed every check with exit 0
+    json.dumps({"algebra": {"generators": ["L", "L"]}}),
+    json.dumps({"algebra": {"generators": []}}),
+    json.dumps({"algebra": VIR_SPEC,
+                "module": {"kind": "free", "basis": ["v", "v"],
+                           "actions": {"L": [["d + lam1", "0"],
+                                             ["0", "d + lam1"]]}}}),
+    # an action or a row given as a string: read character by character, it
+    # passed the 1x1 shape check and failed the module identity (exit 2)
+    json.dumps({"algebra": VIR_SPEC,
+                "module": {"kind": "free", "basis": ["v"],
+                           "actions": {"L": "x"}}}),
+    json.dumps({"algebra": VIR_SPEC,
+                "module": {"kind": "free", "basis": ["v"],
+                           "actions": {"L": ["x"]}}}),
 ], ids=["invalid-json", "bracket-key-name", "bracket-key-comma",
         "bracket-output-name", "del-scalars-name", "actions-name",
         "actions-too-wide", "actions-too-small", "no-generators",
-        "no-actions", "non-string-poly", "bracket-list"])
+        "no-actions", "non-string-poly", "bracket-list", "repeated-generator",
+        "empty-generators", "repeated-basis-name", "action-string",
+        "action-row-string"])
 def test_malformed_spec_files_are_parse_failures(tmp_path, capsys, text):
     spec = tmp_path / "spec.json"
     spec.write_text(text)
@@ -322,6 +339,19 @@ def test_malformed_spec_files_are_parse_failures(tmp_path, capsys, text):
     assert code == 3
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("generators, message", [
+    (["L", "L"], "repeats the generator 'L'"),
+    ([], "lists no generators"),
+])
+def test_spec_file_generator_errors_name_the_file(tmp_path, capsys,
+                                                  generators, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"algebra": {"generators": generators}}))
+    code, out, err = run(capsys, "check", "--spec-file", str(spec))
+    assert code == 3
+    assert f"spec file {spec} {message}" in err
 
 
 def _entries(value, args=("L", "L")):
