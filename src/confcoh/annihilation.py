@@ -197,7 +197,7 @@ def _phi_table(gamma):
         for t, comps in _split_values(gamma).items():
             by_exps = table[t] = {}
             for u, terms in enumerate(comps):
-                for ev, rest, _, _, coeff in terms:
+                for (ev, rest), coeff in terms.items():
                     comp = by_exps.setdefault(ev, [{} for _ in range(dim)])[u]
                     comp[rest] = coeff * prod(map(factorial, ev))
         gamma._phi_table = table

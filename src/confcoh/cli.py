@@ -29,10 +29,12 @@ Inline spec files are JSON with the polynomial grammar of the library::
       }
     }
 
-Generator and basis names are distinct and not empty.  Bracket keys are
-"gen,gen"; missing entries are zero.  Free-module actions give one
+Generator and basis names are distinct non-empty strings.  Bracket keys
+are "gen,gen"; missing entries are zero.  Free-module actions give one
 row-major matrix (a list of lists) of polynomials per generator; scalar
-modules give "del_scalar" and no actions.
+modules give "del_scalar" and no actions.  Entries are polynomials in lam1,
+d and named parameters (lam2 and above are a parse failure); ``check``
+accepts named parameters, ``betti`` and ``deform`` refuse them (exit 2).
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ from .cochain import (
     REDUCED,
     cochain_from_obj,
     d_basic,
+    lam_count,
     name_index,
     random_skew_cochain,
 )
@@ -197,16 +200,28 @@ def load_spec_file(path):
 
 
 def _names(values, what, path):
-    """A non-empty tuple of distinct names, or a ParseError naming the file:
-    a repeated name would resolve every use to its first occurrence."""
+    """A non-empty tuple of distinct non-empty strings, or a ParseError naming
+    the file: a repeated name would resolve every use to its first one."""
     names = tuple(values)
     if not names:
         raise ParseError(f"spec file {path} lists no {what}")
     for name in names:
+        if not isinstance(name, str) or not name:
+            raise ParseError(f"spec file {path} has the {what[:-1]} {name!r}, "
+                             "not a non-empty string")
         if names.count(name) > 1:
             raise ParseError(f"spec file {path} repeats the {what[:-1]} "
                              f"{name!r}")
     return names
+
+
+def _entry(text, where, path):
+    """A bracket or action entry: a polynomial in lam1, d and parameters."""
+    poly = parse_poly(text)
+    if lam_count([poly]) > 1:
+        raise ParseError(f"{where} in spec file {path} uses lam"
+                         f"{lam_count([poly])}; entries are in lam1 and d")
+    return poly
 
 
 def _spec_from_obj(obj, path):
@@ -225,7 +240,7 @@ def _spec_from_obj(obj, path):
             i, j = (name_index(names, s, f"bracket key {key!r}") for s in pair)
             for out_name, text in comps.items():
                 k = name_index(names, out_name, f"bracket {key!r}")
-                entries[i][j][k] = parse_poly(text)
+                entries[i][j][k] = _entry(text, f"bracket {key!r}", path)
         scalars = [None] * n
         for name, val in spec.get("del_scalars", {}).items():
             scalars[name_index(names, name, "del_scalars")] = \
@@ -264,7 +279,8 @@ def _spec_from_obj(obj, path):
                         f"the action of {name!r} is not a {dim}x{dim} matrix"
                     )
                 else:
-                    action.append([[parse_poly(x) for x in row] for row in rows])
+                    action.append([[_entry(x, f"the action of {name!r}", path)
+                                     for x in row] for row in rows])
             module = ConformalModule("free", dim, action=action, basis_names=basis)
     return algebra, module
 

@@ -36,18 +36,23 @@ and kept on the algebra and on the module:
   right_action[g][r][u](lam1 := -d - x, d) * (d + x)^m on the right --
   the sesquilinear shift of a value's d^m under the action at parameter x.
 
-Each value of the input is split once into (lam exponents, d and parameter
-monomial, coefficient); every term is then a table lookup added into
-per-component {monomial: coeff} dicts.  Integral coefficients stay Python
-ints inside the kernel and become Fractions only when the output RatPolys
-are built (``_d_values``), so ``RatPoly.terms`` keeps its {monomial:
+One term format runs from the input values to the elimination: per
+tuple, one {(lam exponents, rest): coeff} dict per component, rest being
+the monomial in d and the named parameters.  Each value of the input is
+split once into it (``_split_values``); every term of the differential is
+a table lookup added into dicts of the same format, the kernel's sums,
+which keep cancelled entries as zeros.  Integral coefficients stay Python
+ints.  The engine reads the sums of ``lie_sums`` directly; the
+differentials build RatPoly values from them (``terms_to_vec``), where
+coefficients become Fractions, so ``RatPoly.terms`` keeps its {monomial:
 Fraction} contract.  Both reduced variants cut d := -(lam1 + ... +
-lam_{q+1}) on those sums, before any RatPoly is built, through the
-multinomial table of ``poly.multinomials`` (``_cut_del``); parameters such
-as mu stay in each term's rest.
+lam_{q+1}) on the sums, through the multinomial table of
+``poly.multinomials`` (``_cut_del``); parameters such as mu stay in each
+term's rest.
 
 Slot insertion (``slot_insert``, ``value_with_params``, and the calculus
-through ``add_inserted``) reads the same split values, kept on the cochain.
+through ``add_inserted``) and the annihilation phi table read the same
+split values; slot insertion keeps them on the cochain.
 A skew value's stored lam_{s+1} goes to the parameter of slot perm[s] on
 its exponent vector, with the permutation's sign.  A bare lam parameter is
 a relabel; any other, such as mu + lam_i, is a ``SlotParam`` whose powers
@@ -264,7 +269,7 @@ class Cochain:
             read = [params[p] for p in perm]
             n = read[0].n
             for comp, terms in zip(acc, comps):
-                for ev, rest, _, _, coeff in terms:
+                for (ev, rest), coeff in terms.items():
                     # bare lam parameters relabel; the others expand
                     lv = [0] * n
                     powers = []
@@ -406,6 +411,13 @@ def lam_terms(poly, n):
     return out
 
 
+def _split_del(rest):
+    """(exponent of d, the rest without d) of a term's rest monomial."""
+    if rest and rest[0][0] == DEL:
+        return rest[0][1], rest[1:]
+    return 0, rest
+
+
 def unit_terms(n):
     return [((0,) * n, (), 1)]
 
@@ -458,9 +470,7 @@ def antilinear_feeds(avec, slot):
     for k, coeff in enumerate(avec):
         terms = []
         for ev, rest, c in lam_terms(coeff, slot.n):
-            m = 0
-            if rest and rest[0][0] == DEL:
-                m, rest = rest[0][1], rest[1:]
+            m, rest = _split_del(rest)
             terms += mul_terms([(ev, rest, -c if m % 2 else c)],
                                slot.power(m))
         terms = _collect(terms)
@@ -472,7 +482,10 @@ def antilinear_feeds(avec, slot):
 def terms_to_vec(acc, n):
     """A vector of RatPoly from per-component {(lam exponents, rest): coeff}."""
     lams = [lam(s + 1) for s in range(n)]
-    return tuple(_to_poly(comp, lams) for comp in acc)
+    return tuple(RatPoly({tuple((lams[s], e) for s, e in enumerate(ev) if e) + rest:
+                          c if type(c) is Fraction else Fraction(c)
+                          for (ev, rest), c in comp.items() if c})
+                 for comp in acc)
 
 
 # -- the differentials: one term enumerator ------------------------------------
@@ -534,7 +547,8 @@ def _bracket_expansion(algebra, a, b, k, e):
     if terms is None:
         x, y = lam_var(1), lam_var(2)
         poly = algebra.table[a][b][k].substitute(DEL, -(x + y))
-        terms = cache[key] = _expansion_terms(poly * (x + y) ** e, lam(1), lam(2))
+        terms = cache[key] = [(ex, ey, rest, c) for (ex, ey), rest, c
+                              in lam_terms(poly * (x + y) ** e, 2)]
     return terms
 
 
@@ -554,58 +568,17 @@ def _action_expansion(module, right, g, r, u, m):
             poly = module.right_action[g][r][u].substitute(lam(1), -_DELP - x)
         else:
             poly = module.action[g][r][u]
-        terms = cache[key] = _expansion_terms(poly * (_DELP + x) ** m,
-                                              lam(1), DEL)
+        terms = cache[key] = [(ex, *_split_del(rest), c) for (ex,), rest, c
+                              in lam_terms(poly * (_DELP + x) ** m, 1)]
     return terms
 
 
-def _expansion_terms(poly, v1, v2):
-    """The terms of poly as (exponent of v1, exponent of v2, rest, coeff)."""
-    out = []
-    for mono, coeff in poly.terms.items():
-        e1 = e2 = 0
-        rest = []
-        for v, e in mono:
-            if v == v1:
-                e1 = e
-            elif v == v2:
-                e2 = e
-            else:
-                rest.append((v, e))
-        out.append((e1, e2, tuple(rest), exact(coeff)))
-    return out
-
-
 def _split_values(c):
-    """{t: per component [(lam exponents, rest, d exponent, params, coeff)]}.
-
-    rest is the monomial in d and the named parameters; params is rest
-    without d.
-    """
-    out = {}
-    for t, vec in c.values.items():
-        comps = []
-        for p in vec:
-            terms = []
-            for ev, rest, coeff in lam_terms(p, c.q):
-                if rest and rest[0][0] == DEL:
-                    m, params = rest[0][1], rest[1:]
-                else:
-                    m, params = 0, rest
-                terms.append((ev, rest, m, params, coeff))
-            comps.append(terms)
-        out[t] = comps
-    return out
-
-
-def _to_poly(acc, lams):
-    """RatPoly from {(lam exponents, rest): coeff}; Fraction coefficients."""
-    terms = {}
-    for (ev, rest), coeff in acc.items():
-        if coeff:
-            mono = tuple((lams[s], e) for s, e in enumerate(ev) if e) + rest
-            terms[mono] = coeff if type(coeff) is Fraction else Fraction(coeff)
-    return RatPoly(terms)
+    """{t: per component {(lam exponents, rest): coeff}}, the format of the
+    ``_d_terms`` sums; rest is the monomial in d and the named parameters."""
+    return {t: [{(ev, rest): coeff for ev, rest, coeff in lam_terms(p, c.q)}
+                for p in vec]
+            for t, vec in c.values.items()}
 
 
 def _d_terms(c, outputs, actions, products):
@@ -623,7 +596,8 @@ def _d_terms(c, outputs, actions, products):
 
     Table-driven: every term is expanded through the cached tables above
     and added straight into the accumulators, whose coefficients stay int
-    where integral; ``_d_values`` turns them into RatPoly values.
+    where integral and may cancel to zero; ``_d_values`` turns them into
+    RatPoly values.
     """
     A, M, q = c.algebra, c.module, c.q
     out_q = q + 1
@@ -650,7 +624,8 @@ def _d_terms(c, outputs, actions, products):
                     if not row[r][u]:
                         continue
                     comp = acc[r]
-                    for ev, _, m, params, coeff in inner[u]:
+                    for (ev, rest), coeff in inner[u].items():
+                        m, params = _split_del(rest)
                         coeff *= sign
                         head, tail = ev[:i], ev[i:]
                         for ex, ed, hrest, hc in _action_expansion(
@@ -685,7 +660,7 @@ def _d_terms(c, outputs, actions, products):
                 ]
                 for u in range(dim):
                     comp = acc[u]
-                    for ev, rest, _, _, coeff in inner[u]:
+                    for (ev, rest), coeff in inner[u].items():
                         coeff *= sign
                         lv = [0] * out_q
                         for s, o in targets:
@@ -705,10 +680,9 @@ def _d_terms(c, outputs, actions, products):
 
 def _d_values(sums, out_q):
     """Cochain values {T: vector of RatPoly} from ``_d_terms`` sums."""
-    lams = [lam(s + 1) for s in range(out_q)]
     values = {}
     for T, acc in sums.items():
-        vec = tuple(_to_poly(comp, lams) for comp in acc)
+        vec = terms_to_vec(acc, out_q)
         if not vec_is_zero(vec):
             values[T] = vec
     return values
@@ -753,22 +727,27 @@ def _d_lie(c):
                     products)
 
 
+def lie_sums(c):
+    """The ``_d_terms`` sums of d(c) for either Lie variant.  A reduced
+    cochain is lifted to the basic complex, differentiated and returned to
+    representatives: over a free module, d := -(lam1+...+lam_{q+1}) is cut
+    on the sums."""
+    sums = _d_lie(c)
+    if c.variant == REDUCED and c.module.is_free():
+        sums = _cut_del(sums, c.q + 1)
+    return sums
+
+
 def d_basic(c):
     if c.variant != BASIC:
         raise ValueError("d_basic expects a basic cochain")
-    return c.copy_with(values=_d_values(_d_lie(c), c.q + 1), q=c.q + 1)
+    return c.copy_with(values=_d_values(lie_sums(c), c.q + 1), q=c.q + 1)
 
 
 def d_reduced(c):
-    """Lift to the basic complex, differentiate, return to representatives:
-    over a free module, d := -(lam1+...+lam_{q+1}) is cut on the sums."""
     if c.variant != REDUCED:
         raise ValueError("d_reduced expects a reduced cochain")
-    out_q = c.q + 1
-    sums = _d_lie(c)
-    if c.module.is_free():
-        sums = _cut_del(sums, out_q)
-    return c.copy_with(values=_d_values(sums, out_q), q=out_q)
+    return c.copy_with(values=_d_values(lie_sums(c), c.q + 1), q=c.q + 1)
 
 
 def reduce_cochain(c):
@@ -978,11 +957,9 @@ def cochain_from_obj(algebra, module, obj):
         vec = list(zero_vec(module.dim))
         for name, text in entry["value"].items():
             poly = parse_poly(text)
-            for v in poly.variables():
-                if is_lam(v) and v[1] > q:
-                    raise ParseError(
-                        f"a degree-{q} cochain value uses lam{v[1]}"
-                    )
+            if lam_count([poly]) > q:
+                raise ParseError(f"a degree-{q} cochain value uses "
+                                 f"lam{lam_count([poly])}")
             vec[name_index(module.basis_names, name, "cochain value")] = poly
         values[t] = tuple(vec)
     return Cochain(algebra, module, q, variant, values)

@@ -3,22 +3,24 @@
 A complex is (algebra, module, variant in {basic, reduced}).  Slice bases in
 bidegree (q, d) are skew-basis shapes tensored with the module basis; every
 value the engine touches is a polynomial in the lam variables alone (reduced
-representatives are d-free, scalar coefficients never carry d), so
-coordinates are read off monomial-by-monomial.
+representatives are d-free, scalar coefficients never carry d, named
+parameters are refused), so coordinates are read off exponent vectors.
 
 The Betti entry points (truncation_sweep, graded_bidegree_dims) read one
 SliceComplex, made for that call.  The store fills each bidegree (q, d) on
 first read and keeps its basis pairs and its differential columns, plus, for
 scalar-coefficient reduced complexes, the rows of the (a + sum lam_i) image
-and the columns restricted to the hyperplane sum lam_i = -a.  Every column is
-built by apply_differential and read off by cochain_coords, which takes each
-monomial's (basis element, sign) from a placement memo kept by the store
-(assemble and verify_cocycle keep one per call).  The other two slice maps
-never build a RatPoly: the (a + sum lam_i) rows read a on the pair and raise
+and the columns restricted to the hyperplane sum lam_i = -a.  No slice map
+builds a Cochain or a RatPoly per column.  apply_differential returns the
+differential kernel's sums ({output tuple: per component {(lam exponents,
+rest): coeff}}, int where integral, cancelled entries kept as zeros);
+cochain_coords reads them, taking each exponent vector's (basis element,
+sign) from a placement memo kept by the store (assemble and verify_cocycle
+keep one per call).  The (a + sum lam_i) rows read a on the pair and raise
 one slot's exponent per term, and the restriction expands lam1^e := (-a -
-lam2 - ... - lamq)^e on exponent vectors from the multinomial table and
-sums each column in ints over one common denominator (for a = n/m, each
-monomial's image is kept times m^e).
+lam2 - ... - lamq)^e on the sums' exponent vectors from the multinomial
+table and sums each column in ints over one common denominator (for a =
+n/m, each monomial's image is kept times m^e).
 
 The store reads only the pairs of Cartan weight 0.  For a current algebra
 (constant brackets, no torsion generator) take a generator h whose ad is
@@ -66,10 +68,13 @@ from math import lcm
 from operator import add
 
 from . import linalg
-from .cochain import BASIC, REDUCED, Cochain, d_basic, d_reduced
+from .cochain import BASIC, REDUCED, Cochain, _split_values, lie_sums
+# no caller here; bench/tracer.py wraps this binding by name (bench/test_bench.py)
+from .cochain import d_basic  # noqa: F401
 from .errors import NotEquivariant, UnstableTruncation, UnsupportedComplex
 from .liealg import check_equivariant, sym_power_rep, adjoint_rep
-from .poly import RatPoly, exact, is_lam, lam, multinomials, vec_is_zero
+from .poly import (RatPoly, exact, lam, multinomials, parameter_names,
+                   vec_is_zero)
 from .skew import (element_tuple, element_value, monomial_coordinates,
                    permutation_sign, skew_basis)
 
@@ -91,6 +96,13 @@ class ComplexSpec:
                 "basic complexes over free modules are infinite in the d "
                 "direction; only their H^0 is exposed (invariants_h0)"
             )
+        entries = [p for row in self.algebra.table for vec in row for p in vec]
+        if self.module.is_free():
+            entries += [p for mat in self.module.action for row in mat for p in row]
+        names = parameter_names(entries)
+        if names:
+            raise UnsupportedComplex("the engine takes no named parameter; the "
+                                     f"brackets or the action use {', '.join(names)}")
 
     @property
     def scalar_quotient(self):
@@ -114,21 +126,17 @@ def basis_cochain(spec, q, pair):
     )
 
 
-def cochain_coords(c, placements):
-    """Coordinates {(shape, u): coeff} of a lam-only-valued skew cochain;
-    ``placements`` is the caller's placement memo (monomial_coordinates)."""
+def cochain_coords(sums, placements):
+    """Coordinates {(shape, u): coeff} of lam-only skew values given as
+    {sorted tuple: per component {(lam exponents, rest): coeff}}: the sums
+    of apply_differential, or a cochain through ``cochain._split_values``.
+    ``placements`` is the caller's placement memo (monomial_coordinates).
+    An element's pairs carry its tuple, so no (element, u) is read twice."""
     coords = {}
-    for t, vec in c.values.items():
-        for u, p in enumerate(vec):
-            if not p:
-                continue
-            for elem, coeff in monomial_coordinates(p, t, placements).items():
-                key = (elem, u)
-                prev = coords.get(key)
-                if prev is None:
-                    coords[key] = coeff
-                elif prev != coeff:
-                    raise AssertionError("inconsistent skew decomposition")
+    for t, comps in sums.items():
+        for u, terms in enumerate(comps):
+            for elem, coeff in monomial_coordinates(terms, t, placements).items():
+                coords[(elem, u)] = coeff
     return coords
 
 
@@ -197,7 +205,11 @@ def pair_degree(pair):
 
 
 def apply_differential(spec, c):
-    return d_basic(c) if spec.variant == BASIC else d_reduced(c)
+    """d(c) as the sums of ``cochain.lie_sums``; no Cochain or RatPoly."""
+    if c.variant != spec.variant:
+        raise ValueError(f"a {spec.variant} complex differentiates "
+                         f"{spec.variant} cochains, not {c.variant}")
+    return lie_sums(c)
 
 
 def _differential_image(spec, q, pair):
@@ -224,26 +236,27 @@ def _mult_coords(spec, q, pair):
     return coords
 
 
-def _restriction_coords(spec, c, memo):
-    """Coordinates of the value after lam1 := -a - lam2 - ... - lamq.
+def _restriction_coords(spec, sums, memo):
+    """Coordinates of the sums after lam1 := -a - lam2 - ... - lamq.
 
     Vanishing is equivalent to divisibility by (a + sum lam_i); keys are
     (tuple, u, exponents of lam2..lamq, other variables) and need not be
-    skew-decomposed.  ``memo`` keeps the restricted terms of each monomial
-    across calls.  The sums run on ints over one common denominator, the
-    lcm of each term's coefficient denominator times m^e for a = n/m and
-    lam1^e, and are divided by it once at the end.
+    skew-decomposed.  ``memo`` keeps the restricted terms of each (lam
+    exponents, rest) across calls.  The sums run on ints over one common
+    denominator, the lcm of each term's coefficient denominator times m^e
+    for a = n/m and lam1^e, and are divided by it once at the end.
     """
-    q = c.q
     terms = []
     den = 1
-    for t, vec in c.values.items():
-        for u, p in enumerate(vec):
-            for mono, coeff in p.terms.items():
-                image = memo.get((q, mono))
+    for t, comps in sums.items():
+        for u, comp in enumerate(comps):
+            for key, coeff in comp.items():
+                if not coeff:
+                    continue
+                image = memo.get(key)
                 if image is None:
-                    image = memo[(q, mono)] = _restrict_monomial(
-                        spec.module.del_scalar, q, mono)
+                    image = memo[key] = _restrict_monomial(
+                        spec.module.del_scalar, *key)
                 terms.append((t, u, coeff, image))
                 den = lcm(den, coeff.denominator * image[0])
     out = {}
@@ -262,29 +275,21 @@ def _restriction_coords(spec, c, memo):
     return out
 
 
-def _restrict_monomial(a, q, mono):
-    """(m^e, [(exponents of lam2..lamq, other variables, int coeff)]) of a
-    monomial after lam1 := -a - lam2 - ... - lamq, for a = n/m, expanded on
-    exponent vectors and times m^e:
+def _restrict_monomial(a, exps, rest):
+    """(m^e, [(exponents of lam2..lamq, rest, int coeff)]) of the monomial
+    with lam exponents ``exps`` after lam1 := -a - lam2 - ... - lamq, for
+    a = n/m, expanded on exponent vectors and times m^e:
     (-1)^e sum over k of e!/(k_0! ... k_{q-1}!) n^k_0 m^(e-k_0) lam2^k_1 ... lamq^k_{q-1}."""
-    exps = [0] * q
-    rest = []
-    for v, e in mono:
-        if is_lam(v):
-            exps[v[1] - 1] = e
-        else:
-            rest.append((v, e))
-    rest = tuple(rest)
     e, tail = exps[0], exps[1:]
     if not e:
-        return 1, ((tuple(tail), rest, 1),)
+        return 1, ((tail, rest, 1),)
     a = Fraction(a)
     n, m = a.numerator, a.denominator
     sign = -1 if e % 2 else 1
     return m ** e, tuple(
         (tuple(map(add, tail, k[1:])), rest,
          sign * mult * n ** k[0] * m ** (e - k[0]))
-        for k, mult in multinomials(q, e)
+        for k, mult in multinomials(len(exps), e)
         if n or not k[0]
     )
 
@@ -679,15 +684,15 @@ class VerifyResult:
 def verify_cocycle(spec, gamma):
     """Exact cocycle test and a window coboundary solve with witness."""
     dv = apply_differential(spec, gamma)
+    placements = {}
     if spec.scalar_quotient:
         is_cocycle = not _restriction_coords(spec, dv, {})
     else:
-        is_cocycle = dv.is_zero()
+        is_cocycle = not cochain_coords(dv, placements)
     if not is_cocycle:
         return VerifyResult(False, False)
     q = gamma.q
-    placements = {}
-    target = cochain_coords(gamma, placements)
+    target = cochain_coords(_split_values(gamma), placements)
     if not target:
         return VerifyResult(True, True, witness=None)
     bound = max(gamma.lam_degree(), 0) + _COBOUNDARY_SLACK

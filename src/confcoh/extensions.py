@@ -33,7 +33,7 @@ from .algebra import (
     check_skew_symmetry,
     first_failure,
 )
-from .cochain import REDUCED, Cochain
+from .cochain import REDUCED, Cochain, lam_terms
 from .errors import NotACocycle, NotReducedCocycle
 from .poly import (
     DEL,
@@ -62,19 +62,10 @@ def _on_section(p, swap, powers):
     powers[e] holds the terms of (-lam1 - d_M)^e."""
     sign = -1 if swap else 1
     out = {}
-    for mono, coeff in p.terms.items():
-        e1 = e2 = 0
-        rest = []
-        for v, e in mono:
-            if v == _LAM1:
-                e1 = e
-            elif v == _LAM2:
-                e2 = e
-            else:
-                rest.append((v, e))
+    for (e1, e2), rest, coeff in lam_terms(p, 2):
         if swap:
             e1, e2 = e2, e1
-        head = (((_LAM1, e1),) if e1 else ()) + tuple(rest)
+        head = (((_LAM1, e1),) if e1 else ()) + rest
         coeff = sign * coeff
         for mono2, coeff2 in powers[e2].items():
             key = _mono_mul(head, mono2)

@@ -53,6 +53,11 @@ def is_lam(v):
     return v[0] == _LAM
 
 
+def parameter_names(polys):
+    """The sorted names of the named parameters occurring in ``polys``."""
+    return sorted({v[1] for p in polys for v in p.variables() if v[0] == _PARAM})
+
+
 def var_name(v):
     kind, key = v
     if kind == _LAM:

@@ -102,21 +102,28 @@ def element_value(elem, q):
     return total
 
 
-def monomial_coordinates(value_poly, sorted_tuple, placements):
+def monomial_coordinates(terms, sorted_tuple, placements):
     """Decompose a skew value on a sorted tuple into basis coordinates.
 
-    Returns {element: coefficient}.  Monomials whose (gen, exp) pairs repeat
-    belong to no basis element and must carry coefficient zero; the redundant
-    reads of one element from its q! placements must agree (both are
-    asserted, catching non-skew input).  ``placements`` is the caller's memo
-    of the (element, sign) of each (tuple, monomial) read so far.
+    ``terms`` is the value as {(lam exponents, rest): coeff}, the format of
+    ``cochain._d_terms`` sums; their cancelled zeros are skipped, and a
+    nonzero term with a rest (d or a parameter) raises.  Returns {element:
+    coefficient}.  Exponent vectors whose (gen, exp) pairs repeat belong to
+    no basis element and must carry coefficient zero; the redundant reads
+    of one element from its q! placements must agree (both are asserted,
+    catching non-skew input).  ``placements`` is the caller's memo of the
+    (element, sign) of each (tuple, exponent vector) read so far.
     """
     coords = {}
-    for mono, coeff in value_poly.terms.items():
-        key = (sorted_tuple, mono)
+    for (exps, rest), coeff in terms.items():
+        if not coeff:
+            continue
+        if rest:
+            raise ValueError("slice values must only involve lam variables")
+        key = (sorted_tuple, exps)
         placed = placements.get(key)
         if placed is None:
-            placed = placements[key] = _placement(mono, sorted_tuple)
+            placed = placements[key] = _placement(exps, sorted_tuple)
         elem, sign = placed
         c = coeff if sign == 1 else -coeff
         prev = coords.get(elem)
@@ -127,15 +134,10 @@ def monomial_coordinates(value_poly, sorted_tuple, placements):
     return coords
 
 
-def _placement(mono, sorted_tuple):
-    """The basis element a lam monomial on a sorted tuple reads, and the
-    sign of the sort that places it."""
+def _placement(exps, sorted_tuple):
+    """The basis element an exponent vector on a sorted tuple reads, and
+    the sign of the sort that places it."""
     q = len(sorted_tuple)
-    exps = [0] * q
-    for v, e in mono:
-        if v[0] != 0:
-            raise ValueError("slice values must only involve lam variables")
-        exps[v[1] - 1] = e
     pairs = [(sorted_tuple[s], exps[s]) for s in range(q)]
     order = sorted(range(q), key=lambda s: pairs[s], reverse=True)
     elem = tuple(pairs[s] for s in order)

@@ -37,6 +37,7 @@ from confcoh.cochain import (
     HOCHSCHILD,
     REDUCED,
     Cochain,
+    _split_values,
     cyclic_symmetrize,
     d_basic,
     d_cyclic,
@@ -347,8 +348,8 @@ def test_criterion_07_current_sl2_modules(cur2, sl2_g):
                 apply_differential(spec, basis_cochain(spec, 0, pair)),
                 placements,
             ))
-    columns.append(cochain_coords(rep, placements))
-    sol = solve_columns(columns, cochain_coords(alpha, placements))
+    columns.append(cochain_coords(_split_values(rep), placements))
+    sol = solve_columns(columns, cochain_coords(_split_values(alpha), placements))
     assert sol is not None and sol.get(len(columns) - 1)
     _report(7, "dim H^n(Cur sl2, M_V(m)) = [m in {2n, 2(n-3)}] and the n=1 "
                "class matches the constructed cocycle")

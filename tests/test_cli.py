@@ -326,12 +326,28 @@ VIR_SPEC = {"generators": ["L"], "brackets": {"L,L": {"L": "d + 2*lam1"}}}
     json.dumps({"algebra": VIR_SPEC,
                 "module": {"kind": "free", "basis": ["v"],
                            "actions": {"L": ["x"]}}}),
+    # an entry in lam2 or above: the bracket failed skew-symmetry (exit 2);
+    # the action passed check and crashed betti with an IndexError
+    json.dumps({"algebra": {"generators": ["L"],
+                            "brackets": {"L,L": {"L": "lam3"}}}}),
+    json.dumps({"algebra": VIR_SPEC,
+                "module": {"kind": "free", "basis": ["v"],
+                           "actions": {"L": [["d + lam2"]]}}}),
+    # names that are not non-empty strings: no key can name them, yet they
+    # passed every check with exit 0
+    json.dumps({"algebra": {"generators": [1]}}),
+    json.dumps({"algebra": {"generators": [["L"]]}}),
+    json.dumps({"algebra": {"generators": ["L", ""]}}),
+    json.dumps({"algebra": VIR_SPEC,
+                "module": {"kind": "free", "basis": [2],
+                           "actions": {"L": [["d + lam1"]]}}}),
 ], ids=["invalid-json", "bracket-key-name", "bracket-key-comma",
         "bracket-output-name", "del-scalars-name", "actions-name",
         "actions-too-wide", "actions-too-small", "no-generators",
         "no-actions", "non-string-poly", "bracket-list", "repeated-generator",
         "empty-generators", "repeated-basis-name", "action-string",
-        "action-row-string"])
+        "action-row-string", "bracket-lam3", "action-lam2", "generator-int",
+        "generator-list", "generator-empty-string", "basis-name-int"])
 def test_malformed_spec_files_are_parse_failures(tmp_path, capsys, text):
     spec = tmp_path / "spec.json"
     spec.write_text(text)
@@ -352,6 +368,37 @@ def test_spec_file_generator_errors_name_the_file(tmp_path, capsys,
     code, out, err = run(capsys, "check", "--spec-file", str(spec))
     assert code == 3
     assert f"spec file {spec} {message}" in err
+
+
+def test_spec_file_entry_errors_name_the_entry(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"algebra": VIR_SPEC, "module": {
+        "kind": "free", "basis": ["v"], "actions": {"L": [["d + lam2"]]}}}))
+    for command in ("check", "betti"):
+        code, out, err = run(capsys, command, "--spec-file", str(spec))
+        assert code == 3
+        assert f"the action of 'L' in spec file {spec} uses lam2" in err
+
+
+@pytest.mark.parametrize("command, spec", [
+    # the CLI docstring's own example module
+    ("betti", {"algebra": VIR_SPEC, "module": {
+        "kind": "free", "basis": ["v"], "actions": {"L": [["d + alpha + lam1"]]}}}),
+    # a one-parameter family of Virasoro brackets, (1 + c) times Vir's
+    ("deform", {"algebra": {"generators": ["L"], "brackets": {
+        "L,L": {"L": "(1 + c)*d + 2*lam1 + 2*c*lam1"}}}}),
+])
+def test_named_parameters_pass_check_and_are_refused_by_the_engine(
+        tmp_path, capsys, command, spec):
+    # betti and deform crashed with a ValueError traceback (exit 1)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "check", "--spec-file", str(path))
+    assert code == 0 and err == ""
+    code, out, err = run(capsys, command, "--spec-file", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "named parameter" in err
 
 
 def _entries(value, args=("L", "L")):

@@ -1,5 +1,6 @@
 from itertools import product
 
+from confcoh.cochain import lam_terms
 from confcoh.poly import RatPoly, lam
 from confcoh.skew import (
     count_partitions_at_most,
@@ -12,6 +13,11 @@ from confcoh.skew import (
 
 
 L = [None] + [RatPoly.var(lam(i)) for i in range(1, 6)]
+
+
+def _terms(p, q):
+    """A degree-q value as monomial_coordinates reads it."""
+    return {(ev, rest): c for ev, rest, c in lam_terms(p, q)}
 
 
 def vandermonde(q):
@@ -90,7 +96,7 @@ def test_coordinates_round_trip():
     for q, d, g in [(1, 4, 2), (2, 3, 2), (3, 3, 1), (2, 4, 3)]:
         basis = skew_basis(q, d, g)
         for elem in basis.elements:
-            coords = monomial_coordinates(element_value(elem, q),
+            coords = monomial_coordinates(_terms(element_value(elem, q), q),
                                           element_tuple(elem), placements)
             assert coords == {elem: 1}
 
@@ -111,6 +117,6 @@ def test_brute_force_alternation_lands_in_span():
                 for t, val in out.items():
                     if val.is_zero():
                         continue
-                    coords = monomial_coordinates(val, t, {})
+                    coords = monomial_coordinates(_terms(val, q), t, {})
                     for elem in coords:
                         assert elem in lookup
