@@ -28,17 +28,23 @@ from .cochain import (
 )
 from .errors import DegreeZero, WrongContext
 from .poly import (
+    DEL,
     RatPoly,
     lam,
+    mat_add,
+    mat_apply,
+    mat_subst,
     param,
     vec_add,
     vec_is_zero,
     vec_scale,
+    vec_subst,
 )
 from .skew import signed_permutations
 
 EXT = param("mu")
 EXT_POLY = RatPoly.var(EXT)
+_SHIFT = {DEL: RatPoly.var(DEL) + EXT_POLY}
 
 
 def wedge(u, gamma):
@@ -118,6 +124,7 @@ def lie_theta(a, gamma):
     lams = [SlotParam(lam_var(s + 1), width) for s in range(n)]
     slots = [SlotParam(EXT_POLY + lam_var(i + 1), width) for i in range(n)]
     params = [lams[:i] + [slots[i]] + lams[i + 1:] for i in range(n)]
+    action = _element_action(M, a)
     feeds = {}
     values = {}
     for T in sorted_tuples(A.ngens, n):
@@ -128,11 +135,31 @@ def lie_theta(a, gamma):
                 feeds[key] = antilinear_feeds(brackets[T[i]], slots[i])
             gamma.add_inserted(acc, feeds[key], i, T[:i] + T[i + 1:],
                                params[i], scale=-1)
-        val = vec_add(M.act_element(a, EXT_POLY, gamma.value_on(T)),
-                      terms_to_vec(acc, width))
+        val = terms_to_vec(acc, width)
+        if action is not None:
+            shifted = vec_subst(gamma.value_on(T), _SHIFT)
+            val = vec_add(mat_apply(action, shifted), val)
         if not vec_is_zero(val):
             values[T] = val
     return Cochain(A, M, n, gamma.variant, values)
+
+
+def _element_action(module, a):
+    """The matrix sum_k a_k(d := -mu) A_k(lam1 := mu) of a_mu on a free
+    module, built once per call: a_mu v is this matrix applied to v with
+    d := d + mu (ConformalModule.act_element); None on a scalar module, where
+    the action is zero."""
+    if not module.is_free():
+        return None
+    total = None
+    for k, p in enumerate(a):
+        if not p:
+            continue
+        scal = p.substitute(DEL, -EXT_POLY)
+        mat = [[scal * x for x in row]
+               for row in mat_subst(module.action[k], {lam(1): EXT_POLY})]
+        total = mat if total is None else mat_add(total, mat)
+    return total
 
 
 def _require_rank_one_trivial(c):

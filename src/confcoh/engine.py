@@ -157,8 +157,8 @@ def coords_to_cochain(spec, q, coords):
 
 def cartan_weights(spec):
     """[(generator weights, module weights)] of each Cartan generator with a
-    nonzero weight; [] unless the algebra is a current Lie conformal algebra
-    (constant brackets, no torsion generator).
+    nonzero weight, ints where integral; [] unless the algebra is a current
+    Lie conformal algebra (constant brackets, no torsion generator).
 
     A generator h is Cartan when [h_lam x_j] = w_j x_j with constant w_j for
     every generator x_j and, on a free module, h acts by a constant diagonal
@@ -180,10 +180,11 @@ def cartan_weights(spec):
             if any(act[r][s] if r != s else not _constant(act[r][r])
                    for r in range(module.dim) for s in range(module.dim)):
                 continue
-            module_weights = tuple(act[u][u].const_value() for u in range(module.dim))
+            module_weights = tuple(exact(act[u][u].const_value())
+                                   for u in range(module.dim))
         else:
             module_weights = (0,) * module.dim
-        generator_weights = tuple(ad[j][j].const_value() for j in range(n))
+        generator_weights = tuple(exact(ad[j][j].const_value()) for j in range(n))
         if any(generator_weights) or any(module_weights):
             out.append((generator_weights, module_weights))
     return out
@@ -391,11 +392,12 @@ class SliceComplex:
         return self._quotients[key]
 
     def _graded_matrix(self, q, d, shift):
-        """Columns of the induced differential on quotient slices."""
+        """Columns of the induced differential on quotient slices; with no
+        quotient in the target they are the stored columns, ints kept."""
         reduced_out, pivots_out = self._quotient(q + 1, d + shift)
         pivots_in = set(self._quotient(q, d)[1])
         return [
-            linalg.reduce_mod_span(reduced_out, pivots_out, col)
+            linalg.reduce_mod_span(reduced_out, pivots_out, col) if pivots_out else col
             for pair, col in zip(self.pairs(q, d), self.columns(q, d))
             if pair not in pivots_in
         ]

@@ -1,46 +1,110 @@
 """Exact linear algebra over the rationals.
 
-Vectors are dicts {key: Fraction} with zero entries never stored; keys are
-arbitrary comparable hashables (slice-basis labels, column indices).  The
-elimination is ordered (columns processed in sorted key order) so reduced
+Vectors are dicts {key: int or Fraction} with zero entries never stored;
+keys are arbitrary comparable hashables (slice-basis labels, column indices).
+The elimination is ordered (columns processed in sorted key order) so reduced
 forms, kernels and solutions are deterministic, which the golden tests rely
-on.  A dense fraction-free (Bareiss) rank is kept alongside as the
-independent cross-check mandated for the rational elimination.
+on.
+
+Inputs may hold ints, Fractions or both.  The elimination runs on primitive
+integer rows: each input row is cleared of its denominators by their lcm and
+divided by the gcd of its entries (its content), and a pivot row p with pivot
+entry a clears the entry c of another row r by r := (a/g) r - (c/g) p,
+g = gcd(a, c), after which r is made primitive again.  The pivot rows are
+cleared at the later pivots once the forward pass is done, from the last row
+up, and the unit-pivot Fraction rows are built once, at the end.  The RREF
+of a span is unique, so the reduced rows, pivots, kernels, solutions and
+remainders are the values a Fraction elimination gives, and every vector
+returned holds Fractions.  Each reduced row carries its primitive integer
+form (``ReducedRow.ints``, pivot entry positive), which reduce_mod_span and a
+later sparse_rref of the same rows read instead of clearing the row again.
+
+A dense fraction-free (Bareiss) rank is kept alongside as the independent
+cross-check mandated for the rational elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-
-_ONE = Fraction(1)
+from math import gcd, lcm
 
 
-def vec_axpy(target, coeff, source):
-    """target += coeff * source, in place, dropping zeros."""
-    if not coeff:
-        return target
-    for k, c in source.items():
-        s = target.get(k)
-        if s is None:
-            target[k] = coeff * c
+class ReducedRow(dict):
+    """A reduced row {key: Fraction} with a unit pivot, carrying its primitive
+    integer multiple ``ints`` (the row times the lcm of its denominators)."""
+
+    __slots__ = ("ints",)
+
+
+def _cleared(row):
+    """(ints, den): the row times den, the lcm of its entries' denominators."""
+    den = 1
+    for c in row.values():
+        if c.denominator != 1:
+            den = lcm(den, c.denominator)
+    if den == 1:
+        return {k: c.numerator for k, c in row.items()}, 1
+    return {k: c.numerator * (den // c.denominator) for k, c in row.items()}, den
+
+
+def _primitive(row):
+    """A fresh primitive int multiple of a nonzero row."""
+    if isinstance(row, ReducedRow):
+        return dict(row.ints)
+    ints = _cleared(row)[0]
+    g = gcd(*ints.values())
+    return {k: c // g for k, c in ints.items()} if g != 1 else ints
+
+
+def _combine(r, s, t, p):
+    """s r - t p, dropping zeros; r is updated in place when s is 1."""
+    if s != 1:
+        r = {k: s * x for k, x in r.items()}
+    for k, x in p.items():
+        y = r.get(k)
+        if y is None:
+            r[k] = -t * x
         else:
-            s = s + coeff * c
-            if s:
-                target[k] = s
+            y -= t * x
+            if y:
+                r[k] = y
             else:
-                del target[k]
-    return target
+                del r[k]
+    return r
+
+
+def _eliminate(r, key, p, a):
+    """The primitive multiple of (a/g) r - (c/g) p, c = r[key] and
+    g = gcd(a, c), for a pivot row p with entry a at key; r may be updated in
+    place."""
+    c = r[key]
+    g = gcd(a, c)
+    r = _combine(r, a // g, c // g, p)
+    if r:
+        g = gcd(*r.values())
+        if g != 1:
+            r = {k: x // g for k, x in r.items()}
+    return r
+
+
+def _unit_row(ints, key):
+    """The Fraction row with a unit pivot at key, carrying ints."""
+    a = ints[key]
+    row = ReducedRow({k: Fraction(x, a) for k, x in ints.items()})
+    row.ints = ints
+    return row
 
 
 def sparse_rref(rows):
     """Ordered reduced row echelon form of dict-vectors.
 
-    Returns (reduced_rows, pivot_keys): nonzero rows with unit pivots, each
-    pivot key appearing in exactly one row, processed in sorted key order.
-    Entries may be int or Fraction; the reduced rows hold Fractions.
+    Returns (reduced_rows, pivot_keys): nonzero ReducedRows with unit pivots,
+    each pivot key appearing in exactly one row, processed in sorted key
+    order; among the rows holding a key, the shortest (the first of those)
+    is its pivot row.  Entries may be int or Fraction; the reduced rows hold
+    Fractions.
     """
-    work = [dict(r) for r in rows if r]
+    work = [_primitive(r) for r in rows if r]
     reduced = []
     pivots = []
     keys = sorted({k for r in work for k in r})
@@ -54,20 +118,24 @@ def sparse_rref(rows):
         if pivot_row is None:
             continue
         row = work.pop(pivot_row)
-        inv = _ONE / row[key]
-        row = {k: c * inv for k, c in row.items()}
-        for r in work:
-            c = r.get(key)
-            if c is not None:
-                vec_axpy(r, -c, row)
-        for r in reduced:
-            c = r.get(key)
-            if c is not None:
-                vec_axpy(r, -c, row)
+        a = row[key]
+        if a < 0:
+            row = {k: -x for k, x in row.items()}
+            a = -a
+        work = [_eliminate(r, key, row, a) if key in r else r for r in work]
         work = [r for r in work if r]
         reduced.append(row)
         pivots.append(key)
-    return reduced, pivots
+    # back substitution, from the last pivot row up: the rows below are
+    # reduced already, so clearing one pivot entry brings back no other
+    place = {key: i for i, key in enumerate(pivots)}
+    for i in range(len(reduced) - 2, -1, -1):
+        r = reduced[i]
+        for key in [k for k in r if place.get(k, i) > i]:
+            p = reduced[place[key]]
+            r = _eliminate(r, key, p, p[key])
+        reduced[i] = r
+    return [_unit_row(r, key) for r, key in zip(reduced, pivots)], pivots
 
 
 # rank and intersection_dim have no caller in src; they stay only because
@@ -78,13 +146,28 @@ def rank(rows):
 
 
 def reduce_mod_span(reduced_rows, pivots, vector):
-    """Remainder of vector modulo an already-reduced row space."""
-    v = dict(vector)
+    """Remainder of vector modulo an already-reduced row space.
+
+    reduced_rows and pivots are as sparse_rref returns them; the remainder is
+    computed in ints over one common denominator and holds Fractions.
+    """
+    v, den = _cleared(vector)
     for row, key in zip(reduced_rows, pivots):
         c = v.get(key)
-        if c is not None:
-            vec_axpy(v, -c, row)
-    return v
+        if c is None:
+            continue
+        ints = row.ints
+        a = ints[key]
+        g = gcd(a, c)
+        s = a // g
+        v = _combine(v, s, c // g, ints)
+        if s != 1:
+            den *= s
+            g = gcd(den, *v.values())
+            if g != 1:
+                v = {k: x // g for k, x in v.items()}
+                den //= g
+    return {k: Fraction(x, den) for k, x in v.items()}
 
 
 def kernel_of_columns(columns):
@@ -100,17 +183,14 @@ def kernel_of_columns(columns):
             row_map.setdefault(key, {})[j] = c
     reduced, pivots = sparse_rref(list(row_map.values()))
     pivot_set = set(pivots)
-    basis = []
-    for free in range(n):
-        if free in pivot_set:
-            continue
-        vec = {free: Fraction(1)}
-        for row, piv in zip(reduced, pivots):
-            c = row.get(free)
-            if c:
-                vec[piv] = -c
-        basis.append(vec)
-    return basis
+    basis = {free: {free: Fraction(1)}
+             for free in range(n) if free not in pivot_set}
+    for row, piv in zip(reduced, pivots):
+        # the other entries of a reduced row sit at free indices
+        for free, c in row.items():
+            if free != piv:
+                basis[free][piv] = -c
+    return list(basis.values())
 
 
 def solve_columns(columns, target):
