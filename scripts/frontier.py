@@ -9,8 +9,11 @@ checkout's src/)::
 It prints the provenance of the run, the table {(q, d): h} of the nonzero
 dimensions, and the seconds taken by graded_bidegree_dims alone (the
 algebra and module are built before the clock starts).  The expected table
-is {(4, 10): 1}.  Recorded runs sit beside this script: frontier_before.txt
-(Fraction elimination) and frontier_after.txt (integer elimination).
+is {(4, 10): 1}, which tests/test_engine.py also pins.  Recorded runs sit
+beside this script: frontier_before.txt (Fraction elimination),
+frontier_after.txt (integer elimination) and frontier_plans.txt (the
+differential's read plans and integer expansion tables, with basis columns
+built from their shapes; the parent's alternating timings in its header).
 """
 
 import os

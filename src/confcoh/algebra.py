@@ -70,8 +70,9 @@ class ConformalAlgebra:
                         vec[k] = vec[k].substitute(DEL, self.del_scalars[k])
                 row.append(tuple(vec))
             self.table.append(row)
-        # the Lie differential's bracket expansion table and the annihilation
-        # algebra's j-th products and level brackets, filled on use
+        # the differentials' read plans and bracket expansion table, and the
+        # annihilation algebra's j-th products and level brackets, filled on use
+        self._read_plans = {}
         self._bracket_expansions = {}
         self._jth_products = {}
         self._level_brackets = {}
@@ -115,7 +116,7 @@ class ConformalModule:
             self.del_scalar = Fraction(del_scalar if del_scalar is not None else 0)
         else:
             raise ValueError(f"unknown module kind {kind!r}")
-        # the Lie differential's action expansion table and the level
+        # the differentials' action expansion table and the level
         # module's j-th products, filled on use
         self._action_expansions = {}
         self._jth_products = {}

@@ -33,7 +33,7 @@ of a_lam v without the substitution d -> d + lam.  Every term is added into
 one {monomial: coeff} dict per component, each phi value read from the
 table with its sign; one RatPoly per component is built at the end.
 Neither term reads the expansion tables of the table-driven
-``cochain._d_terms``, so the comparison exercises two independent code
+``kernel._d_terms``, so the comparison exercises two independent code
 paths.
 """
 

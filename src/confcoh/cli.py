@@ -3,8 +3,10 @@
 Subcommands: check, betti, cartan, annih-compare, extend, deform.
 Exit codes: 0 ok, 1 computation warning (unstable truncation), 2 spec/axiom
 failure (including non-cocycle input), 3 parse failure (including a negative
-count such as --qmax -1, a malformed builtin spec such as ca:abc, and
-remark81 cocycles without an mu: module).
+count such as --qmax -1, a count with which a randomized suite checks
+nothing -- cartan --qmax 0, and --trials 0 for cartan, annih-compare and
+deform --, a malformed builtin spec such as ca:abc, and remark81 cocycles
+without an mu: module).
 Output is deterministic byte-for-byte for a fixed seed and spec.
 
 Builtin algebras: vir, cur:sl2, cur:sl3, cur:abelian:<n> (n >= 1).
@@ -602,6 +604,10 @@ def build_parser():
 
 # options that count something; a negative value is a parse failure
 _COUNT_OPTIONS = ("qmax", "bound", "trials", "levels", "degmax")
+# counts of a randomized suite that check nothing at 0 (cartan starts at
+# q = 1); deform reads --trials only without --cocycle
+_CHECKED_COUNTS = {"cartan": ("qmax", "trials"), "annih-compare": ("trials",),
+                   "deform": ("trials",)}
 
 
 def main(argv=None):
@@ -611,6 +617,11 @@ def main(argv=None):
         value = getattr(args, name, None)
         if value is not None and value < 0:
             return _fail(EXIT_PARSE, f"--{name} must be >= 0, got {value}")
+    if not getattr(args, "cocycle", None):
+        for name in _CHECKED_COUNTS.get(args.command, ()):
+            if getattr(args, name) == 0:
+                return _fail(EXIT_PARSE, f"--{name} 0 leaves {args.command} "
+                                         "nothing to check; give at least 1")
     try:
         return args.fn(args)
     except ParseError as exc:

@@ -22,33 +22,15 @@ Variants:
   shift of the n+1 arguments.
 * ``leibniz`` -- no symmetry constraint.
 
-Every differential is built from three kinds of term, each with a
-position and a sign: a generator acting on the value at the other slots
-from the left, or (Hochschild) from the right, and a product of two
-arguments fed into one slot.  One kernel, ``_d_terms``, enumerates all
-three; each variant supplies its list of actions and products.  The kernel
-is table-driven.  Two expansion tables are filled lazily, on first use,
-and kept on the algebra and on the module:
-
-* bracket: table[a][b][k](x, d := -(x+y)) * (x+y)^e -- the bracket fed
-  into a slot at parameter x+y, times that slot's lam^e in the value;
-* action, keyed by side: action[g][r][u](x, d) * (d + x)^m on the left,
-  right_action[g][r][u](lam1 := -d - x, d) * (d + x)^m on the right --
-  the sesquilinear shift of a value's d^m under the action at parameter x.
-
-One term format runs from the input values to the elimination: per
-tuple, one {(lam exponents, rest): coeff} dict per component, rest being
-the monomial in d and the named parameters.  Each value of the input is
-split once into it (``_split_values``); every term of the differential is
-a table lookup added into dicts of the same format, the kernel's sums,
-which keep cancelled entries as zeros.  Integral coefficients stay Python
-ints.  The engine reads the sums of ``lie_sums`` directly; the
-differentials build RatPoly values from them (``terms_to_vec``), where
-coefficients become Fractions, so ``RatPoly.terms`` keeps its {monomial:
-Fraction} contract.  Both reduced variants cut d := -(lam1 + ... +
-lam_{q+1}) on the sums, through the multinomial table of
-``poly.multinomials`` (``_cut_del``); parameters such as mu stay in each
-term's rest.
+Every differential runs the one kernel of ``kernel``: each variant names
+its kind of read plan, and the kernel adds the terms of d into per-tuple,
+per-component {(lam exponents, rest): coeff} dicts, its sums, with rest the
+monomial in d and the named parameters and coefficients Python ints where
+integral.  Each value of the input is split once into that format
+(``_split_values``).  The engine hands a basis shape's terms to
+``lie_term_sums`` and reads the sums directly; the differentials build
+RatPoly values from them (``terms_to_vec``), where coefficients become
+Fractions, so ``RatPoly.terms`` keeps its {monomial: Fraction} contract.
 
 Slot insertion (``slot_insert``, ``value_with_params``, and the calculus
 through ``add_inserted``) and the annihilation phi table read the same
@@ -68,14 +50,23 @@ from itertools import combinations_with_replacement, product
 from operator import add
 
 from .errors import ParseError, WrongModuleKind
+from .kernel import (
+    CYCLIC,
+    HOCHSCHILD,
+    LEIBNIZ,
+    LIE,
+    _cut_del,
+    _d_terms,
+    _split_del,
+    lam_terms,
+    read_plan,
+)
 from .poly import (
     DEL,
     RatPoly,
     _mono_mul,
-    exact,
     is_lam,
     lam,
-    multinomials,
     parse_poly,
     vec_add,
     vec_is_zero,
@@ -87,10 +78,7 @@ from .skew import element_tuple, element_value, permutation_sign, skew_basis
 
 BASIC = "basic"
 REDUCED = "reduced"
-HOCHSCHILD = "hochschild"
 HOCHSCHILD_REDUCED = "hochschild_reduced"
-CYCLIC = "cyclic"
-LEIBNIZ = "leibniz"
 VARIANTS = (BASIC, REDUCED, HOCHSCHILD, HOCHSCHILD_REDUCED, CYCLIC, LEIBNIZ)
 
 _SKEW_VARIANTS = (BASIC, REDUCED)
@@ -392,32 +380,6 @@ def lam_count(polys):
                default=0)
 
 
-def lam_terms(poly, n):
-    """The terms of poly, whose lam indices must be at most n."""
-    out = []
-    for mono, coeff in poly.terms.items():
-        ev = [0] * n
-        rest = []
-        for v, e in mono:
-            if is_lam(v):
-                if v[1] > n:
-                    raise ValueError(
-                        f"a degree-{n} cochain value uses lam{v[1]}"
-                    )
-                ev[v[1] - 1] = e
-            else:
-                rest.append((v, e))
-        out.append((tuple(ev), tuple(rest), exact(coeff)))
-    return out
-
-
-def _split_del(rest):
-    """(exponent of d, the rest without d) of a term's rest monomial."""
-    if rest and rest[0][0] == DEL:
-        return rest[0][1], rest[1:]
-    return 0, rest
-
-
 def unit_terms(n):
     return [((0,) * n, (), 1)]
 
@@ -488,89 +450,7 @@ def terms_to_vec(acc, n):
                  for comp in acc)
 
 
-# -- the differentials: one term enumerator ------------------------------------
-
-
-def _nonzero_bracket_pairs(algebra):
-    """{output generator: [(i, j) with nonzero bracket component]}; cached."""
-    cache = getattr(algebra, "_nonzero_pairs", None)
-    if cache is None:
-        n = algebra.ngens
-        cache = {k: [] for k in range(n)}
-        for i in range(n):
-            for j in range(n):
-                vec = algebra.table[i][j]
-                for k in range(n):
-                    if vec[k]:
-                        cache[k].append((i, j))
-        algebra._nonzero_pairs = cache
-    return cache
-
-
-def _candidates(c, module_acts):
-    """Output tuples that can receive a nonzero term of d(c).
-
-    Ordered tuples: a generator inserted anywhere (the actions) and a pair
-    (a, b) with a nonzero [a_lam b] component k replacing a stored k, a in
-    front of b (the products); sorted for skew storage.
-    """
-    A = c.algebra
-    pairs_for = _nonzero_bracket_pairs(A)
-    skew = c.variant in _SKEW_VARIANTS
-    candidates = set()
-    for key in c.values:
-        q = len(key)
-        # a skew candidate is sorted, so one insertion position stands for all
-        if module_acts:
-            for g in range(A.ngens):
-                for i in range(1 if skew else q + 1):
-                    candidates.add(key[:i] + (g,) + key[i:])
-        for p in range(q):
-            for (a, b) in pairs_for[key[p]]:
-                rest = key[:p] + (b,) + key[p + 1:]
-                for i in range(1 if skew else p + 1):
-                    candidates.add(rest[:i] + (a,) + rest[i:])
-    if skew:
-        candidates = {tuple(sorted(T)) for T in candidates}
-    return sorted(candidates)
-
-
-def _bracket_expansion(algebra, a, b, k, e):
-    """[(ex, ey, rest, coeff)]: table[a][b][k](x, d := -(x+y)) * (x+y)^e.
-
-    x and y are the parameters of the two bracketed slots; rest is the
-    monomial of the named parameters.
-    """
-    cache = algebra._bracket_expansions
-    key = (a, b, k, e)
-    terms = cache.get(key)
-    if terms is None:
-        x, y = lam_var(1), lam_var(2)
-        poly = algebra.table[a][b][k].substitute(DEL, -(x + y))
-        terms = cache[key] = [(ex, ey, rest, c) for (ex, ey), rest, c
-                              in lam_terms(poly * (x + y) ** e, 2)]
-    return terms
-
-
-def _action_expansion(module, right, g, r, u, m):
-    """[(ex, ed, rest, coeff)]: action[g][r][u](x, d) * (d + x)^m, or,
-    on the right, right_action[g][r][u](lam1 := -d - x, d) * (d + x)^m.
-
-    The sesquilinear shift of a value term d^m under the action at slot
-    parameter x.
-    """
-    cache = module._action_expansions
-    key = (right, g, r, u, m)
-    terms = cache.get(key)
-    if terms is None:
-        x = lam_var(1)
-        if right:
-            poly = module.right_action[g][r][u].substitute(lam(1), -_DELP - x)
-        else:
-            poly = module.action[g][r][u]
-        terms = cache[key] = [(ex, *_split_del(rest), c) for (ex,), rest, c
-                              in lam_terms(poly * (_DELP + x) ** m, 1)]
-    return terms
+# -- the differentials: every variant through the kernel -----------------------
 
 
 def _split_values(c):
@@ -579,103 +459,6 @@ def _split_values(c):
     return {t: [{(ev, rest): coeff for ev, rest, coeff in lam_terms(p, c.q)}
                 for p in vec]
             for t, vec in c.values.items()}
-
-
-def _d_terms(c, outputs, actions, products):
-    """The sums of d(c) on ``outputs``, from three kinds of term: per output
-    tuple, one {(lam exponents, rest): coeff} accumulator per component.
-
-    * (i, sign, right): the generator T[i] acting at lam_{i+1} on the value
-      at the other slots, which read lam_1..lam_{i}, lam_{i+2}.. in order;
-      through ``module.action`` on the left, or ``module.right_action`` on
-      the right;
-    * (i, j, pos, sign): [T[i]_lam_{i+1} T[j]] fed into slot ``pos`` of
-      the other arguments (kept in order) at lam_{i+1} + lam_{j+1}; skew
-      values are read on the sorted tuple with the permutation's parity,
-      all others as they are stored.
-
-    Table-driven: every term is expanded through the cached tables above
-    and added straight into the accumulators, whose coefficients stay int
-    where integral and may cancel to zero; ``_d_values`` turns them into
-    RatPoly values.
-    """
-    A, M, q = c.algebra, c.module, c.q
-    out_q = q + 1
-    split = _split_values(c)
-    skew = c.variant in _SKEW_VARIANTS
-    dim = M.dim
-    layouts = []
-    for i, j, pos, psign in products:
-        others = [s for s in range(out_q) if s != i and s != j]
-        # output slot read by each slot of the fed tuple; None: the bracket
-        slots = others[:pos] + [None] + others[pos:]
-        layouts.append((i, j, pos, psign, others, slots))
-    sums = {}
-    for T in outputs:
-        acc = [{} for _ in range(dim)]
-        for i, sign, right in actions:
-            inner = split.get(T[:i] + T[i + 1:])
-            if inner is None:
-                continue
-            g = T[i]
-            row = (M.right_action if right else M.action)[g]
-            for r in range(dim):
-                for u in range(dim):
-                    if not row[r][u]:
-                        continue
-                    comp = acc[r]
-                    for (ev, rest), coeff in inner[u].items():
-                        m, params = _split_del(rest)
-                        coeff *= sign
-                        head, tail = ev[:i], ev[i:]
-                        for ex, ed, hrest, hc in _action_expansion(
-                            M, right, g, r, u, m
-                        ):
-                            rest = _mono_mul(params, hrest) if hrest else params
-                            if ed:
-                                rest = ((DEL, ed),) + rest
-                            key = (head + (ex,) + tail, rest)
-                            comp[key] = comp.get(key, 0) + coeff * hc
-        for i, j, pos, psign, others, slots in layouts:
-            a, b = T[i], T[j]
-            br = A.table[a][b]
-            rest_gens = tuple(T[s] for s in others)
-            for k in range(A.ngens):
-                if not br[k]:
-                    continue
-                t = rest_gens[:pos] + (k,) + rest_gens[pos:]
-                if skew:
-                    perm = sorted(range(q), key=lambda s: (t[s], s))
-                    inner = split.get(tuple(t[p] for p in perm))
-                else:
-                    perm = range(q)
-                    inner = split.get(t)
-                if inner is None:
-                    continue
-                sign = permutation_sign(perm) * psign
-                # stored lam_{s+1} reads slot perm[s] of t
-                bslot = perm.index(pos)
-                targets = [
-                    (s, slots[p]) for s, p in enumerate(perm) if p != pos
-                ]
-                for u in range(dim):
-                    comp = acc[u]
-                    for (ev, rest), coeff in inner[u].items():
-                        coeff *= sign
-                        lv = [0] * out_q
-                        for s, o in targets:
-                            lv[o] = ev[s]
-                        for ex, ey, grest, gc in _bracket_expansion(
-                            A, a, b, k, ev[bslot]
-                        ):
-                            lv[i] = ex
-                            lv[j] = ey
-                            key = (tuple(lv),
-                                   _mono_mul(rest, grest) if grest else rest)
-                            comp[key] = comp.get(key, 0) + coeff * gc
-        if any(acc):
-            sums[T] = acc
-    return sums
 
 
 def _d_values(sums, out_q):
@@ -688,53 +471,29 @@ def _d_values(sums, out_q):
     return values
 
 
-def _cut_del(sums, out_q):
-    """``_d_terms`` sums with d := -(lam_1 + ... + lam_{out_q}), expanded
-    through the multinomial table; parameters stay in each term's rest."""
-    out = {}
-    for T, acc in sums.items():
-        out[T] = cut = [{} for _ in acc]
-        for comp, new in zip(acc, cut):
-            for (ev, rest), coeff in comp.items():
-                if not (rest and rest[0][0] == DEL):
-                    key = (ev, rest)
-                    new[key] = new.get(key, 0) + coeff
-                    continue
-                m, rest = rest[0][1], rest[1:]
-                if m % 2:
-                    coeff = -coeff
-                for k, mult in multinomials(out_q, m):
-                    key = (tuple(map(add, ev, k)), rest)
-                    new[key] = new.get(key, 0) + coeff * mult
-    return out
-
-
-def _actions(c):
-    """(i, (-1)^i) at every output slot, on the left, over a free module."""
-    if not c.module.is_free():
-        return []
-    return [(i, -1 if i % 2 else 1, False) for i in range(c.q + 1)]
-
-
-def _d_lie(c):
+def _d_lie(algebra, module, q, split):
     """The two-sum differential, on representatives for either Lie variant:
-    the actions, and every bracket [T[i]_lam_{i+1} T[j]] (i < j) fed into
-    the first slot with sign (-1)^(i+j); ``_d_terms`` sums."""
-    out_q = c.q + 1
-    products = [(i, j, 0, -1 if (i + j) % 2 else 1)
-                for i in range(out_q) for j in range(i + 1, out_q)]
-    return _d_terms(c, _candidates(c, c.module.is_free()), _actions(c),
-                    products)
+    over a free module the actions at every output slot i, on the left,
+    with sign (-1)^i, and every bracket [T[i]_lam_{i+1} T[j]] (i < j) fed
+    into the first slot with sign (-1)^(i+j); ``_d_terms`` sums."""
+    return _d_terms(algebra, module,
+                    read_plan(algebra, LIE, q, module.is_free()), split)
 
 
 def lie_sums(c):
-    """The ``_d_terms`` sums of d(c) for either Lie variant.  A reduced
-    cochain is lifted to the basic complex, differentiated and returned to
-    representatives: over a free module, d := -(lam1+...+lam_{q+1}) is cut
-    on the sums."""
-    sums = _d_lie(c)
-    if c.variant == REDUCED and c.module.is_free():
-        sums = _cut_del(sums, c.q + 1)
+    """``lie_term_sums`` of the cochain's values."""
+    return lie_term_sums(c.algebra, c.module, c.q, c.variant, _split_values(c))
+
+
+def lie_term_sums(algebra, module, q, variant, split):
+    """The ``_d_terms`` sums of d for either Lie variant, on degree-q values
+    in the split format ({sorted tuple: per component {(lam exponents,
+    rest): coeff}}).  A reduced cochain is lifted to the basic complex,
+    differentiated and returned to representatives: over a free module,
+    d := -(lam1+...+lam_{q+1}) is cut on the sums."""
+    sums = _d_lie(algebra, module, q, split)
+    if variant == REDUCED and module.is_free():
+        sums = _cut_del(sums, q + 1)
     return sums
 
 
@@ -787,9 +546,7 @@ def d_hochschild(c):
     if M.right_action is None:
         raise WrongModuleKind("Hochschild cochains need a bimodule")
     out_q = q + 1
-    actions = [(0, 1, False), (q, -1 if out_q % 2 else 1, True)]
-    products = [(s, s + 1, s, -1 if (s + 1) % 2 else 1) for s in range(q)]
-    sums = _d_terms(c, _candidates(c, True), actions, products)
+    sums = _d_terms(A, M, read_plan(A, HOCHSCHILD, q, True), _split_values(c))
     if c.variant == HOCHSCHILD_REDUCED:
         sums = _cut_del(sums, out_q)
     return c.copy_with(values=_d_values(sums, out_q), q=out_q)
@@ -804,10 +561,8 @@ def d_cyclic(c):
     A, q = c.algebra, c.q
     if not A.associative:
         raise ValueError("cyclic differential needs an associative algebra")
-    products = [(s, s + 1, s, -1 if s % 2 else 1) for s in range(q)]
-    products.append((q, 0, 0, -1 if q % 2 else 1))
-    values = _d_values(_d_terms(c, all_tuples(A.ngens, q + 1), [], products),
-                       q + 1)
+    values = _d_values(_d_terms(A, c.module, read_plan(A, CYCLIC, q, False),
+                                _split_values(c)), q + 1)
     return c.copy_with(values=values, q=q + 1)
 
 
@@ -815,10 +570,9 @@ def d_leibniz(c):
     """The actions of d_basic, and [T[i]_lam_{i+1} T[j]] (i < j) fed into
     the slot of T[j] with sign (-1)^(i+1)."""
     out_q = c.q + 1
-    products = [(i, j, j - 1, -1 if (i + 1) % 2 else 1)
-                for i in range(out_q) for j in range(i + 1, out_q)]
-    values = _d_values(_d_terms(c, _candidates(c, c.module.is_free()),
-                                _actions(c), products), out_q)
+    plan = read_plan(c.algebra, LEIBNIZ, c.q, c.module.is_free())
+    values = _d_values(_d_terms(c.algebra, c.module, plan, _split_values(c)),
+                       out_q)
     return c.copy_with(values=values, q=out_q)
 
 

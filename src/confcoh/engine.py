@@ -11,10 +11,12 @@ SliceComplex, made for that call.  The store fills each bidegree (q, d) on
 first read and keeps its basis pairs and its differential columns, plus, for
 scalar-coefficient reduced complexes, the rows of the (a + sum lam_i) image
 and the columns restricted to the hyperplane sum lam_i = -a.  No slice map
-builds a Cochain or a RatPoly per column.  apply_differential returns the
-differential kernel's sums ({output tuple: per component {(lam exponents,
-rest): coeff}}, int where integral, cancelled entries kept as zeros);
-cochain_coords reads them, taking each exponent vector's (basis element,
+builds a Cochain or a RatPoly per column: a column's input is its shape's
+terms (skew.element_terms) in one component, fed to the differential kernel
+(cochain.lie_term_sums).  The kernel's sums ({output tuple: per component
+{(lam exponents, rest): coeff}}, int where integral, cancelled entries kept
+as zeros), which apply_differential also returns for a Cochain, are read by
+cochain_coords, taking each exponent vector's (basis element,
 sign) from a placement memo kept by the store (assemble and verify_cocycle
 keep one per call).  The (a + sum lam_i) rows read a on the pair and raise
 one slot's exponent per term, and the restriction expands lam1^e := (-a -
@@ -68,15 +70,16 @@ from math import lcm
 from operator import add
 
 from . import linalg
-from .cochain import BASIC, REDUCED, Cochain, _split_values, lie_sums
+from .cochain import (BASIC, REDUCED, Cochain, _split_values, lie_sums,
+                      lie_term_sums)
 # no caller here; bench/tracer.py wraps this binding by name (bench/test_bench.py)
 from .cochain import d_basic  # noqa: F401
 from .errors import NotEquivariant, UnstableTruncation, UnsupportedComplex
 from .liealg import check_equivariant, sym_power_rep, adjoint_rep
 from .poly import (RatPoly, exact, lam, multinomials, parameter_names,
                    vec_is_zero)
-from .skew import (element_tuple, element_value, monomial_coordinates,
-                   permutation_sign, skew_basis)
+from .skew import (element_terms, element_tuple, element_value,
+                   monomial_coordinates, permutation_sign, skew_basis)
 
 
 @dataclass(frozen=True)
@@ -214,7 +217,13 @@ def apply_differential(spec, c):
 
 
 def _differential_image(spec, q, pair):
-    return apply_differential(spec, basis_cochain(spec, q, pair))
+    """The sums of d on a basis pair, fed to the kernel as the shape's terms
+    (``skew.element_terms``) in component u: no Cochain or RatPoly."""
+    elem, u = pair
+    comps = [{} for _ in range(spec.module.dim)]
+    comps[u] = element_terms(elem, q)
+    return lie_term_sums(spec.algebra, spec.module, q, spec.variant,
+                         {element_tuple(elem): comps})
 
 
 def _mult_coords(spec, q, pair):

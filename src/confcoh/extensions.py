@@ -33,8 +33,9 @@ from .algebra import (
     check_skew_symmetry,
     first_failure,
 )
-from .cochain import REDUCED, Cochain, lam_terms
+from .cochain import REDUCED, Cochain
 from .errors import NotACocycle, NotReducedCocycle
+from .kernel import lam_terms
 from .poly import (
     DEL,
     RatPoly,

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-from .poly import RatPoly, lam
+from .poly import RatPoly, from_terms, lam
 
 _PERM_CACHE = {}
 
@@ -86,27 +86,41 @@ def element_tuple(elem):
     return tuple(sorted(k for k, _ in elem))
 
 
-def element_value(elem, q):
-    """Value polynomial of the antisymmetrized basis element on its sorted tuple."""
-    if q == 0:
-        return RatPoly.const(1)
+def element_terms(elem, q):
+    """The value of the antisymmetrized basis element on its sorted tuple, as
+    {(lam exponents, ()): sign}, the term format of ``kernel._d_terms``.
+
+    The walk over placements: each permutation that puts the element's
+    pairs on slots of their own generator places exponent elem[s][1] on
+    slot perm[s], with the permutation's sign.  S_0 has one placement, the
+    empty one, so q = 0 gives {((), ()): 1}.
+    """
     t = element_tuple(elem)
-    total = RatPoly.zero()
+    terms = {}
     for perm, sign in signed_permutations(q):
         if any(t[perm[s]] != elem[s][0] for s in range(q)):
             continue
-        mono = tuple(
-            sorted((lam(perm[s] + 1), elem[s][1]) for s in range(q) if elem[s][1])
-        )
-        total = total + RatPoly({mono: sign})
-    return total
+        exps = [0] * q
+        for s in range(q):
+            exps[perm[s]] = elem[s][1]
+        key = (tuple(exps), ())
+        terms[key] = terms.get(key, 0) + sign
+    return {key: c for key, c in terms.items() if c}
+
+
+def element_value(elem, q):
+    """Value polynomial of the antisymmetrized basis element on its sorted
+    tuple: ``element_terms`` as a RatPoly."""
+    lams = [lam(s + 1) for s in range(q)]
+    return from_terms({tuple((lams[s], e) for s, e in enumerate(exps) if e): c
+                       for (exps, _), c in element_terms(elem, q).items()})
 
 
 def monomial_coordinates(terms, sorted_tuple, placements):
     """Decompose a skew value on a sorted tuple into basis coordinates.
 
     ``terms`` is the value as {(lam exponents, rest): coeff}, the format of
-    ``cochain._d_terms`` sums; their cancelled zeros are skipped, and a
+    ``kernel._d_terms`` sums; their cancelled zeros are skipped, and a
     nonzero term with a rest (d or a parameter) raises.  Returns {element:
     coefficient}.  Exponent vectors whose (gen, exp) pairs repeat belong to
     no basis element and must carry coefficient zero; the redundant reads

@@ -190,6 +190,34 @@ def test_negative_counts_are_parse_failures(capsys, argv, flag):
     assert flag in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("cartan", "--algebra", "cur:sl2", "--qmax", "0"), "--qmax"),
+    (("cartan", "--algebra", "cur:sl2", "--trials", "0"), "--trials"),
+    (("annih-compare", "--algebra", "vir", "--trials", "0"), "--trials"),
+    (("deform", "--algebra", "vir", "--trials", "0"), "--trials"),
+])
+def test_counts_that_check_nothing_are_parse_failures(capsys, argv, flag):
+    # each printed "ok": true (or "deformation-roundtrip": true) and exited
+    # 0 with checked, tuples or trials equal to 0
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert flag in err and "nothing to check" in err
+
+
+def test_zero_counts_that_still_check_something(tmp_path, capsys):
+    # annih-compare checks q = 0 at --qmax 0; deform --cocycle reads no --trials
+    code, out, _ = run(capsys, "annih-compare", "--algebra", "vir", "--qmax",
+                       "0", "--levels", "1", "--trials", "1")
+    assert code == 0 and json.loads(out)["tuples"] > 0
+    path = tmp_path / "cocycle.json"
+    path.write_text(json.dumps({"variant": "reduced", "q": 2, "entries": [
+        {"args": ["L", "L"], "value": {"L": "lam1 - lam2"}}]}))
+    code, out, _ = run(capsys, "deform", "--algebra", "vir", "--cocycle",
+                       str(path), "--trials", "0")
+    assert code == 0 and json.loads(out) == {"deformation": "valid"}
+
+
 @pytest.mark.parametrize("argv, needle", [
     (("betti", "--algebra", "vir", "--module", "ca:abc"), "'abc'"),
     (("betti", "--algebra", "vir", "--module", "ca:1/0"), "'1/0'"),

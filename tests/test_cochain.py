@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from confcoh.algebra import (
+    ConformalAlgebra,
     ConformalModule,
     build_current,
     build_m_delta_alpha,
@@ -23,6 +24,7 @@ from confcoh.cochain import (
     REDUCED,
     Cochain,
     _d_lie,
+    _split_values,
     _d_values,
     all_tuples,
     as_leibniz,
@@ -37,6 +39,7 @@ from confcoh.cochain import (
     del_action,
     differential,
     lam_sum,
+    lam_terms,
     lam_var,
     random_plain_cochain,
     random_skew_cochain,
@@ -44,11 +47,21 @@ from confcoh.cochain import (
     sorted_tuples,
 )
 from confcoh.errors import WrongModuleKind
+from confcoh.kernel import (
+    LIE,
+    _action_expansion,
+    _bracket_expansion,
+    _d_terms,
+    _nonzero_bracket_pairs,
+    _split_del,
+    read_plan,
+)
 from confcoh.extensions import extend_algebra
 from confcoh.liealg import adjoint_rep, sl2, sl2_irrep, sl3
 from confcoh.poly import (
     DEL,
     RatPoly,
+    _mono_mul,
     lam,
     mat_apply,
     mat_subst,
@@ -59,7 +72,7 @@ from confcoh.poly import (
     vec_subst,
     zero_vec,
 )
-from confcoh.skew import skew_basis
+from confcoh.skew import permutation_sign, skew_basis
 
 D = RatPoly.var(DEL)
 L1, L2, L3 = (RatPoly.var(lam(i)) for i in (1, 2, 3))
@@ -302,8 +315,14 @@ def _assert_equal_exactly(got, want):
     return int(bool(got))
 
 
+def _lie_values(c):
+    """d of c through the read plan, before any reduced cut, as values."""
+    return _d_values(_d_lie(c.algebra, c.module, c.q, _split_values(c)),
+                     c.q + 1)
+
+
 def _assert_matches_oracle(c):
-    _assert_equal_exactly(_d_values(_d_lie(c), c.q + 1), _d_lie_oracle(c))
+    _assert_equal_exactly(_lie_values(c), _d_lie_oracle(c))
 
 
 def _oracle_fixtures():
@@ -375,7 +394,7 @@ def test_table_driven_d_lie_matches_oracle_with_parameters():
 def _d_reduced_oracle(c):
     """The former d_reduced: the differential's values, then the cut
     d := -(lam1 + ... + lam_{q+1}) by RatPoly substitution."""
-    values = _d_values(_d_lie(c), c.q + 1)
+    values = _lie_values(c)
     if c.module.is_free():
         cut = {DEL: -lam_sum(c.q + 1)}
         values = {t: vec_subst(v, cut) for t, v in values.items()}
@@ -682,6 +701,312 @@ def test_d_cyclic_matches_oracle(mat2_current):
                         d_cyclic(gamma).values, _d_cyclic_oracle(gamma).values
                     )
     assert nonzero > 20
+
+
+# -- the read plan and the expansion tables against their former bodies --------
+#
+# The former kernel recomputed, per cochain and per output tuple, the read
+# tuples, the sort permutations, their signs and the candidate outputs, and
+# filled its expansion tables through RatPoly substitution and powers.  Those
+# bodies are kept here as exact oracles, with their own caches.
+
+_ORACLE_TABLES = {}
+
+
+def _bracket_expansion_oracle(algebra, a, b, k, e):
+    """table[a][b][k](x, d := -(x+y)) * (x+y)^e through RatPoly."""
+    key = (algebra, a, b, k, e)
+    if key not in _ORACLE_TABLES:
+        x, y = lam_var(1), lam_var(2)
+        poly = algebra.table[a][b][k].substitute(DEL, -(x + y))
+        _ORACLE_TABLES[key] = [(ex, ey, rest, c) for (ex, ey), rest, c
+                               in lam_terms(poly * (x + y) ** e, 2)]
+    return _ORACLE_TABLES[key]
+
+
+def _action_expansion_oracle(module, right, g, r, u, m):
+    """action[g][r][u](x, d) * (d + x)^m, or right_action[g][r][u](lam1 :=
+    -d - x, d) * (d + x)^m, through RatPoly."""
+    key = (module, right, g, r, u, m)
+    if key not in _ORACLE_TABLES:
+        x = lam_var(1)
+        if right:
+            poly = module.right_action[g][r][u].substitute(lam(1), -D - x)
+        else:
+            poly = module.action[g][r][u]
+        _ORACLE_TABLES[key] = [(ex, *_split_del(rest), c) for (ex,), rest, c
+                               in lam_terms(poly * (D + x) ** m, 1)]
+    return _ORACLE_TABLES[key]
+
+
+def _candidates_oracle(c, module_acts):
+    """The former candidate outputs of d(c), rebuilt for every cochain."""
+    A = c.algebra
+    pairs_for = _nonzero_bracket_pairs(A)
+    skew = c.variant in (BASIC, REDUCED)
+    candidates = set()
+    for key in c.values:
+        q = len(key)
+        if module_acts:
+            for g in range(A.ngens):
+                for i in range(1 if skew else q + 1):
+                    candidates.add(key[:i] + (g,) + key[i:])
+        for p in range(q):
+            for (a, b) in pairs_for[key[p]]:
+                rest = key[:p] + (b,) + key[p + 1:]
+                for i in range(1 if skew else p + 1):
+                    candidates.add(rest[:i] + (a,) + rest[i:])
+    if skew:
+        candidates = {tuple(sorted(T)) for T in candidates}
+    return sorted(candidates)
+
+
+def _d_terms_oracle(c, outputs, actions, products):
+    """The former _d_terms body: per output tuple, the read tuples, sort
+    permutations, signs and slot lists are recomputed for every cochain."""
+    A, M, q = c.algebra, c.module, c.q
+    out_q = q + 1
+    split = _split_values(c)
+    skew = c.variant in (BASIC, REDUCED)
+    dim = M.dim
+    layouts = []
+    for i, j, pos, psign in products:
+        others = [s for s in range(out_q) if s != i and s != j]
+        slots = others[:pos] + [None] + others[pos:]
+        layouts.append((i, j, pos, psign, others, slots))
+    sums = {}
+    for T in outputs:
+        acc = [{} for _ in range(dim)]
+        for i, sign, right in actions:
+            inner = split.get(T[:i] + T[i + 1:])
+            if inner is None:
+                continue
+            g = T[i]
+            row = (M.right_action if right else M.action)[g]
+            for r in range(dim):
+                for u in range(dim):
+                    if not row[r][u]:
+                        continue
+                    comp = acc[r]
+                    for (ev, rest), coeff in inner[u].items():
+                        m, params = _split_del(rest)
+                        coeff *= sign
+                        head, tail = ev[:i], ev[i:]
+                        for ex, ed, hrest, hc in _action_expansion_oracle(
+                            M, right, g, r, u, m
+                        ):
+                            rest = _mono_mul(params, hrest) if hrest else params
+                            if ed:
+                                rest = ((DEL, ed),) + rest
+                            key = (head + (ex,) + tail, rest)
+                            comp[key] = comp.get(key, 0) + coeff * hc
+        for i, j, pos, psign, others, slots in layouts:
+            a, b = T[i], T[j]
+            br = A.table[a][b]
+            rest_gens = tuple(T[s] for s in others)
+            for k in range(A.ngens):
+                if not br[k]:
+                    continue
+                t = rest_gens[:pos] + (k,) + rest_gens[pos:]
+                if skew:
+                    perm = sorted(range(q), key=lambda s: (t[s], s))
+                    inner = split.get(tuple(t[p] for p in perm))
+                else:
+                    perm = range(q)
+                    inner = split.get(t)
+                if inner is None:
+                    continue
+                sign = permutation_sign(perm) * psign
+                bslot = perm.index(pos)
+                targets = [
+                    (s, slots[p]) for s, p in enumerate(perm) if p != pos
+                ]
+                for u in range(dim):
+                    comp = acc[u]
+                    for (ev, rest), coeff in inner[u].items():
+                        coeff *= sign
+                        lv = [0] * out_q
+                        for s, o in targets:
+                            lv[o] = ev[s]
+                        for ex, ey, grest, gc in _bracket_expansion_oracle(
+                            A, a, b, k, ev[bslot]
+                        ):
+                            lv[i] = ex
+                            lv[j] = ey
+                            key = (tuple(lv),
+                                   _mono_mul(rest, grest) if grest else rest)
+                            comp[key] = comp.get(key, 0) + coeff * gc
+        if any(acc):
+            sums[T] = acc
+    return sums
+
+
+def _oracle_sums(c):
+    """The former kernel on c, with the variant's former argument lists."""
+    q, out_q = c.q, c.q + 1
+    free = c.module.is_free()
+    lie_actions = [(i, -1 if i % 2 else 1, False) for i in range(out_q)]
+    if c.variant in (BASIC, REDUCED):
+        products = [(i, j, 0, -1 if (i + j) % 2 else 1)
+                    for i in range(out_q) for j in range(i + 1, out_q)]
+        return _d_terms_oracle(c, _candidates_oracle(c, free),
+                               lie_actions if free else [], products)
+    if c.variant == LEIBNIZ:
+        products = [(i, j, j - 1, -1 if (i + 1) % 2 else 1)
+                    for i in range(out_q) for j in range(i + 1, out_q)]
+        return _d_terms_oracle(c, _candidates_oracle(c, free),
+                               lie_actions if free else [], products)
+    if c.variant in (HOCHSCHILD, HOCHSCHILD_REDUCED):
+        actions = [(0, 1, False), (q, -1 if out_q % 2 else 1, True)]
+        products = [(s, s + 1, s, -1 if (s + 1) % 2 else 1) for s in range(q)]
+        return _d_terms_oracle(c, _candidates_oracle(c, True), actions,
+                               products)
+    products = [(s, s + 1, s, -1 if s % 2 else 1) for s in range(q)]
+    products.append((q, 0, 0, -1 if q % 2 else 1))
+    return _d_terms_oracle(c, all_tuples(c.algebra.ngens, out_q), [],
+                           products)
+
+
+def _plan_sums(c):
+    """The kernel on c through its read plan, before any reduced cut."""
+    kind, acts = {
+        BASIC: (LIE, c.module.is_free()),
+        REDUCED: (LIE, c.module.is_free()),
+        LEIBNIZ: (LEIBNIZ, c.module.is_free()),
+        HOCHSCHILD: (HOCHSCHILD, True),
+        HOCHSCHILD_REDUCED: (HOCHSCHILD, True),
+        CYCLIC: (CYCLIC, False),
+    }[c.variant]
+    return _d_terms(c.algebra, c.module, read_plan(c.algebra, kind, c.q, acts),
+                    _split_values(c))
+
+
+def _assert_same_sums(got, want):
+    """The same output tuples, entry keys (cancelled zeros included) and
+    values, with the same types (int where the oracle has an int)."""
+    assert list(got) == list(want)
+    for T, comps in want.items():
+        assert len(got[T]) == len(comps)
+        for g, w in zip(got[T], comps):
+            assert g == w
+            assert all(type(g[key]) is type(x) for key, x in w.items())
+    return len(want)
+
+
+def test_read_plan_matches_the_former_kernel(mat2_current):
+    rng = random.Random(83)
+    g2, g3 = sl2(), sl3()
+    cur2, cur3 = build_current(g2), build_current(g3)
+    lie_fixtures = [
+        (VIR, C, 3), (VIR, build_trivial(1, Fraction(-7, 3)), 3),
+        (VIR, M10, 3), (VIR, build_m_delta_alpha(2, Fraction(1, 3)), 3),
+        (cur2, C, 2), (cur2, build_trivial(1, 2), 2),
+        (cur2, build_m_u(g2, adjoint_rep(g2)), 2),
+        (cur2, build_m_u(g2, sl2_irrep(g2, 4)), 1),
+        (cur3, C, 2), (cur3, build_m_u(g3, adjoint_rep(g3)), 1),
+    ]
+    outputs = multi = 0
+    for alg, mod, qmax in lie_fixtures:
+        for q in range(qmax + 1):
+            for variant in (BASIC, REDUCED):
+                gamma = random_skew_cochain(
+                    alg, mod, q, 3, rng, variant=variant,
+                    max_del=1 if mod.is_free() and variant == BASIC else 0)
+                multi += len(gamma.values) > 1
+                outputs += _assert_same_sums(_plan_sums(gamma),
+                                             _oracle_sums(gamma))
+                if q:
+                    # as Leibniz cochains: every ordered tuple is stored
+                    plain = as_leibniz(gamma)
+                    outputs += _assert_same_sums(_plan_sums(plain),
+                                                 _oracle_sums(plain))
+    for alg, mod in ((VIR, M10), (cur2, C)):
+        for q in range(4):
+            plain = random_plain_cochain(alg, mod, q, 4, rng, density=0.9)
+            outputs += _assert_same_sums(_plan_sums(plain), _oracle_sums(plain))
+    for variant in (HOCHSCHILD, HOCHSCHILD_REDUCED):
+        for bim in (regular_bimodule(mat2_current), _lam_del_bimodule()):
+            alg = mat2_current if bim.dim == 4 else dual_numbers_current()
+            for q in range(4):
+                gamma = random_plain_cochain(alg, bim, q, 4, rng,
+                                             variant=variant)
+                gamma = gamma.copy_with(values={
+                    t: tuple(D * p for p in v) for t, v in gamma.values.items()
+                }) if q % 2 else gamma
+                multi += len(gamma.values) > 1
+                outputs += _assert_same_sums(_plan_sums(gamma),
+                                             _oracle_sums(gamma))
+    for alg in (dual_numbers_current(), mat2_current):
+        for q in (1, 2, 3):
+            raw = random_plain_cochain(alg, C, q, 4, rng, variant=CYCLIC)
+            for gamma in (raw, cyclic_symmetrize(raw)):
+                multi += len(gamma.values) > 1
+                outputs += _assert_same_sums(_plan_sums(gamma),
+                                             _oracle_sums(gamma))
+    assert multi > 30 and outputs > 2000
+
+
+def _table(terms):
+    """An expansion list as a dict; its keys must not repeat."""
+    out = {term[:-1]: term[-1] for term in terms}
+    assert len(out) == len(terms)
+    return out
+
+
+def _assert_same_table(got, want):
+    got, want = _table(got), _table(want)
+    assert got == want
+    assert all(type(got[key]) is type(c) for key, c in want.items())
+    return len(want)
+
+
+def test_bracket_expansions_match_the_ratpoly_fills():
+    cc = RatPoly.var(param("c"))
+    # the Virasoro bracket with a central term c lam^3 / 12 in a named c
+    vir_c = ConformalAlgebra(("L",), [[(D + 2 * L1 + Fraction(1, 12) * cc
+                                        * L1 ** 3,)]])
+    central = extend_algebra(VIR, C, {(0, 0): (L1 ** 3,)}).algebra
+    terms = 0
+    for alg in (VIR, build_current(sl2()), central, vir_c):
+        for a in range(alg.ngens):
+            for b in range(alg.ngens):
+                for k in range(alg.ngens):
+                    if not alg.table[a][b][k]:
+                        continue
+                    for e in range(6):
+                        terms += _assert_same_table(
+                            _bracket_expansion(alg, a, b, k, e),
+                            _bracket_expansion_oracle(alg, a, b, k, e))
+    assert terms > 100
+
+
+def test_action_expansions_match_the_ratpoly_fills(mat2_current):
+    g = sl2()
+    modules = [
+        (VIR, M10),
+        (VIR, build_m_delta_alpha(2, Fraction(1, 3))),
+        (VIR, build_m_delta_alpha(Fraction(-5, 2), Fraction(3, 4))),
+        (build_current(g), build_m_u(g, sl2_irrep(g, 2))),
+        (mat2_current, regular_bimodule(mat2_current)),
+        (dual_numbers_current(), _lam_del_bimodule()),
+    ]
+    terms = fractional = 0
+    for alg, mod in modules:
+        for right in (False, True) if mod.right_action else (False,):
+            mats = mod.right_action if right else mod.action
+            for gen in range(alg.ngens):
+                for u in range(mod.dim):
+                    for m in range(5):
+                        rows = dict(_action_expansion(mod, right, gen, u, m))
+                        assert list(rows) == [r for r in range(mod.dim)
+                                              if mats[gen][r][u]]
+                        for r, got in rows.items():
+                            want = _action_expansion_oracle(mod, right, gen,
+                                                            r, u, m)
+                            terms += _assert_same_table(got, want)
+                            fractional += any(type(c) is Fraction
+                                              for *_, c in want)
+    assert terms > 300 and fractional > 20
 
 
 # -- serialization ----------------------------------------------------------------

@@ -852,3 +852,11 @@ def test_h3_of_cur_sl2_with_v6_sits_at_degree_6():
     g = sl2()
     spec = ComplexSpec(build_current(g), build_m_u(g, sl2_irrep(g, 6)), REDUCED)
     assert graded_bidegree_dims(spec, 3, 8) == {(3, 6): 1}
+
+
+def test_h4_of_cur_sl2_with_v8_sits_at_degree_10():
+    # the m = 2n class of criterion 7 for n = 4, at d = n(n+1)/2; a sweep
+    # with bound 4 reads d <= 6 only and reports H^4 = 0, stabilized
+    g = sl2()
+    spec = ComplexSpec(build_current(g), build_m_u(g, sl2_irrep(g, 8)), REDUCED)
+    assert graded_bidegree_dims(spec, 4, 10) == {(4, 10): 1}

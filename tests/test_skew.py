@@ -4,9 +4,11 @@ from confcoh.cochain import lam_terms
 from confcoh.poly import RatPoly, lam
 from confcoh.skew import (
     count_partitions_at_most,
+    element_terms,
     element_tuple,
     element_value,
     monomial_coordinates,
+    signed_permutations,
     skew_basis,
     skew_symmetrize,
 )
@@ -71,6 +73,38 @@ def test_elements_change_sign_under_adjacent_transposition():
                     continue
                 swap = {lam(s + 1): L[s + 2], lam(s + 2): L[s + 1]}
                 assert value.subst_many(swap) == -value
+
+
+def _element_value_oracle(elem, q):
+    """The former element_value: a RatPoly sum over the permutations that
+    place the element's pairs on slots of their own generator."""
+    if q == 0:
+        return RatPoly.const(1)
+    t = element_tuple(elem)
+    total = RatPoly.zero()
+    for perm, sign in signed_permutations(q):
+        if any(t[perm[s]] != elem[s][0] for s in range(q)):
+            continue
+        mono = tuple(
+            sorted((lam(perm[s] + 1), elem[s][1]) for s in range(q) if elem[s][1])
+        )
+        total = total + RatPoly({mono: sign})
+    return total
+
+
+def test_element_terms_are_the_terms_of_element_value():
+    checked = 0
+    for q in range(5):
+        for d in range(7):
+            for g in range(1, 4):
+                for elem in skew_basis(q, d, g).elements:
+                    terms = element_terms(elem, q)
+                    value = element_value(elem, q)
+                    assert value == _element_value_oracle(elem, q)
+                    assert terms == _terms(value, q)
+                    assert all(type(c) is int for c in terms.values())
+                    checked += 1
+    assert checked > 1000
 
 
 def test_alternation_of_symmetric_input_is_zero():
