@@ -116,10 +116,11 @@ class ConformalModule:
             self.del_scalar = Fraction(del_scalar if del_scalar is not None else 0)
         else:
             raise ValueError(f"unknown module kind {kind!r}")
-        # the differentials' action expansion table and the level
-        # module's j-th products, filled on use
+        # the differentials' action expansion table, and the level
+        # module's j-th products and level action rows, filled on use
         self._action_expansions = {}
         self._jth_products = {}
+        self._level_actions = {}
 
     def is_free(self):
         return self.kind == "free"

@@ -1,8 +1,12 @@
+import json
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import comb, factorial
 
+import pytest
+
+from confcoh import annihilation, cli
 from confcoh.algebra import (
     ConformalModule,
     adjoint_module,
@@ -15,13 +19,15 @@ from confcoh.algebra import (
 from confcoh.annihilation import (
     _add_term,
     _divided_power,
+    _phi_read,
+    _vec,
     act_level_on_value,
     ann_bracket,
+    canonical_phi,
     ce_differential_eval,
-    del_functional_eval,
-    derivation_t,
     level_image,
     phi_eval,
+    phi_on_pool,
     v_minus_action,
 )
 from confcoh.cochain import (
@@ -31,11 +37,22 @@ from confcoh.cochain import (
     as_leibniz,
     d_basic,
     del_action,
+    lie_sums,
     random_skew_cochain,
 )
 from confcoh.extensions import extend_algebra
 from confcoh.liealg import adjoint_rep, sl2, sl2_irrep, sl3
-from confcoh.poly import DEL, RatPoly, lam, param, vec_is_zero, zero_vec
+from confcoh.poly import (
+    DEL,
+    RatPoly,
+    _mono_mul,
+    exact,
+    from_terms,
+    lam,
+    param,
+    vec_is_zero,
+    zero_vec,
+)
 
 VIR = build_vir()
 CUR2 = build_current(sl2())
@@ -101,6 +118,14 @@ def test_mutated_bracket_breaks_jacobi():
     xy = ann_bracket(bad, (0, 1), (0, 2))
     yx = ann_bracket(bad, (0, 2), (0, 1))
     assert xy != {k: -v for k, v in yx.items()}
+
+
+def derivation_t(x):
+    """T(a_n) = -n a_(n-1)."""
+    i, m = x
+    if m == 0:
+        return {}
+    return {(i, m - 1): Fraction(-m)}
 
 
 def test_derivation_t():
@@ -186,21 +211,25 @@ def test_phi_finite_support():
         assert phi_eval(gamma, (0, 0), levels) == (RatPoly.zero(),)
 
 
+def _pool(alg, levels):
+    return [(g, m) for g in range(alg.ngens) for m in range(levels + 1)]
+
+
 def _check_transport(alg, mod, qs, levels, trials, seed, max_del):
+    """phi(d gamma) against the scattered continuous differential on every
+    tuple of the pool, phi(d gamma) read tuple by tuple through phi_eval."""
     rng = random.Random(seed)
-    pair_pool = [
-        (g, m) for g in range(alg.ngens) for m in range(levels + 1)
-    ]
+    pool = _pool(alg, levels)
     for q in qs:
         for _ in range(trials):
             gamma = random_skew_cochain(alg, mod, q, 3, rng, max_del=max_del)
             dg = d_basic(gamma)
-            for pairs in combinations_with_replacement(pair_pool, q + 1):
+            ce = ce_differential_eval(gamma, pool)
+            for pairs in combinations_with_replacement(pool, q + 1):
                 gens = tuple(p[0] for p in pairs)
                 lev = tuple(p[1] for p in pairs)
-                assert phi_eval(dg, gens, lev) == ce_differential_eval(
-                    gamma, gens, lev
-                ), (gens, lev)
+                assert phi_eval(dg, gens, lev) == _vec(ce.get(pairs, {}),
+                                                       mod.dim), (gens, lev)
 
 
 def test_transport_identity_vir_trivial():
@@ -216,6 +245,26 @@ def test_transport_identity_current_v2():
     _check_transport(
         build_current(g), build_m_u(g, sl2_irrep(g, 2)), (1, 2), 3, 2, 43, 1
     )
+
+
+def del_functional_eval(gamma, gens, levels):
+    """The d-action on functionals: d_M . beta(x) - sum_i beta(..., T x_i, ...)."""
+    module = gamma.module
+    base = phi_eval(gamma, gens, levels)
+    if module.is_free():
+        dpoly = RatPoly.var(DEL)
+        total = tuple(dpoly * p for p in base)
+    else:
+        total = tuple(RatPoly.const(module.del_scalar) * p for p in base)
+    for i in range(len(gens)):
+        for (gen, lev), coeff in derivation_t((gens[i], levels[i])).items():
+            val = phi_eval(
+                gamma,
+                gens[:i] + (gen,) + gens[i + 1:],
+                levels[:i] + (lev,) + levels[i + 1:],
+            )
+            total = tuple(a - coeff * b for a, b in zip(total, val))
+    return total
 
 
 def test_del_transport():
@@ -333,7 +382,8 @@ def test_ann_bracket_matches_oracle():
 
 def test_level_bracket_memo_survives_the_transport():
     """The continuous differential only reads the tabled level brackets: after
-    it has run over a full level range, every kept dict is still the oracle's."""
+    it has run over a full level range, every kept dict is still the oracle's,
+    and no table of the conformal differential's kernel has been filled."""
     g = sl2()
     fixtures = [
         (build_vir(), build_m_delta_alpha(1, 0), 3, 5),
@@ -342,14 +392,16 @@ def test_level_bracket_memo_survives_the_transport():
     rng = random.Random(59)
     for alg, mod, q, levels in fixtures:
         assert alg._level_brackets == {}
-        pool = [(k, m) for k in range(alg.ngens) for m in range(levels + 1)]
+        pool = _pool(alg, levels)
         gamma = random_skew_cochain(alg, mod, q, 3, rng, max_del=1)
+        ce = ce_differential_eval(gamma, pool)
+        assert alg._read_plans == alg._bracket_expansions == {}
+        assert mod._action_expansions == {}
         dg = d_basic(gamma)
         for pairs in combinations_with_replacement(pool, q + 1):
             gens = tuple(p[0] for p in pairs)
             lev = tuple(p[1] for p in pairs)
-            assert ce_differential_eval(gamma, gens, lev) == phi_eval(dg, gens,
-                                                                     lev)
+            assert _vec(ce.get(pairs, {}), mod.dim) == phi_eval(dg, gens, lev)
         kept = alg._level_brackets
         assert len(kept) == len(pool) * (len(pool) + 1) // 2
         for (x, y), got in kept.items():
@@ -498,7 +550,71 @@ def _ce_differential_oracle(gamma, gens, levels):
     return total
 
 
-def test_ce_differential_eval_matches_oracle():
+def _add_level_action_oracle(acc, module, i, m, comps, scale):
+    """Add scale * a_m v into ``acc`` (per component {monomial: coeff}),
+    v given by its per-component {monomial: coeff}:
+    a_m v = sum_{s <= m} binom(m, s) a_(s) d^(m-s) v, the derivatives taken
+    in d term by term, d^e -> e!/(e-r)! d^(e-r)."""
+    for u, comp in enumerate(comps):
+        for mono, c in comp.items():
+            e = mono[0][1] if mono and mono[0][0] == DEL else 0
+            rest = mono[1:] if e else mono
+            fall = scale * c
+            for r in range(min(e, m) + 1):
+                if r:
+                    fall *= e - r + 1
+                left = e - r
+                dmono = ((DEL, left),) + rest if left else rest
+                coeff = comb(m, r) * fall
+                for out, row in zip(
+                        acc, annihilation.module_jth_product(module, i, m - r)):
+                    entry = row[u]
+                    if not entry:
+                        continue
+                    for m1, c1 in entry.terms.items():
+                        key = _mono_mul(m1, dmono)
+                        out[key] = out.get(key, 0) + coeff * c1
+
+
+def _ce_differential_eval_oracle(gamma, gens, levels):
+    """The continuous Chevalley-Eilenberg differential of phi(gamma) at one
+    level tuple, gathered term by term: q+1 module reads and C(q+1, 2)
+    bracket reads.  The module and the bracket are read through the
+    ``annihilation`` module, so a test that patches them patches this too."""
+    module = gamma.module
+    gens, levels = tuple(gens), tuple(levels)
+    q1 = len(gens)
+    acc = [{} for _ in range(module.dim)]
+    if module.is_free():
+        for i in range(q1):
+            read = _phi_read(gamma, gens[:i] + gens[i + 1:],
+                             levels[:i] + levels[i + 1:])
+            if read is not None:
+                sign, comps = read
+                _add_level_action_oracle(acc, module, gens[i], levels[i],
+                                         comps, -sign if i % 2 else sign)
+    for i in range(q1):
+        for j in range(i + 1, q1):
+            bracket = annihilation.ann_bracket(
+                gamma.algebra, (gens[i], levels[i]), (gens[j], levels[j]))
+            if not bracket:
+                continue
+            rest_g = gens[:i] + gens[i + 1:j] + gens[j + 1:]
+            rest_m = levels[:i] + levels[i + 1:j] + levels[j + 1:]
+            pair_sign = -1 if (i + j) % 2 else 1
+            for (k, lev), coeff in bracket.items():
+                read = _phi_read(gamma, (k,) + rest_g, (lev,) + rest_m)
+                if read is None:
+                    continue
+                sign, comps = read
+                c = exact(coeff) * sign * pair_sign
+                for out, comp in zip(acc, comps):
+                    for mono, v in comp.items():
+                        out[mono] = out.get(mono, 0) + c * v
+    return tuple(map(from_terms, acc))
+
+
+def test_per_tuple_oracle_matches_ratpoly_oracle():
     """Vir/C, Vir/M_{2,1} and Cur sl2/M_ad, values with d-powers, every
     ordering of the generators (unsorted tuples too), and each cochain also
     scaled by 2/3 and stored on all tuples (Leibniz)."""
@@ -518,9 +634,149 @@ def test_ce_differential_eval_matches_oracle():
                 variants.add(c.variant)
                 for gens in product(range(alg.ngens), repeat=q + 1):
                     for lev in product(range(top + 1), repeat=q + 1):
-                        got = ce_differential_eval(c, gens, lev)
+                        got = _ce_differential_eval_oracle(c, gens, lev)
                         _assert_fraction_vec(
                             got, _ce_differential_oracle(c, gens, lev))
                         nonzero += not vec_is_zero(got)
     assert variants == {BASIC, "leibniz"}
     assert nonzero >= 800
+
+
+def _transport_fixtures():
+    """(algebra, module, max_del, levels, qs, max_deg): free modules with int
+    and Fraction parameters, scalar modules (no module term), and Cur sl3
+    with its adjoint, whose q = 3 cochains keep to degree 1."""
+    g2, g3 = sl2(), sl3()
+    cur3 = build_current(g3)
+    ad3 = build_m_u(g3, adjoint_rep(g3))
+    qs = (0, 1, 2, 3)
+    return [
+        (VIR, build_trivial(1, 0), 0, 4, qs, 3),
+        (VIR, build_m_delta_alpha(1, 0), 1, 4, qs, 3),
+        (VIR, build_m_delta_alpha(Fraction(-1, 2), Fraction(3, 4)), 1, 4, qs, 3),
+        (VIR, build_trivial(1, -2), 0, 4, qs, 3),
+        (CUR2, build_trivial(1, 2), 0, 3, qs, 3),
+        (CUR2, build_m_u(g2, sl2_irrep(g2, 2)), 1, 3, qs, 3),
+        (CUR2, build_m_u(g2, sl2_irrep(g2, 4)), 1, 2, qs, 3),
+        (cur3, ad3, 1, 2, (0, 1, 2), 3),
+        (cur3, ad3, 1, 2, (3,), 1),
+    ]
+
+
+def test_ce_differential_eval_matches_oracle():
+    """The scattered functional equals the per-tuple oracle on every tuple of
+    the pool, repeated pairs included, and phi_on_pool of the kernel's sums
+    equals phi_eval of d gamma there."""
+    rng = random.Random(83)
+    repeated = nonzero = 0
+    for alg, mod, max_del, levels, qs, max_deg in _transport_fixtures():
+        pool = _pool(alg, levels)
+        for q in qs:
+            gamma = random_skew_cochain(alg, mod, q, max_deg, rng,
+                                        max_del=max_del)
+            dg = d_basic(gamma)
+            ce = ce_differential_eval(gamma, pool)
+            lhs = phi_on_pool(lie_sums(gamma), pool)
+            for pairs in combinations_with_replacement(pool, q + 1):
+                gens = tuple(p[0] for p in pairs)
+                lev = tuple(p[1] for p in pairs)
+                want = _ce_differential_eval_oracle(gamma, gens, lev)
+                _assert_fraction_vec(_vec(ce.get(pairs, {}), mod.dim), want)
+                assert _vec(lhs.get(pairs, {}), mod.dim) == phi_eval(dg, gens,
+                                                                     lev)
+                repeated += len(set(pairs)) < len(pairs)
+                nonzero += pairs in ce
+            tuples = set(combinations_with_replacement(pool, q + 1))
+            assert set(ce) <= tuples and set(lhs) <= tuples
+    assert repeated > 0 and nonzero >= 1000
+
+
+def test_canonical_phi_refuses_a_non_skew_cochain():
+    """On a repeated-generator tuple the reads of one support tuple must agree
+    up to sign; a cochain whose reads disagree, lack a partner or sit on a
+    repeated pair raises, in canonical_phi and in the functional."""
+    mod = build_trivial(1, 0)
+    L2 = RatPoly.var(lam(2))
+    good = Cochain(VIR, mod, 2, BASIC, {(0, 0): (L1 - L2,)})
+    assert canonical_phi(good) == {((0, 0), (0, 1)): {(0, ()): -1}}
+    for value in (L1 - 2 * L2, L1, L1 * L2):
+        bad = Cochain(VIR, mod, 2, BASIC, {(0, 0): (value,)})
+        with pytest.raises(AssertionError):
+            canonical_phi(bad)
+        with pytest.raises(AssertionError):
+            ce_differential_eval(bad, _pool(VIR, 3))
+
+
+# -- injected faults: the CLI and the per-tuple oracle fail at one tuple ----------
+
+
+def _oracle_first_failure(algebra_spec, module_spec, qmax, levels, seed):
+    """The first (q, gens, levels) at which annih-compare's comparison fails
+    when the continuous side is gathered tuple by tuple through the oracle."""
+    algebra, name, g = cli.parse_algebra(algebra_spec)
+    module, _ = cli.parse_module(module_spec, name, g)
+    rng = random.Random(seed)
+    pool = _pool(algebra, levels)
+    for q in range(qmax + 1):
+        for _ in range(3):
+            gamma = random_skew_cochain(algebra, module, q, 3, rng,
+                                        max_del=1 if module.is_free() else 0)
+            dg = d_basic(gamma)
+            for pairs in combinations_with_replacement(pool, q + 1):
+                gens = tuple(p[0] for p in pairs)
+                lev = tuple(p[1] for p in pairs)
+                if phi_eval(dg, gens, lev) != _ce_differential_eval_oracle(
+                        gamma, gens, lev):
+                    return {"q": q, "gens": list(gens), "levels": list(lev)}
+    return None
+
+
+def _patched_bracket(monkeypatch, key, extra):
+    real = annihilation.ann_bracket
+
+    def bracket(algebra, x, y):
+        out = real(algebra, x, y)
+        if (x, y) == key:
+            out = dict(out)
+            for z, c in extra.items():
+                out[z] = out.get(z, 0) + c
+        return out
+
+    monkeypatch.setattr(annihilation, "ann_bracket", bracket)
+
+
+def _patched_module_product(monkeypatch, key):
+    real = annihilation.module_jth_product
+
+    def product(module, i, j):
+        rows = real(module, i, j)
+        if (i, j) == key:
+            rows = [tuple(p + 1 if c == 0 else p for c, p in enumerate(row))
+                    for row in rows]
+        return rows
+
+    monkeypatch.setattr(annihilation, "module_jth_product", product)
+
+
+@pytest.mark.parametrize("fault, algebra, module", [
+    (lambda mp: _patched_bracket(mp, ((0, 1), (0, 3)), {(0, 2): 1}),
+     "vir", "mda:1,0"),
+    (lambda mp: _patched_bracket(mp, ((0, 2), (0, 2)), {(0, 3): 1}),
+     "vir", "trivial"),
+    (lambda mp: _patched_bracket(mp, ((1, 1), (1, 1)), {(2, 2): 1}),
+     "cur:sl2", "mu:V2"),
+    (lambda mp: _patched_module_product(mp, (0, 1)), "vir", "mda:1,0"),
+    (lambda mp: _patched_module_product(mp, (2, 0)), "cur:sl2", "mu:V2"),
+], ids=["bracket", "vir-self-bracket", "cur-self-bracket", "vir-module",
+        "cur-module"])
+def test_injected_faults_fail_where_the_oracle_fails(monkeypatch, capsys, fault,
+                                                     algebra, module):
+    fault(monkeypatch)
+    args = (algebra, module, 2, 3, 5)
+    want = _oracle_first_failure(*args)
+    assert want is not None
+    code = cli.main(["annih-compare", "--algebra", algebra, "--module", module,
+                     "--qmax", "2", "--levels", "3", "--seed", "5"])
+    got = json.loads(capsys.readouterr().out)
+    assert code == cli.EXIT_AXIOM
+    assert got == {"identity": "annihilation-transport", "ok": False, **want}
