@@ -70,12 +70,14 @@ class ConformalAlgebra:
                         vec[k] = vec[k].substitute(DEL, self.del_scalars[k])
                 row.append(tuple(vec))
             self.table.append(row)
-        # the differentials' read plans and bracket expansion table, and the
-        # annihilation algebra's j-th products and level brackets, filled on use
+        # the differentials' read plans and bracket expansion table, the
+        # annihilation algebra's j-th products and level brackets, and the
+        # reads of the action on cochains, filled on use
         self._read_plans = {}
         self._bracket_expansions = {}
         self._jth_products = {}
         self._level_brackets = {}
+        self._theta_reads = {}
 
     @property
     def ngens(self):

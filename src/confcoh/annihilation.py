@@ -57,7 +57,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from math import comb, factorial, prod
 
-from .cochain import _SKEW_VARIANTS, _split_values
+from .cochain import _SKEW_VARIANTS
 from .errors import WrongModuleKind
 from .poly import DEL, _mono_mul, exact, from_terms, zero_vec
 from .skew import permutation_sign
@@ -236,7 +236,7 @@ def _phi_table(gamma):
     if table is None:
         table = {}
         dim = gamma.module.dim
-        for t, comps in _split_values(gamma).items():
+        for t, comps in gamma.kernel_terms().items():
             by_exps = table[t] = {}
             for u, terms in enumerate(comps):
                 for (ev, rest), coeff in terms.items():

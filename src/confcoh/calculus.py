@@ -24,9 +24,9 @@ from .cochain import (
     lam_sum,
     lam_var,
     sorted_tuples,
-    terms_to_vec,
 )
 from .errors import DegreeZero, WrongContext
+from .kernel import lam_terms
 from .poly import (
     DEL,
     RatPoly,
@@ -94,54 +94,67 @@ def contract_lambda(a, gamma):
     slot = SlotParam(EXT_POLY, width)
     params = [slot] + [SlotParam(lam_var(s + 1), width) for s in range(n - 1)]
     feeds = antilinear_feeds(a, slot)
-    values = {}
+    terms = {}
     for T in sorted_tuples(gamma.algebra.ngens, n - 1):
-        acc = [{} for _ in range(gamma.module.dim)]
+        acc = terms[T] = [{} for _ in range(gamma.module.dim)]
         gamma.add_inserted(acc, feeds, 0, T, params)
-        val = terms_to_vec(acc, width)
-        if not vec_is_zero(val):
-            values[T] = val
-    return Cochain(gamma.algebra, gamma.module, n - 1, gamma.variant, values)
+    return Cochain.from_terms(gamma.algebra, gamma.module, n - 1,
+                              gamma.variant, terms, width)
 
 
 def lie_theta(a, gamma):
     """(theta_mu(a) gamma): the conformal action of a on cochains.
 
     The bracket [a_mu e_k] is fed into each slot i holding e_k at
-    mu + lam_{i+1}; its antilinear expansion is made once per (i, k).
+    mu + lam_{i+1}; the brackets and their antilinear expansions are kept
+    on the algebra (``_theta_reads``).  On a free module a_mu also acts on
+    the value, read through ``values``.
     """
     n = gamma.q
     A, M = gamma.algebra, gamma.module
-    # [a_mu e_k] for each generator k, the bracket fed into a slot holding e_k
-    brackets = []
-    for k in range(A.ngens):
-        gen = tuple(
-            RatPoly.const(1) if s == k else RatPoly.zero()
-            for s in range(A.ngens)
-        )
-        brackets.append(bracket_eval(A, a, gen, param=EXT_POLY))
-    width = max([n, lam_count(a)] + [lam_count(br) for br in brackets])
-    lams = [SlotParam(lam_var(s + 1), width) for s in range(n)]
-    slots = [SlotParam(EXT_POLY + lam_var(i + 1), width) for i in range(n)]
-    params = [lams[:i] + [slots[i]] + lams[i + 1:] for i in range(n)]
+    brackets, width, slots, params, feeds = _theta_reads(A, a, n)
     action = _element_action(M, a)
-    feeds = {}
-    values = {}
+    terms = {}
     for T in sorted_tuples(A.ngens, n):
-        acc = [{} for _ in range(M.dim)]
+        acc = terms[T] = [{} for _ in range(M.dim)]
         for i in range(n):
             key = (i, T[i])
-            if key not in feeds:
-                feeds[key] = antilinear_feeds(brackets[T[i]], slots[i])
-            gamma.add_inserted(acc, feeds[key], i, T[:i] + T[i + 1:],
-                               params[i], scale=-1)
-        val = terms_to_vec(acc, width)
+            fed = feeds.get(key)
+            if fed is None:
+                fed = feeds[key] = antilinear_feeds(brackets[T[i]], slots[i])
+            gamma.add_inserted(acc, fed, i, T[:i] + T[i + 1:], params[i],
+                               scale=-1)
         if action is not None:
             shifted = vec_subst(gamma.value_on(T), _SHIFT)
-            val = vec_add(mat_apply(action, shifted), val)
-        if not vec_is_zero(val):
-            values[T] = val
-    return Cochain(A, M, n, gamma.variant, values)
+            for comp, p in zip(acc, mat_apply(action, shifted)):
+                for ev, rest, c in lam_terms(p, width):
+                    comp[ev, rest] = comp.get((ev, rest), 0) + c
+    return Cochain.from_terms(A, M, n, gamma.variant, terms, width)
+
+
+def _theta_reads(algebra, a, n):
+    """(brackets, width, slots, params, feeds) of theta_mu(a) on degree-n
+    cochains, kept on the algebra per a and n: brackets[k] = [a_mu e_k];
+    the values' lam width; slots[i], the parameter mu + lam_{i+1} of slot
+    i; params[i], every slot's parameter when slot i is fed; and feeds,
+    {(i, k): antilinear feeds of brackets[k] into slot i}, filled on use."""
+    key = tuple(a)
+    entry = algebra._theta_reads.get(key)
+    if entry is None:
+        units = [tuple(RatPoly.const(int(s == k)) for s in range(algebra.ngens))
+                 for k in range(algebra.ngens)]
+        entry = algebra._theta_reads[key] = (
+            [bracket_eval(algebra, key, unit, param=EXT_POLY) for unit in units],
+            {})
+    brackets, by_degree = entry
+    reads = by_degree.get(n)
+    if reads is None:
+        width = max([n, lam_count(key)] + [lam_count(br) for br in brackets])
+        lams = [SlotParam(lam_var(s + 1), width) for s in range(n)]
+        slots = [SlotParam(EXT_POLY + lam_var(i + 1), width) for i in range(n)]
+        params = [lams[:i] + [slots[i]] + lams[i + 1:] for i in range(n)]
+        reads = by_degree[n] = (brackets, width, slots, params, {})
+    return reads
 
 
 def _element_action(module, a):

@@ -22,25 +22,26 @@ Variants:
   shift of the n+1 arguments.
 * ``leibniz`` -- no symmetry constraint.
 
-Every differential runs the one kernel of ``kernel``: each variant names
-its kind of read plan, and the kernel adds the terms of d into per-tuple,
-per-component {(lam exponents, rest): coeff} dicts, its sums, with rest the
-monomial in d and the named parameters and coefficients Python ints where
-integral.  Each value of the input is split once into that format
-(``_split_values``).  The engine hands a basis shape's terms to
-``lie_term_sums`` and reads the sums directly; the differentials build
-RatPoly values from them (``terms_to_vec``), where coefficients become
-Fractions, so ``RatPoly.terms`` keeps its {monomial: Fraction} contract.
+Storage is the kernel's term format, ``terms``: per stored tuple, one
+{(lam exponents, rest): coeff} dict per component, rest the monomial in d
+and the named parameters, coefficients ints where integral, zeros dropped.
+Exponent vectors run over lam1..lam_width; width is q unless a value uses a
+higher lam (a contraction by an element carrying lam), and only width-q
+terms are read by the kernel and by slot insertion (``kernel_terms``).
+``values``, {tuple: vector of RatPoly}, is a view built on first read;
+RatPoly values (parsing, tests) are split once and kept as that view.
+Every differential runs the one kernel of ``kernel`` and stores its sums;
+random cochains, iota and theta write terms, and sums, scaling by a number
+and equality work on them, so no RatPoly is built from a random cochain to
+the comparison of the Cartan identity.
 
-Slot insertion (``slot_insert``, ``value_with_params``, and the calculus
-through ``add_inserted``) and the annihilation phi table read the same
-split values; slot insertion keeps them on the cochain.
-A skew value's stored lam_{s+1} goes to the parameter of slot perm[s] on
-its exponent vector, with the permutation's sign.  A bare lam parameter is
-a relabel; any other, such as mu + lam_i, is a ``SlotParam`` whose powers
-are expanded once, in ints where integral, and the argument's d becomes
--slot_param through the same powers (``antilinear_feeds``).  The terms go
-into per-component dicts as above; no RatPoly is substituted.
+Slot insertion (``slot_insert``, ``value_with_params``, ``add_inserted``)
+and the annihilation phi table read the terms.  A skew value's stored
+lam_{s+1} goes to the parameter of slot perm[s], with the permutation's
+sign.  A bare lam parameter is a relabel; any other, such as mu + lam_i, is
+a ``SlotParam`` whose powers are expanded once, in ints where integral, and
+the argument's d becomes -slot_param through the same powers
+(``antilinear_feeds``).
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ from .poly import (
     DEL,
     RatPoly,
     _mono_mul,
+    exact,
     is_lam,
     lam,
     parse_poly,
@@ -74,7 +76,7 @@ from .poly import (
     vec_subst,
     zero_vec,
 )
-from .skew import element_tuple, element_value, permutation_sign, skew_basis
+from .skew import element_terms, element_tuple, permutation_sign, skew_basis
 
 BASIC = "basic"
 REDUCED = "reduced"
@@ -82,7 +84,6 @@ HOCHSCHILD_REDUCED = "hochschild_reduced"
 VARIANTS = (BASIC, REDUCED, HOCHSCHILD, HOCHSCHILD_REDUCED, CYCLIC, LEIBNIZ)
 
 _SKEW_VARIANTS = (BASIC, REDUCED)
-_DELP = RatPoly.var(DEL)
 
 _LAMV = [None]
 
@@ -108,19 +109,57 @@ def all_tuples(ngens, q):
 
 class Cochain:
     def __init__(self, algebra, module, q, variant, values):
-        self.algebra = algebra
-        self.module = module
-        self.q = q
+        """From RatPoly values {tuple: vector}: split once into ``terms``,
+        the nonzero values kept as the ``values`` view."""
+        width = max(q, lam_count(p for v in values.values() for p in v))
+        self._store(algebra, module, q, variant, width, {
+            t: [{(ev, rest): c for ev, rest, c in lam_terms(p, width)}
+                for p in v] for t, v in values.items()})
+        self._values = {t: v for t, v in values.items() if t in self.terms}
+
+    @classmethod
+    def from_terms(cls, algebra, module, q, variant, terms, width=None):
+        """From terms over lam1..lam_width (width q by default), copied
+        without their zeros; the width is cut to the highest lam in use."""
+        c = cls.__new__(cls)
+        c._store(algebra, module, q, variant, width or q, terms)
+        return c
+
+    def _store(self, algebra, module, q, variant, width, terms):
+        if variant in _SKEW_VARIANTS and any(tuple(sorted(t)) != t
+                                             for t in terms):
+            raise ValueError("skew cochains store sorted tuples only")
+        self.algebra, self.module, self.q = algebra, module, q
         self.variant = variant
-        if variant in _SKEW_VARIANTS:
-            for t in values:
-                if tuple(sorted(t)) != t:
-                    raise ValueError("skew cochains store sorted tuples only")
-        self.values = {t: v for t, v in values.items() if not vec_is_zero(v)}
-        # _split_values(self) for slot insertion, and phi_eval's {tuple:
-        # {lam exponents: value}} table; both filled on use
-        self._split = None
-        self._phi_table = None
+        kept = ((t, [{k: c for k, c in comp.items() if c} for comp in comps])
+                for t, comps in terms.items())
+        terms = {t: comps for t, comps in kept if any(comps)}
+        top = q if width == q else max(
+            (s + 1 for comps in terms.values() for comp in comps
+             for ev, _ in comp for s in range(q, width) if ev[s]), default=q)
+        if top < width:
+            terms = {t: [{(ev[:top], r): c for (ev, r), c in comp.items()}
+                         for comp in comps] for t, comps in terms.items()}
+        self.width, self.terms = top, terms
+        # the values view and phi_eval's {tuple: {lam exponents: value}}
+        # table, filled on use
+        self._values = self._phi_table = None
+
+    @property
+    def values(self):
+        """{tuple: vector of RatPoly}, built from ``terms`` on first read."""
+        if self._values is None:
+            self._values = {t: terms_to_vec(comps, self.width)
+                            for t, comps in self.terms.items()}
+        return self._values
+
+    def kernel_terms(self):
+        """``terms`` as the kernel reads them, over lam1..lam_q; a
+        ValueError if a value uses a higher lam."""
+        if self.width > self.q:
+            raise ValueError(f"a degree-{self.q} cochain value uses "
+                             f"lam{self.width}")
+        return self.terms
 
     # -- construction ------------------------------------------------------
 
@@ -131,21 +170,22 @@ class Cochain:
     @classmethod
     def from_basis_element(cls, algebra, module, q, variant, elem, u_index):
         """Cochain u_(u_index) x (antisymmetrized skew-basis element)."""
-        poly = element_value(elem, q)
-        vec = tuple(
-            poly if b == u_index else RatPoly.zero() for b in range(module.dim)
-        )
-        t = element_tuple(elem) if q else ()
-        return cls(algebra, module, q, variant, {t: vec})
+        comps = [{} for _ in range(module.dim)]
+        comps[u_index] = element_terms(elem, q)
+        return cls.from_terms(algebra, module, q, variant,
+                              {element_tuple(elem): comps})
 
     def copy_with(self, values=None, variant=None, q=None):
-        return Cochain(
-            self.algebra,
-            self.module,
-            self.q if q is None else q,
-            self.variant if variant is None else variant,
-            self.values if values is None else values,
-        )
+        q = self.q if q is None else q
+        variant = self.variant if variant is None else variant
+        if values is None:
+            return Cochain.from_terms(self.algebra, self.module, q, variant,
+                                      self.terms, self.width)
+        return Cochain(self.algebra, self.module, q, variant, values)
+
+    def _like(self, terms):
+        return Cochain.from_terms(self.algebra, self.module, self.q,
+                                  self.variant, terms, self.width)
 
     # -- vector space structure ---------------------------------------------
 
@@ -156,10 +196,17 @@ class Cochain:
             or other.module is not self.module
         ):
             raise ValueError("cochain mismatch")
-        out = dict(self.values)
-        for t, v in other.values.items():
-            out[t] = vec_add(out[t], v) if t in out else v
-        return self.copy_with(values=out)
+        if other.width != self.width:  # values over different lam ranges
+            return self.copy_with(values={
+                t: vec_add(self.value_on(t), other.value_on(t))
+                for t in {**self.values, **other.values}})
+        out = dict(self.terms)
+        for t, comps in other.terms.items():
+            if t in out:
+                comps = [{**a, **{k: a.get(k, 0) + c for k, c in b.items()}}
+                         for a, b in zip(out[t], comps)]
+            out[t] = comps
+        return self._like(out)
 
     def __neg__(self):
         return self.scale(-1)
@@ -168,20 +215,22 @@ class Cochain:
         return self + other.scale(-1)
 
     def scale(self, c):
-        return self.copy_with(
-            values={t: vec_scale(c, v) for t, v in self.values.items()}
-        )
+        """c times the cochain, for a number or a RatPoly c."""
+        if isinstance(c, RatPoly):
+            return self.copy_with(
+                values={t: vec_scale(c, v) for t, v in self.values.items()})
+        c = exact(Fraction(c))
+        return self._like({t: [{k: x * c for k, x in comp.items()}
+                               for comp in comps]
+                           for t, comps in self.terms.items()})
 
     def is_zero(self):
-        return not self.values
+        return not self.terms
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Cochain)
-            and self.q == other.q
-            and self.variant == other.variant
-            and self.values == other.values
-        )
+        return isinstance(other, Cochain) and (
+            self.q, self.variant, self.width, self.terms
+        ) == (other.q, other.variant, other.width, other.terms)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -219,7 +268,7 @@ class Cochain:
         parameter: d^m L^k contributes (-slot_param)^m gamma(..., L^k, ...).
         """
         # only generators whose fed tuple has a stored value are expanded
-        split = self._split_table()
+        split = self.kernel_terms()
         avec = [
             p if self._stored(rest_gens[:pos] + (k,) + rest_gens[pos:])[0]
             in split else RatPoly.zero()
@@ -246,7 +295,7 @@ class Cochain:
         value is read on the sorted tuple: its stored lam_{s+1} is the slot
         perm[s], so it takes params[perm[s]], and the permutation's sign.
         """
-        split = self._split_table()
+        split = self.kernel_terms()
         for k, scal in feeds:
             stored, perm = self._stored(rest_gens[:pos] + (k,)
                                         + rest_gens[pos:])
@@ -283,12 +332,6 @@ class Cochain:
         perm = sorted(range(self.q), key=t.__getitem__)
         return tuple(t[p] for p in perm), perm
 
-    def _split_table(self):
-        """``_split_values`` of this cochain, read once and kept."""
-        if self._split is None:
-            self._split = _split_values(self)
-        return self._split
-
     def eval_on_elements(self, args):
         """Multilinear, conformally antilinear evaluation on algebra elements."""
         if len(args) != self.q:
@@ -323,16 +366,12 @@ class Cochain:
     # -- structure ------------------------------------------------------------
 
     def lam_degree(self):
-        best = -1
-        for v in self.values.values():
-            for p in v:
-                d = p.lam_degree()
-                if d > best:
-                    best = d
-        return best
+        return max((sum(ev) for comps in self.terms.values()
+                    for comp in comps for ev, _ in comp), default=-1)
 
     def has_del(self):
-        return any(p.del_degree() > 0 for v in self.values.values() for p in v)
+        return any(rest and rest[0][0] == DEL for comps in self.terms.values()
+                   for comp in comps for _, rest in comp)
 
     def validate(self):
         """Check the symmetry constraint of the variant; returns None or witness."""
@@ -453,22 +492,9 @@ def terms_to_vec(acc, n):
 # -- the differentials: every variant through the kernel -----------------------
 
 
-def _split_values(c):
-    """{t: per component {(lam exponents, rest): coeff}}, the format of the
-    ``_d_terms`` sums; rest is the monomial in d and the named parameters."""
-    return {t: [{(ev, rest): coeff for ev, rest, coeff in lam_terms(p, c.q)}
-                for p in vec]
-            for t, vec in c.values.items()}
-
-
-def _d_values(sums, out_q):
-    """Cochain values {T: vector of RatPoly} from ``_d_terms`` sums."""
-    values = {}
-    for T, acc in sums.items():
-        vec = terms_to_vec(acc, out_q)
-        if not vec_is_zero(vec):
-            values[T] = vec
-    return values
+def _of_sums(c, sums, out_q):
+    """The degree-out_q cochain like c whose terms are the kernel's sums."""
+    return Cochain.from_terms(c.algebra, c.module, out_q, c.variant, sums)
 
 
 def _d_lie(algebra, module, q, split):
@@ -481,13 +507,14 @@ def _d_lie(algebra, module, q, split):
 
 
 def lie_sums(c):
-    """``lie_term_sums`` of the cochain's values."""
-    return lie_term_sums(c.algebra, c.module, c.q, c.variant, _split_values(c))
+    """``lie_term_sums`` of the cochain's terms."""
+    return lie_term_sums(c.algebra, c.module, c.q, c.variant,
+                         c.kernel_terms())
 
 
 def lie_term_sums(algebra, module, q, variant, split):
     """The ``_d_terms`` sums of d for either Lie variant, on degree-q values
-    in the split format ({sorted tuple: per component {(lam exponents,
+    in the term format ({sorted tuple: per component {(lam exponents,
     rest): coeff}}).  A reduced cochain is lifted to the basic complex,
     differentiated and returned to representatives: over a free module,
     d := -(lam1+...+lam_{q+1}) is cut on the sums."""
@@ -500,13 +527,13 @@ def lie_term_sums(algebra, module, q, variant, split):
 def d_basic(c):
     if c.variant != BASIC:
         raise ValueError("d_basic expects a basic cochain")
-    return c.copy_with(values=_d_values(lie_sums(c), c.q + 1), q=c.q + 1)
+    return _of_sums(c, lie_sums(c), c.q + 1)
 
 
 def d_reduced(c):
     if c.variant != REDUCED:
         raise ValueError("d_reduced expects a reduced cochain")
-    return c.copy_with(values=_d_values(lie_sums(c), c.q + 1), q=c.q + 1)
+    return _of_sums(c, lie_sums(c), c.q + 1)
 
 
 def reduce_cochain(c):
@@ -546,10 +573,10 @@ def d_hochschild(c):
     if M.right_action is None:
         raise WrongModuleKind("Hochschild cochains need a bimodule")
     out_q = q + 1
-    sums = _d_terms(A, M, read_plan(A, HOCHSCHILD, q, True), _split_values(c))
+    sums = _d_terms(A, M, read_plan(A, HOCHSCHILD, q, True), c.kernel_terms())
     if c.variant == HOCHSCHILD_REDUCED:
         sums = _cut_del(sums, out_q)
-    return c.copy_with(values=_d_values(sums, out_q), q=out_q)
+    return _of_sums(c, sums, out_q)
 
 
 def d_cyclic(c):
@@ -561,19 +588,16 @@ def d_cyclic(c):
     A, q = c.algebra, c.q
     if not A.associative:
         raise ValueError("cyclic differential needs an associative algebra")
-    values = _d_values(_d_terms(A, c.module, read_plan(A, CYCLIC, q, False),
-                                _split_values(c)), q + 1)
-    return c.copy_with(values=values, q=q + 1)
+    return _of_sums(c, _d_terms(A, c.module, read_plan(A, CYCLIC, q, False),
+                                c.kernel_terms()), q + 1)
 
 
 def d_leibniz(c):
     """The actions of d_basic, and [T[i]_lam_{i+1} T[j]] (i < j) fed into
     the slot of T[j] with sign (-1)^(i+1)."""
-    out_q = c.q + 1
     plan = read_plan(c.algebra, LEIBNIZ, c.q, c.module.is_free())
-    values = _d_values(_d_terms(c.algebra, c.module, plan, _split_values(c)),
-                       out_q)
-    return c.copy_with(values=values, q=out_q)
+    return _of_sums(c, _d_terms(c.algebra, c.module, plan, c.kernel_terms()),
+                    c.q + 1)
 
 
 def as_leibniz(c):
@@ -607,26 +631,30 @@ def differential(c):
 
 def random_skew_cochain(algebra, module, q, max_deg, rng, variant=BASIC,
                         max_del=0, density=0.6):
-    """A random combination of skew-basis elements with small coefficients."""
-    values = {}
+    """A random combination of skew-basis elements with small coefficients,
+    each times d^m with m <= max_del on a free module's basic cochains;
+    written as terms, shape by shape."""
+    dels = max_del and module.is_free() and variant == BASIC
+    terms = {}
     for d in range(max_deg + 1):
         for elem in skew_basis(q, d, algebra.ngens).elements:
+            shape = None
             for b in range(module.dim):
                 if rng.random() > density:
                     continue
                 coeff = rng.randint(-3, 3)
                 if not coeff:
                     continue
-                extra = RatPoly.const(coeff)
-                if max_del and module.is_free() and variant == BASIC:
-                    extra = extra * _DELP ** rng.randint(0, max_del)
-                poly = element_value(elem, q) * extra
-                t = element_tuple(elem) if q else ()
-                vec = values.setdefault(t, list(zero_vec(module.dim)))
-                vec[b] = vec[b] + poly
-    return Cochain(
-        algebra, module, q, variant, {t: tuple(v) for t, v in values.items()}
-    )
+                m = rng.randint(0, max_del) if dels else 0
+                rest = ((DEL, m),) if m else ()
+                if shape is None:
+                    shape = element_terms(elem, q)
+                comp = terms.setdefault(element_tuple(elem),
+                                        [{} for _ in range(module.dim)])[b]
+                for (ev, _), sign in shape.items():
+                    key = (ev, rest)
+                    comp[key] = comp.get(key, 0) + sign * coeff
+    return Cochain.from_terms(algebra, module, q, variant, terms)
 
 
 def random_plain_cochain(algebra, module, q, max_deg, rng, variant=LEIBNIZ,

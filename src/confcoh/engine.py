@@ -70,16 +70,15 @@ from math import lcm
 from operator import add
 
 from . import linalg
-from .cochain import (BASIC, REDUCED, Cochain, _split_values, lie_sums,
-                      lie_term_sums)
+from .cochain import BASIC, REDUCED, Cochain, lie_sums, lie_term_sums
 # no caller here; bench/tracer.py wraps this binding by name (bench/test_bench.py)
 from .cochain import d_basic  # noqa: F401
 from .errors import NotEquivariant, UnstableTruncation, UnsupportedComplex
 from .liealg import check_equivariant, sym_power_rep, adjoint_rep
 from .poly import (RatPoly, exact, lam, multinomials, parameter_names,
                    vec_is_zero)
-from .skew import (element_terms, element_tuple, element_value,
-                   monomial_coordinates, permutation_sign, skew_basis)
+from .skew import (element_terms, element_tuple, monomial_coordinates,
+                   permutation_sign, skew_basis)
 
 
 @dataclass(frozen=True)
@@ -122,17 +121,10 @@ def slice_pairs(spec, q, d):
     return [(elem, u) for elem in elements for u in range(spec.module.dim)]
 
 
-def basis_cochain(spec, q, pair):
-    elem, u = pair
-    return Cochain.from_basis_element(
-        spec.algebra, spec.module, q, spec.variant, elem, u
-    )
-
-
 def cochain_coords(sums, placements):
     """Coordinates {(shape, u): coeff} of lam-only skew values given as
     {sorted tuple: per component {(lam exponents, rest): coeff}}: the sums
-    of apply_differential, or a cochain through ``cochain._split_values``.
+    of apply_differential, or a cochain's ``kernel_terms``.
     ``placements`` is the caller's placement memo (monomial_coordinates).
     An element's pairs carry its tuple, so no (element, u) is read twice."""
     coords = {}
@@ -144,18 +136,17 @@ def cochain_coords(sums, placements):
 
 
 def coords_to_cochain(spec, q, coords):
-    values = {}
+    """The cochain with basis coordinates {(shape, u): coeff}, written as
+    each shape's terms (``skew.element_terms``) times its coefficient."""
+    terms = {}
     dim = spec.module.dim
     for (elem, u), coeff in coords.items():
         if not coeff:
             continue
-        t = element_tuple(elem) if q else ()
-        vec = values.setdefault(t, [RatPoly.zero()] * dim)
-        vec[u] = vec[u] + coeff * element_value(elem, q)
-    return Cochain(
-        spec.algebra, spec.module, q, spec.variant,
-        {t: tuple(v) for t, v in values.items()},
-    )
+        comp = terms.setdefault(element_tuple(elem), [{} for _ in range(dim)])[u]
+        for key, sign in element_terms(elem, q).items():
+            comp[key] = comp.get(key, 0) + sign * coeff
+    return Cochain.from_terms(spec.algebra, spec.module, q, spec.variant, terms)
 
 
 def cartan_weights(spec):
@@ -703,7 +694,7 @@ def verify_cocycle(spec, gamma):
     if not is_cocycle:
         return VerifyResult(False, False)
     q = gamma.q
-    target = cochain_coords(_split_values(gamma), placements)
+    target = cochain_coords(gamma.kernel_terms(), placements)
     if not target:
         return VerifyResult(True, True, witness=None)
     bound = max(gamma.lam_degree(), 0) + _COBOUNDARY_SLACK

@@ -35,13 +35,14 @@ from .algebra import (
 )
 from .cochain import REDUCED, Cochain
 from .errors import NotACocycle, NotReducedCocycle
-from .kernel import lam_terms
 from .poly import (
     DEL,
     RatPoly,
     _mono_mul,
     bracket_residual,
     bracket_support,
+    exact,
+    from_terms,
     lam,
     left_matrices,
     mat_add,
@@ -58,12 +59,13 @@ _L2 = RatPoly.var(_LAM2)
 _DELP = RatPoly.var(DEL)
 
 
-def _on_section(p, swap, powers):
-    """p, or -p with lam1 and lam2 exchanged if swap, at lam2 := -lam1 - d_M;
-    powers[e] holds the terms of (-lam1 - d_M)^e."""
+def _on_section(terms, swap, powers):
+    """A value component given by its terms {((e1, e2), rest): coeff}, or
+    its negative with lam1 and lam2 exchanged if swap, at lam2 := -lam1 -
+    d_M; powers[e] holds the terms of (-lam1 - d_M)^e."""
     sign = -1 if swap else 1
     out = {}
-    for (e1, e2), rest, coeff in lam_terms(p, 2):
+    for ((e1, e2), rest), coeff in terms.items():
         if swap:
             e1, e2 = e2, e1
         head = (((_LAM1, e1),) if e1 else ()) + rest
@@ -71,37 +73,39 @@ def _on_section(p, swap, powers):
         for mono2, coeff2 in powers[e2].items():
             key = _mono_mul(head, mono2)
             out[key] = out.get(key, 0) + coeff * coeff2
-    return RatPoly({k: c for k, c in out.items() if c})
+    return from_terms(out)
 
 
 def datum_from_cochain(cocycle):
     """One-parameter table c_ij(lam[, d]) from a reduced 2-cochain.
 
     The representative is a class mod (d + lam1 + lam2); the canonical
-    section substitutes lam2 := -lam1 - d_M, expanded on exponents through
-    one table of the powers of -lam1 - d_M shared by every pair.
+    section substitutes lam2 := -lam1 - d_M on the cochain's terms, expanded
+    through one table of the powers of -lam1 - d_M shared by every pair,
+    in ints where integral.
     """
     if cocycle.q != 2 or cocycle.variant != REDUCED:
         raise ValueError("expected a reduced 2-cochain")
     module = cocycle.module
     n = cocycle.algebra.ngens
+    terms = cocycle.kernel_terms()
     step = -_L1 - module.del_poly()
     power = RatPoly.const(1)
-    powers = [power.terms]
+    powers = [{(): 1}]
     for _ in range(cocycle.lam_degree()):
         power = power * step
-        powers.append(power.terms)
+        powers.append({m: exact(c) for m, c in power.terms.items()})
     table = {}
     for i in range(n):
         for j in range(n):
             # the skew value on (i, j) with i > j is -gamma_(j, i)(lam2, lam1)
             swap = i > j
-            vec = cocycle.values.get((j, i) if swap else (i, j))
-            if vec is None:
+            comps = terms.get((j, i) if swap else (i, j))
+            if comps is None:
                 table[(i, j)] = zero_vec(module.dim)
             else:
-                table[(i, j)] = tuple(_on_section(p, swap, powers)
-                                      for p in vec)
+                table[(i, j)] = tuple(_on_section(comp, swap, powers)
+                                      for comp in comps)
     return table
 
 

@@ -12,6 +12,7 @@ from confcoh.algebra import (
     build_vir,
 )
 from confcoh.calculus import (
+    _element_action,
     contract_lambda,
     homotopy_k,
     homotopy_k1,
@@ -23,12 +24,16 @@ from confcoh.cochain import (
     BASIC,
     LEIBNIZ,
     Cochain,
+    SlotParam,
+    antilinear_feeds,
     as_leibniz,
     d_basic,
     del_action,
+    lam_count,
     lam_var,
     random_skew_cochain,
     sorted_tuples,
+    terms_to_vec,
 )
 from confcoh.errors import DegreeZero, WrongContext
 from confcoh.liealg import adjoint_rep, sl2
@@ -36,6 +41,7 @@ from confcoh.poly import (
     DEL,
     RatPoly,
     lam,
+    mat_apply,
     param,
     vec_add,
     vec_is_zero,
@@ -383,3 +389,105 @@ def test_contract_and_theta_match_oracle():
             nonzero += _assert_same_cochain(lie_theta(a, gamma),
                                             _theta_oracle(a, gamma))
     assert nonzero >= 80
+
+
+# -- term-built iota and theta against their former RatPoly routes ------------
+#
+# contract_lambda and lie_theta now store the accumulated terms; before,
+# each tuple's terms became a RatPoly vector (terms_to_vec), the free-module
+# action was added as RatPoly, and the cochain was built from those values.
+
+
+def _contract_ratpoly_route(a, gamma):
+    n = gamma.q
+    width = max(n - 1, lam_count(a))
+    slot = SlotParam(MU, width)
+    params = [slot] + [SlotParam(lam_var(s + 1), width) for s in range(n - 1)]
+    feeds = antilinear_feeds(a, slot)
+    values = {}
+    for T in sorted_tuples(gamma.algebra.ngens, n - 1):
+        acc = [{} for _ in range(gamma.module.dim)]
+        gamma.add_inserted(acc, feeds, 0, T, params)
+        val = terms_to_vec(acc, width)
+        if not vec_is_zero(val):
+            values[T] = val
+    return Cochain(gamma.algebra, gamma.module, n - 1, gamma.variant, values)
+
+
+def _theta_ratpoly_route(a, gamma):
+    n = gamma.q
+    A, M = gamma.algebra, gamma.module
+    brackets = []
+    for k in range(A.ngens):
+        gen = tuple(RatPoly.const(int(s == k)) for s in range(A.ngens))
+        brackets.append(bracket_eval(A, a, gen, param=MU))
+    width = max([n, lam_count(a)] + [lam_count(br) for br in brackets])
+    lams = [SlotParam(lam_var(s + 1), width) for s in range(n)]
+    slots = [SlotParam(MU + lam_var(i + 1), width) for i in range(n)]
+    action = _element_action(M, a)
+    values = {}
+    for T in sorted_tuples(A.ngens, n):
+        acc = [{} for _ in range(M.dim)]
+        for i in range(n):
+            feeds = antilinear_feeds(brackets[T[i]], slots[i])
+            gamma.add_inserted(acc, feeds, i, T[:i] + T[i + 1:],
+                               lams[:i] + [slots[i]] + lams[i + 1:], scale=-1)
+        val = terms_to_vec(acc, width)
+        if action is not None:
+            shifted = vec_subst(gamma.value_on(T), {DEL: D + MU})
+            val = vec_add(mat_apply(action, shifted), val)
+        if not vec_is_zero(val):
+            values[T] = val
+    return Cochain(A, M, n, gamma.variant, values)
+
+
+def test_contract_and_theta_match_the_former_ratpoly_routes():
+    nonzero = 0
+    for gamma in _slot_cochains():
+        for a in _elements(gamma.algebra.ngens):
+            for got, want in ((contract_lambda(a, gamma),
+                               _contract_ratpoly_route(a, gamma)),
+                              (lie_theta(a, gamma),
+                               _theta_ratpoly_route(a, gamma))):
+                assert got == want
+                nonzero += _assert_same_cochain(got, want)
+    assert nonzero >= 80
+
+
+def test_theta_reads_are_kept_per_element_and_degree():
+    g = sl2()
+    cur, mod = build_current(g), build_m_u(g, adjoint_rep(g))
+    rng = random.Random(149)
+    a = _elements(cur.ngens)[1]
+    gamma = random_skew_cochain(cur, mod, 2, 3, rng, max_del=1)
+    first = lie_theta(a, gamma)
+    reads = cur._theta_reads[a]
+    assert lie_theta(list(a), gamma) == first == _theta_oracle(a, gamma)
+    assert cur._theta_reads[a] is reads and list(reads[1]) == [2]
+    assert lie_theta(a, d_basic(gamma)) == _theta_oracle(a, d_basic(gamma))
+    assert sorted(reads[1]) == [2, 3]
+
+
+def test_contraction_by_lam_carrying_element_keeps_its_values():
+    # a carrying lam2 leaves lam2 in the values of a 1-cochain: the values
+    # are those of the former route, but the kernel cannot read them
+    rng = random.Random(151)
+    m = build_m_delta_alpha(2, 1)
+    for gamma in (random_skew_cochain(VIR, m, 2, 4, rng, max_del=1,
+                                      density=1.0),
+                  random_skew_cochain(VIR, C, 2, 4, rng, density=1.0)):
+        a = (L2 * D + 3 * L1 - MU,)
+        got = contract_lambda(a, gamma)
+        want = _contract_ratpoly_route(a, gamma)
+        assert (got.q, got.width) == (1, 2)
+        assert got.values == want.values and got == want
+        assert got.values == _contract_oracle(a, gamma).values
+        assert any(lam(2) in p.variables() for v in got.values.values()
+                   for p in v)
+        with pytest.raises(ValueError, match="degree-1 cochain value uses lam2"):
+            d_basic(got)
+        # the sum with a cochain of width q goes through the values
+        plain = contract_lambda((D,), gamma)
+        assert (got + plain).values == {
+            t: vec_add(got.value_on(t), plain.value_on(t))
+            for t in set(got.values) | set(plain.values)}

@@ -24,8 +24,6 @@ from confcoh.cochain import (
     REDUCED,
     Cochain,
     _d_lie,
-    _split_values,
-    _d_values,
     all_tuples,
     as_leibniz,
     cochain_from_obj,
@@ -41,10 +39,12 @@ from confcoh.cochain import (
     lam_sum,
     lam_terms,
     lam_var,
+    lie_sums,
     random_plain_cochain,
     random_skew_cochain,
     reduce_cochain,
     sorted_tuples,
+    terms_to_vec,
 )
 from confcoh.errors import WrongModuleKind
 from confcoh.kernel import (
@@ -72,7 +72,7 @@ from confcoh.poly import (
     vec_subst,
     zero_vec,
 )
-from confcoh.skew import permutation_sign, skew_basis
+from confcoh.skew import element_tuple, element_value, permutation_sign, skew_basis
 
 D = RatPoly.var(DEL)
 L1, L2, L3 = (RatPoly.var(lam(i)) for i in (1, 2, 3))
@@ -306,6 +306,17 @@ def _d_lie_oracle(c):
     return values
 
 
+def _d_values(sums, out_q):
+    """The former RatPoly route of every differential: cochain values
+    {T: vector of RatPoly} from ``_d_terms`` sums."""
+    values = {}
+    for T, acc in sums.items():
+        vec = terms_to_vec(acc, out_q)
+        if not vec_is_zero(vec):
+            values[T] = vec
+    return values
+
+
 def _assert_equal_exactly(got, want):
     """Equal value dicts with Fraction coefficients; 1 if nonzero."""
     assert got == want
@@ -317,7 +328,7 @@ def _assert_equal_exactly(got, want):
 
 def _lie_values(c):
     """d of c through the read plan, before any reduced cut, as values."""
-    return _d_values(_d_lie(c.algebra, c.module, c.q, _split_values(c)),
+    return _d_values(_d_lie(c.algebra, c.module, c.q, c.kernel_terms()),
                      c.q + 1)
 
 
@@ -766,7 +777,7 @@ def _d_terms_oracle(c, outputs, actions, products):
     permutations, signs and slot lists are recomputed for every cochain."""
     A, M, q = c.algebra, c.module, c.q
     out_q = q + 1
-    split = _split_values(c)
+    split = c.kernel_terms()
     skew = c.variant in (BASIC, REDUCED)
     dim = M.dim
     layouts = []
@@ -878,7 +889,7 @@ def _plan_sums(c):
         CYCLIC: (CYCLIC, False),
     }[c.variant]
     return _d_terms(c.algebra, c.module, read_plan(c.algebra, kind, c.q, acts),
-                    _split_values(c))
+                    c.kernel_terms())
 
 
 def _assert_same_sums(got, want):
@@ -1007,6 +1018,125 @@ def test_action_expansions_match_the_ratpoly_fills(mat2_current):
                             fractional += any(type(c) is Fraction
                                               for *_, c in want)
     assert terms > 300 and fractional > 20
+
+
+# -- term storage against the former RatPoly routes ----------------------------
+
+
+def _random_skew_oracle(algebra, module, q, max_deg, rng, variant=BASIC,
+                        max_del=0, density=0.6):
+    """The former random_skew_cochain: RatPoly products of each shape's
+    value and its coefficient times d^m, summed per component."""
+    values = {}
+    for d in range(max_deg + 1):
+        for elem in skew_basis(q, d, algebra.ngens).elements:
+            for b in range(module.dim):
+                if rng.random() > density:
+                    continue
+                coeff = rng.randint(-3, 3)
+                if not coeff:
+                    continue
+                extra = RatPoly.const(coeff)
+                if max_del and module.is_free() and variant == BASIC:
+                    extra = extra * D ** rng.randint(0, max_del)
+                poly = element_value(elem, q) * extra
+                t = element_tuple(elem) if q else ()
+                vec = values.setdefault(t, list(zero_vec(module.dim)))
+                vec[b] = vec[b] + poly
+    return Cochain(algebra, module, q, variant,
+                   {t: tuple(v) for t, v in values.items()})
+
+
+def test_random_skew_cochain_matches_ratpoly_oracle():
+    g = sl2()
+    fixtures = [
+        (VIR, C, BASIC, 0, 3),
+        (VIR, M10, BASIC, 1, 3),
+        (build_current(g), build_m_u(g, adjoint_rep(g)), REDUCED, 1, 3),
+        (build_current(sl3()), C, BASIC, 0, 2),
+    ]
+    nonzero = 0
+    for seed, (alg, mod, variant, max_del, max_deg) in enumerate(fixtures):
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        for q in range(4):
+            got = random_skew_cochain(alg, mod, q, max_deg, rng,
+                                      variant=variant, max_del=max_del)
+            want = _random_skew_oracle(alg, mod, q, max_deg, oracle_rng,
+                                       variant=variant, max_del=max_del)
+            assert rng.getstate() == oracle_rng.getstate()
+            nonzero += _assert_equal_exactly(got.values, want.values)
+            assert got == want and got.variant == variant
+    assert nonzero >= 12
+
+
+def test_term_built_cochain_equals_the_ratpoly_built_one():
+    mu = RatPoly.var(param("mu"))
+    terms = {(0, 0): [{((1, 0), ((DEL, 2),)): 3, ((0, 1), ((DEL, 2),)): -3,
+                       ((2, 0), ((param("mu"), 1),)): Fraction(1, 2),
+                       ((0, 2), ()): 0}]}
+    values = {(0, 0): (3 * D ** 2 * (L1 - L2) + Fraction(1, 2) * mu * L1 ** 2,)}
+    built = Cochain.from_terms(VIR, M10, 2, LEIBNIZ, terms)
+    parsed = Cochain(VIR, M10, 2, LEIBNIZ, values)
+    assert built == parsed and built.terms == parsed.terms
+    assert built.values == values
+    assert Cochain(VIR, M10, 2, LEIBNIZ, built.values) == built
+    # a wider exponent vector whose extra lams are unused is cut to q
+    wide = Cochain.from_terms(VIR, M10, 2, LEIBNIZ, {
+        t: [{(ev + (0,), rest): c for (ev, rest), c in comp.items()}
+            for comp in comps] for t, comps in terms.items()}, width=3)
+    assert wide.width == 2 and wide == parsed
+    with pytest.raises(ValueError, match="sorted tuples"):
+        Cochain.from_terms(VIR, C, 2, BASIC, {(1, 0): [{((0, 0), ()): 1}]})
+
+
+def test_is_zero_on_sums_that_cancel():
+    rng = random.Random(131)
+    gamma = random_skew_cochain(VIR, M10, 2, 3, rng, max_del=1)
+    assert not gamma.is_zero()
+    for zero in (gamma - gamma, gamma + gamma.scale(-1),
+                 gamma.scale(Fraction(2, 3)) + gamma.scale(Fraction(-2, 3)),
+                 gamma.scale(0), d_basic(d_basic(gamma))):
+        assert zero.is_zero() and zero.terms == {} and zero.values == {}
+    assert d_basic(vir_c_cochain(3, vandermonde3())).is_zero()
+    cancelled = Cochain.from_terms(VIR, C, 1, BASIC, {(0,): [{((1,), ()): 0}]})
+    assert cancelled.is_zero() and cancelled == Cochain.zero(VIR, C, 1)
+
+
+def test_values_view_holds_fractions():
+    rng = random.Random(137)
+    gamma = random_skew_cochain(VIR, M10, 2, 3, rng, max_del=1)
+    halves = gamma.scale(Fraction(1, 2))
+    for c in (gamma, d_basic(gamma), halves, gamma + halves,
+              contract_lambda((L1 + D,), gamma)):
+        assert c.values
+        assert all(type(x) is Fraction for v in c.values.values() for p in v
+                   for x in p.terms.values())
+    assert all(type(x) is int for comps in gamma.terms.values()
+               for comp in comps for x in comp.values())
+
+
+def test_differentials_match_the_former_ratpoly_route():
+    # d stores the kernel's sums as terms; the former route turned them into
+    # RatPoly values (_d_values) and built the cochain from those
+    rng = random.Random(139)
+    g = sl2()
+    fixtures = [
+        (VIR, C, BASIC, 0),
+        (VIR, M10, BASIC, 2),
+        (VIR, M10, REDUCED, 0),
+        (build_current(g), build_m_u(g, adjoint_rep(g)), REDUCED, 0),
+        (build_current(g), CA, REDUCED, 0),
+    ]
+    nonzero = 0
+    for alg, mod, variant, max_del in fixtures:
+        for q in range(3):
+            c = random_skew_cochain(alg, mod, q, 3, rng, variant=variant,
+                                    max_del=max_del)
+            got = differential(c)
+            want = c.copy_with(values=_d_values(lie_sums(c), q + 1), q=q + 1)
+            assert got == want
+            nonzero += _assert_equal_exactly(got.values, want.values)
+    assert nonzero >= 8
 
 
 # -- serialization ----------------------------------------------------------------

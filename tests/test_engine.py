@@ -15,7 +15,6 @@ from confcoh.cochain import (
     BASIC,
     REDUCED,
     Cochain,
-    _split_values,
     d_reduced,
     del_action,
     lam_sum,
@@ -57,8 +56,15 @@ MU = RatPoly.var(param("mu"))
 
 
 def _coords(c):
-    """Coordinates of a cochain, read through its split values."""
-    return cochain_coords(_split_values(c), {})
+    """Coordinates of a cochain, read through its terms."""
+    return cochain_coords(c.kernel_terms(), {})
+
+
+def _basis_cochain(spec, q, pair):
+    """The skew-basis cochain of a slice pair (shape, u)."""
+    elem, u = pair
+    return Cochain.from_basis_element(spec.algebra, spec.module, q,
+                                      spec.variant, elem, u)
 
 
 def test_unsupported_basic_free():
@@ -199,7 +205,7 @@ def _cochain_coords_oracle(c):
 def _mult_coords_oracle(spec, q, pair):
     """The former _mult_coords: the basis cochain times (a + sum lam_i) as
     RatPoly products, skew-decomposed again."""
-    c = engine.basis_cochain(spec, q, pair)
+    c = _basis_cochain(spec, q, pair)
     a = spec.module.del_scalar if spec.scalar_quotient else 0
     factor = RatPoly.const(a) + lam_sum(q)
     scaled = c.copy_with(
@@ -290,7 +296,7 @@ def test_slice_assembly_matches_the_ratpoly_routes():
         for q in range(4):
             for d in range(dmax + 1):
                 for pair in slice_pairs(spec, q, d):
-                    basis = engine.basis_cochain(spec, q, pair)
+                    basis = _basis_cochain(spec, q, pair)
                     image = apply_differential(spec, basis)
                     dc = d_reduced(basis)  # every fixture is reduced
                     col = cochain_coords(image, placements)
@@ -308,7 +314,7 @@ def test_slice_assembly_matches_the_ratpoly_routes():
                         continue
                     # a parameter next to the lams stays in the key
                     scaled = dc.scale(1 + MU)
-                    for value, sums in ((dc, image), (scaled, _split_values(scaled))):
+                    for value, sums in ((dc, image), (scaled, scaled.kernel_terms())):
                         got = engine._restriction_coords(spec, sums, memo)
                         want = _restriction_coords_oracle(spec, value, oracle_memo)
                         assert _restricted_polys(got, False) == \
@@ -324,7 +330,7 @@ def test_cancelled_entries_of_the_sums_are_skipped():
     # (gen, exp) pairs repeat, such as lam1^2 lam2 lam3 on (L, L, L); the
     # sums keep them as zeros, which read no placement
     spec = ComplexSpec(VIR, build_trivial(1, 5), REDUCED)
-    basis = engine.basis_cochain(spec, 2, (((0, 2), (0, 1)), 0))
+    basis = _basis_cochain(spec, 2, (((0, 2), (0, 1)), 0))
     sums = apply_differential(spec, basis)
     assert sums[(0, 0, 0)][0][((2, 1, 1), ())] == 0
     dc = d_reduced(basis)

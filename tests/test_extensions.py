@@ -13,7 +13,7 @@ from confcoh.algebra import (
     check_module,
 )
 from confcoh.calculus import EXT, contract_lambda
-from confcoh.cochain import REDUCED, random_skew_cochain
+from confcoh.cochain import REDUCED, Cochain, d_reduced, random_skew_cochain
 from confcoh.engine import ComplexSpec, truncation_sweep, verify_cocycle
 from confcoh.errors import NotACocycle, NotReducedCocycle
 from confcoh.extensions import (
@@ -347,6 +347,28 @@ def test_deform_validity_iff_cocycle():
             assert ok == is_cocycle
             seen[ok] += 1
         assert seen[False] > 0
+
+
+def test_deform_coboundaries_are_valid_on_current_sl2():
+    # the positive direction of BKV's correspondence, which random reduced
+    # 2-cochains on Cur sl2 almost never reach: coboundaries d(beta) of
+    # reduced adjoint 1-cochains are cocycles and first-order deformations;
+    # adding a basis 2-cochain that is not a cocycle breaks both
+    cur2 = build_current(sl2())
+    adj = adjoint_module(cur2)
+    spec = ComplexSpec(cur2, adj, REDUCED)
+    rng = random.Random(113)
+    bump = Cochain.from_basis_element(cur2, adj, 2, REDUCED, ((1, 0), (0, 0)), 0)
+    assert not verify_cocycle(spec, bump).is_cocycle
+    for _ in range(4):
+        beta = random_skew_cochain(cur2, adj, 1, 3, rng, variant=REDUCED)
+        gamma = d_reduced(beta)
+        assert not gamma.is_zero()
+        assert verify_cocycle(spec, gamma).is_cocycle
+        assert deform(cur2, gamma).check_jacobi_mod_eps2()[0]
+        perturbed = gamma + bump
+        assert not verify_cocycle(spec, perturbed).is_cocycle
+        assert not deform(cur2, perturbed).check_jacobi_mod_eps2()[0]
 
 
 def test_deform_abelian_toward_lie_bracket():
