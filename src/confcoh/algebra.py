@@ -41,6 +41,7 @@ from .poly import (
     mat_apply,
     mat_mul,
     mat_subst,
+    terms_poly,
     vec_add,
     vec_scale,
     vec_subst,
@@ -71,9 +72,11 @@ class ConformalAlgebra:
                 row.append(tuple(vec))
             self.table.append(row)
         # the differentials' read plans and bracket expansion table, the
+        # engine's skew placements per (sorted tuple, exponent vector), the
         # annihilation algebra's j-th products and level brackets, and the
         # reads of the action on cochains, filled on use
         self._read_plans = {}
+        self._placements = {}
         self._bracket_expansions = {}
         self._jth_products = {}
         self._level_brackets = {}
@@ -297,14 +300,16 @@ def first_failure(residual, n, support):
     """(ok, witness): the first (i, j, k, m) with a nonzero residual(i, j, k, m),
     the component m of an identity on (a_i, a_j, a_k).
 
-    ``support(i, j)`` is a set holding every (m, k) at which that component
-    can be nonzero; the other entries are skipped, which keeps the order.
+    ``residual`` returns term tables; the witness is the RatPoly of the
+    first nonzero one.  ``support(i, j)`` is a set holding every (m, k) at
+    which that component can be nonzero; the other entries are skipped,
+    which keeps the order.
     """
     for i, j in product(range(n), repeat=2):
         for k, m in sorted((k, m) for m, k in support(i, j)):
             res = residual(i, j, k, m)
             if res:
-                return False, (i, j, k, m, res)
+                return False, (i, j, k, m, terms_poly(res))
     return True, None
 
 
@@ -332,13 +337,15 @@ def check_module(algebra, module):
     """a_lam(b_mu v) - b_mu(a_lam v) = [a_lam b]_(lam+mu) v; (ok, witness)."""
     if module.kind == "scalar":
         return True, None
-    n, dim = algebra.ngens, module.dim
     act = module.action
-    residual = bracket_residual(act, act, algebra.table, [_DELP] * dim, True)
-    for i, j, r, s in product(range(n), range(n), range(dim), range(dim)):
-        entry = residual(i, j, r, s)
-        if entry:
-            return False, (i, j, (r, s), entry)
+    residual = bracket_residual(act, act, algebra.table, [_DELP] * module.dim,
+                                True)
+    support = bracket_support(act, act, algebra.table, True)
+    for i, j in product(range(algebra.ngens), repeat=2):
+        for r, s in sorted(support(i, j)):
+            entry = residual(i, j, r, s)
+            if entry:
+                return False, (i, j, (r, s), terms_poly(entry))
     return True, None
 
 
@@ -355,11 +362,11 @@ def check_bimodule(algebra, module):
     # the left identity is the kernel's; the right and mixed ones put the
     # product on the other side and are expanded here
     left_residual = bracket_residual(left, left, algebra.table, [_DELP] * dim, False)
+    left_support = bracket_support(left, left, algebra.table, False)
     for i in range(n):
         for j in range(n):
             # left: a_lam (b_mu m) = (a_lam b)_(lam+mu) m
-            if any(left_residual(i, j, r, s)
-                   for r, s in product(range(dim), repeat=2)):
+            if any(left_residual(i, j, r, s) for r, s in left_support(i, j)):
                 return False, ("left", (i, j))
             # right: m_lam (a_mu b) = (m_lam a)_(lam+mu) b
             lhs = None

@@ -16,13 +16,14 @@ terms (skew.element_terms) in one component, fed to the differential kernel
 (cochain.lie_term_sums).  The kernel's sums ({output tuple: per component
 {(lam exponents, rest): coeff}}, int where integral, cancelled entries kept
 as zeros), which apply_differential also returns for a Cochain, are read by
-cochain_coords, taking each exponent vector's (basis element,
-sign) from a placement memo kept by the store (assemble and verify_cocycle
-keep one per call).  The (a + sum lam_i) rows read a on the pair and raise
-one slot's exponent per term, and the restriction expands lam1^e := (-a -
-lam2 - ... - lamq)^e on the sums' exponent vectors from the multinomial
-table and sums each column in ints over one common denominator (for a =
-n/m, each monomial's image is kept times m^e).
+cochain_coords, taking each exponent vector's (basis element, sign) from
+the placement memo kept on the algebra (``_placements``, filled on use and
+shared by every store, assemble and verify_cocycle call on it).  The (a +
+sum lam_i) rows read a on the pair and raise one slot's exponent per term,
+and the restriction expands lam1^e := (-a - lam2 - ... - lamq)^e on the
+sums' exponent vectors from the multinomial table and sums each column in
+ints over one common denominator (for a = n/m, each monomial's image is
+kept times m^e).
 
 The store reads only the pairs of Cartan weight 0.  For a current algebra
 (constant brackets, no torsion generator) take a generator h whose ad is
@@ -308,7 +309,6 @@ class SliceComplex:
         self._mult = {}
         self._restricted = {}
         self._restriction_memo = {}  # restricted terms per monomial
-        self._placements = {}  # skew placements per (tuple, monomial)
         self._quotients = {}
         self._ranks = {}
         self._cocycles = {}  # q -> (bound, free indices, kernel vectors)
@@ -336,7 +336,7 @@ class SliceComplex:
             for pair in self.pairs(q, d):
                 image = _differential_image(self.spec, q, pair)
                 images.append(image)
-                cols.append(cochain_coords(image, self._placements))
+                cols.append(cochain_coords(image, self.spec.algebra._placements))
             self._columns[key] = cols
             if self.spec.scalar_quotient:
                 self._images[key] = images
@@ -671,7 +671,7 @@ def assemble(spec, q, d):
     keys (their own bidegree is implied by the shape element).
     """
     pairs = slice_pairs(spec, q, d)
-    placements = {}
+    placements = spec.algebra._placements
     return pairs, [cochain_coords(_differential_image(spec, q, p), placements)
                    for p in pairs]
 
@@ -686,7 +686,7 @@ class VerifyResult:
 def verify_cocycle(spec, gamma):
     """Exact cocycle test and a window coboundary solve with witness."""
     dv = apply_differential(spec, gamma)
-    placements = {}
+    placements = spec.algebra._placements
     if spec.scalar_quotient:
         is_cocycle = not _restriction_coords(spec, dv, {})
     else:

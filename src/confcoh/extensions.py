@@ -35,45 +35,73 @@ from .algebra import (
 )
 from .cochain import REDUCED, Cochain
 from .errors import NotACocycle, NotReducedCocycle
+from .kernel import _split_del
 from .poly import (
     DEL,
     RatPoly,
     _mono_mul,
+    add_terms,
     bracket_residual,
     bracket_support,
-    exact,
-    from_terms,
     lam,
     left_matrices,
     mat_add,
     mat_mul,
     mat_sub,
+    split_terms,
+    terms_poly,
     vec_add,
     vec_scale,
     zero_vec,
 )
 
-_LAM1, _LAM2 = lam(1), lam(2)
-_L1 = RatPoly.var(_LAM1)
-_L2 = RatPoly.var(_LAM2)
+_L1 = RatPoly.var(lam(1))
+_L2 = RatPoly.var(lam(2))
 _DELP = RatPoly.var(DEL)
 
 
 def _on_section(terms, swap, powers):
     """A value component given by its terms {((e1, e2), rest): coeff}, or
     its negative with lam1 and lam2 exchanged if swap, at lam2 := -lam1 -
-    d_M; powers[e] holds the terms of (-lam1 - d_M)^e."""
+    d_M, as a term table {(lam1 exp, 0, d exp, rest): coeff}; powers[e]
+    holds the term table of (-lam1 - d_M)^e."""
     sign = -1 if swap else 1
     out = {}
     for ((e1, e2), rest), coeff in terms.items():
         if swap:
             e1, e2 = e2, e1
-        head = (((_LAM1, e1),) if e1 else ()) + rest
+        e, rest = _split_del(rest)
         coeff = sign * coeff
-        for mono2, coeff2 in powers[e2].items():
-            key = _mono_mul(head, mono2)
+        for (x, _, f, r2), coeff2 in powers[e2].items():
+            key = (e1 + x, 0, e + f,
+                   _mono_mul(rest, r2) if rest and r2 else rest or r2)
             out[key] = out.get(key, 0) + coeff * coeff2
-    return from_terms(out)
+    return {key: c for key, c in out.items() if c}
+
+
+def _datum_terms(cocycle):
+    """``datum_from_cochain`` with each component a term table."""
+    if cocycle.q != 2 or cocycle.variant != REDUCED:
+        raise ValueError("expected a reduced 2-cochain")
+    module = cocycle.module
+    n = cocycle.algebra.ngens
+    terms = cocycle.kernel_terms()
+    step = -_L1 - module.del_poly()
+    power = RatPoly.const(1)
+    powers = [split_terms(power)]
+    for _ in range(cocycle.lam_degree()):
+        power = power * step
+        powers.append(split_terms(power))
+    zero = ({},) * module.dim
+    table = {}
+    for i in range(n):
+        for j in range(n):
+            # the skew value on (i, j) with i > j is -gamma_(j, i)(lam2, lam1)
+            swap = i > j
+            comps = terms.get((j, i) if swap else (i, j))
+            table[(i, j)] = zero if comps is None else tuple(
+                _on_section(comp, swap, powers) for comp in comps)
+    return table
 
 
 def datum_from_cochain(cocycle):
@@ -84,29 +112,8 @@ def datum_from_cochain(cocycle):
     through one table of the powers of -lam1 - d_M shared by every pair,
     in ints where integral.
     """
-    if cocycle.q != 2 or cocycle.variant != REDUCED:
-        raise ValueError("expected a reduced 2-cochain")
-    module = cocycle.module
-    n = cocycle.algebra.ngens
-    terms = cocycle.kernel_terms()
-    step = -_L1 - module.del_poly()
-    power = RatPoly.const(1)
-    powers = [{(): 1}]
-    for _ in range(cocycle.lam_degree()):
-        power = power * step
-        powers.append({m: exact(c) for m, c in power.terms.items()})
-    table = {}
-    for i in range(n):
-        for j in range(n):
-            # the skew value on (i, j) with i > j is -gamma_(j, i)(lam2, lam1)
-            swap = i > j
-            comps = terms.get((j, i) if swap else (i, j))
-            if comps is None:
-                table[(i, j)] = zero_vec(module.dim)
-            else:
-                table[(i, j)] = tuple(_on_section(comp, swap, powers)
-                                      for comp in comps)
-    return table
+    return {key: tuple(terms_poly(c) for c in vec)
+            for key, vec in _datum_terms(cocycle).items()}
 
 
 def cochain_from_datum(algebra, module, table):
@@ -294,9 +301,11 @@ class TrivialExtension:
             for i in range(A.ngens)
         ]
         residual = bracket_residual(block, block, A.table, [_DELP] * (u + 1), True)
+        support = bracket_support(block, block, A.table, True)
         for i in range(A.ngens):
             for j in range(A.ngens):
-                if any(residual(i, j, r, u) for r in range(u)):
+                if any(residual(i, j, r, s) for r, s in support(i, j)
+                       if s == u and r < u):
                     return False, ("module identity", (i, j))
         return True, None
 
@@ -443,30 +452,45 @@ class DeformedAlgebra:
 
     def __init__(self, base, cocycle):
         self.base = base
+        n = base.ngens
         if isinstance(cocycle, Cochain):
-            datum = datum_from_cochain(cocycle)
-            n = base.ngens
-            self.gamma = [[datum[(i, j)] for j in range(n)] for i in range(n)]
+            # the datum's term tables go to the residual as they are; the
+            # RatPoly view is built on first read of ``gamma``
+            datum = _datum_terms(cocycle)
+            g = [[datum[(i, j)] for j in range(n)] for i in range(n)]
+            self._gamma = None
         else:
-            self.gamma = cocycle
+            g = self._gamma = cocycle
+        self._datum = g
         # the eps-linear part of Jacobi: gamma in the outer bracket, then in
         # the inner one
-        t, g = base.table, self.gamma
+        t = base.table
         ad_t, ad_g = left_matrices(t), left_matrices(g)
-        deltas = [base.del_poly_for(m) for m in range(base.ngens)]
+        deltas = [base.del_poly_for(m) for m in range(n)]
         self._eps_linear = (bracket_residual(ad_g, ad_t, t, deltas, True),
                             bracket_residual(ad_t, ad_g, g, deltas, True))
         self._eps_support = (bracket_support(ad_g, ad_t, t, True),
                              bracket_support(ad_t, ad_g, g, True))
 
+    @property
+    def gamma(self):
+        """The datum as tables of RatPoly."""
+        if self._gamma is None:
+            self._gamma = [[tuple(terms_poly(c) for c in vec) for vec in row]
+                           for row in self._datum]
+        return self._gamma
+
+    def _eps_terms(self, i, j, k, m):
+        first, second = self._eps_linear
+        return add_terms(first(i, j, m, k), second(i, j, m, k))
+
     def jacobi_residual(self, i, j, k, m):
         """The eps-linear part of the Jacobi identity at one index tuple."""
-        first, second = self._eps_linear
-        return first(i, j, m, k) + second(i, j, m, k)
+        return terms_poly(self._eps_terms(i, j, k, m))
 
     def check_jacobi_mod_eps2(self):
         first, second = self._eps_support
-        return first_failure(self.jacobi_residual, self.base.ngens,
+        return first_failure(self._eps_terms, self.base.ngens,
                              lambda i, j: first(i, j) | second(i, j))
 
     def check_jacobi_integrated(self):

@@ -7,18 +7,25 @@ commutators in the defining representation, so the constructor check is an
 independent route to their correctness.  Representations validate
 [rho(a), rho(b)] = rho([a, b]) exactly.  Both are the constant case of the
 conformal two-layer identity: the structure constants and the matrices go to
-``poly.bracket_residual`` as constant polynomials, which skips zero entries
-and stops at the first failing one.
+``poly.bracket_residual`` as constant term tables, and the checks visit only
+the entries its support can make nonzero.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement
 
 from . import linalg
 from .errors import NotEquivariant, RepNotValid
-from .poly import RatPoly, bracket_residual, left_matrices, mat_mul, mat_sub
+from .poly import (
+    RatPoly,
+    bracket_residual,
+    bracket_support,
+    const_terms,
+    left_matrices,
+    mat_mul,
+)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -45,6 +52,8 @@ class LiePresentation:
                     raise ValueError("structure constant table has wrong shape")
         self.poly_table = [[tuple(RatPoly.const(x) for x in v) for v in row]
                            for row in self.c]
+        self.term_table = [[tuple(const_terms(x) for x in v) for v in row]
+                           for row in self.c]
         bad = self._check()
         if bad is not None:
             raise ValueError(f"not a Lie algebra: {bad}")
@@ -64,14 +73,16 @@ class LiePresentation:
                 for k in range(n):
                     if c[i][j][k] != -c[j][i][k]:
                         return f"antisymmetry fails at ({i},{j},{k})"
-        ad = left_matrices(self.poly_table)
-        residual = bracket_residual(ad, ad, self.poly_table, [RatPoly.zero()] * n,
-                                    True)
+        table = self.term_table
+        ad = left_matrices(table)
+        residual = bracket_residual(ad, ad, table, [RatPoly.zero()] * n, True)
+        support = bracket_support(ad, ad, table, True)
         # with antisymmetry the residual is antisymmetric in (i, j) and zero
         # at i = j, so the first failing (i, j, k, l) has i < j
-        for (i, j), k, l in product(combinations(range(n), 2), range(n), range(n)):
-            if residual(i, j, l, k):
-                return f"Jacobi fails at ({i},{j},{k})"
+        for i, j in combinations(range(n), 2):
+            for k, l in sorted((k, l) for l, k in support(i, j)):
+                if residual(i, j, l, k):
+                    return f"Jacobi fails at ({i},{j},{k})"
         return None
 
     @classmethod
@@ -89,20 +100,22 @@ class LiePresentation:
                     if m[r][s]
                 }
             )
-        constants = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                comm = mat_sub(mat_mul(mats[i], mats[j]), mat_mul(mats[j], mats[i]))
-                target = {
-                    (r, s): comm[r][s].const_value()
-                    for r in range(size)
-                    for s in range(size)
-                    if comm[r][s]
-                }
-                x = linalg.solve_columns(columns, target)
-                if x is None:
-                    raise ValueError("matrices do not close under commutator")
-                constants[i][j] = tuple(x.get(k, _ZERO) for k in range(n))
+        # [x_i, x_i] = 0 and [x_j, x_i] = -[x_i, x_j]: one solve per i < j
+        constants = [[(_ZERO,) * n] * n for _ in range(n)]
+        for i, j in combinations(range(n), 2):
+            a, b = mats[i], mats[j]
+            comm = (
+                ((r, s), sum(a[r][t] * b[t][s] - b[r][t] * a[t][s]
+                             for t in range(size)))
+                for r in range(size)
+                for s in range(size)
+            )
+            target = {rs: Fraction(c) for rs, c in comm if c}
+            x = linalg.solve_columns(columns, target)
+            if x is None:
+                raise ValueError("matrices do not close under commutator")
+            constants[i][j] = tuple(x.get(k, _ZERO) for k in range(n))
+            constants[j][i] = tuple(-c for c in constants[i][j])
         return cls(names, constants)
 
     def __repr__(self):
@@ -162,14 +175,14 @@ class Rep:
 
     def _check(self):
         g = self.algebra
-        mats = [[[RatPoly.const(x) for x in row] for row in m] for m in self.mats]
-        residual = bracket_residual(mats, mats, g.poly_table,
+        mats = [[[const_terms(x) for x in row] for row in m] for m in self.mats]
+        residual = bracket_residual(mats, mats, g.term_table,
                                     [RatPoly.zero()] * self.dim, True)
+        support = bracket_support(mats, mats, g.term_table, True)
         # [rho_i, rho_j] - rho([x_i, x_j]) is antisymmetric in (i, j) and
         # zero at i = j: the first failing pair has i < j
-        entries = list(product(range(self.dim), repeat=2))
         for i, j in combinations(range(g.dim), 2):
-            if any(residual(i, j, r, s) for r, s in entries):
+            if any(residual(i, j, r, s) for r, s in support(i, j)):
                 return f"[rho_{i}, rho_{j}] != rho([x_{i}, x_{j}])"
         return None
 

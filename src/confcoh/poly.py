@@ -481,10 +481,118 @@ def left_matrices(table):
     return [[list(row) for row in zip(*rows)] for rows in table]
 
 
-# the two bracket parameters x = lam1, y = lam2 and the substitutions of
-# the two-layer identity that do not depend on d
-_X, _Y = RatPoly.var(lam(1)), RatPoly.var(lam(2))
-_AT_Y, _AT_SUM, _CUT = {lam(1): _Y}, {lam(1): _X + _Y}, {DEL: -_X - _Y}
+# -- the two-layer bracket identity on term tables ----------------------------
+#
+# A term table is {(x, y, e, rest): coeff}: x, y and e the exponents of
+# lam1, lam2 and d, rest the monomial in every other variable (a RatPoly
+# monomial), coeff int where integral; zeros are not stored.
+
+_LAM1, _LAM2 = lam(1), lam(2)
+_CONST = (0, 0, 0, ())
+
+
+def split_terms(p):
+    """The term table of a RatPoly."""
+    out = {}
+    for mono, c in p.terms.items():
+        x = y = e = 0
+        rest = []
+        for v, k in mono:
+            if v == _LAM1:
+                x = k
+            elif v == _LAM2:
+                y = k
+            elif v == DEL:
+                e = k
+            else:
+                rest.append((v, k))
+        out[(x, y, e, tuple(rest))] = exact(c)
+    return out
+
+
+def const_terms(c):
+    """The term table of an int or Fraction constant."""
+    return {_CONST: exact(c)} if c else {}
+
+
+def terms_poly(terms):
+    """The RatPoly, with Fraction coefficients, of a term table."""
+    out = {}
+    for (x, y, e, rest), c in terms.items():
+        head = ((_LAM1, x),) if x else ()
+        if y:
+            head += ((_LAM2, y),)
+        if e:
+            head += ((DEL, e),)
+        out[_mono_mul(head, rest)] = c
+    return from_terms(out)
+
+
+def add_terms(p, q):
+    """The sum of two term tables."""
+    out = dict(p)
+    for key, c in q.items():
+        out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def _add_product(acc, p, q, sign):
+    """acc += sign * p * q on term tables (acc may keep cancelled zeros)."""
+    for (x1, y1, e1, r1), c1 in p.items():
+        c1 = sign * c1
+        for (x2, y2, e2, r2), c2 in q.items():
+            key = (x1 + x2, y1 + y2, e1 + e2,
+                   _mono_mul(r1, r2) if r1 and r2 else r1 or r2)
+            acc[key] = acc.get(key, 0) + c1 * c2
+
+
+def _product(p, q):
+    """p * q on term tables (cancelled zeros kept)."""
+    out = {}
+    _add_product(out, p, q, 1)
+    return out
+
+
+def _substitution(to_lam1, to_d):
+    """lam1 -> to_lam1 and d -> to_d, simultaneously, on term tables.
+
+    Each replacement is a term table with no rest, or None to keep the
+    variable; a term's lam2 and rest are untouched.  The image of each
+    lam1^a d^e is expanded once, through the replacements' powers, and kept
+    with the function.
+    """
+    powers = ([{_CONST: 1}], [{_CONST: 1}])
+    images = {}
+
+    def power(which, base, n):
+        if base is None:
+            return {(n, 0, 0, ()) if which == 0 else (0, 0, n, ()): 1}
+        table = powers[which]
+        while len(table) <= n:
+            table.append(_product(table[-1], base))
+        return table[n]
+
+    def apply(terms):
+        if len(terms) == 1 and _CONST in terms:  # constants stay as they are
+            return terms
+        out = {}
+        for (a, b, e, rest), c in terms.items():
+            image = images.get((a, e))
+            if image is None:
+                image = images[(a, e)] = [
+                    (key, k) for key, k in _product(power(0, to_lam1, a),
+                                                    power(1, to_d, e)).items() if k]
+            for (x, y, f, _), k in image:
+                key = (x, y + b, f, rest)
+                out[key] = out.get(key, 0) + c * k
+        return {key: c for key, c in out.items() if c}
+
+    return apply
+
+
+def _as_terms(p):
+    """A matrix entry as a term table: a RatPoly is split, a table kept."""
+    return p if type(p) is dict else split_terms(p)
 
 
 def bracket_residual(outer, inner, table, deltas, commutator):
@@ -502,15 +610,31 @@ def bracket_residual(outer, inner, table, deltas, commutator):
             - sum_k table_ij^k(x, d->-x-y) outer_k(x+y)
 
     with x = lam1, y = lam2; the middle (commutator) term is left out when
-    ``commutator`` is false, for associativity.  Zero entries are skipped,
-    substituted entries are kept for the life of the function and nothing
-    is computed before it is asked for, so callers can stop at the first
-    nonzero entry.
+    ``commutator`` is false, for associativity.
+
+    Entries are RatPolys or term tables {(x, y, e, rest): coeff} (x, y, e
+    the exponents of lam1, lam2, d; rest the monomial in the other
+    variables, such as a named parameter; coeff int where integral), and
+    deltas are RatPolys.  Each entry read is split into a table once, and
+    each substitution expands its terms through the powers of the
+    replacement's terms, both kept for the life of the function; products
+    add exponents.
+    An entry of the residual is a term table with no zeros, so it is falsy
+    exactly when the identity holds there; ``terms_poly`` turns a failing
+    entry into its RatPoly witness.  Nothing is computed before it is asked
+    for, so callers can stop at the first nonzero entry.
     """
     distinct = {}
     row_shift = [distinct.setdefault(dl, len(distinct)) for dl in deltas]
-    inner_at_y = [{lam(1): _Y, DEL: dl + _X} for dl in distinct]
-    inner_at_x = [{DEL: dl + _Y} for dl in distinct]
+    x, y = {(1, 0, 0, ()): 1}, {(0, 1, 0, ()): 1}
+    shifts = [split_terms(dl) for dl in distinct]
+    if any(rest for dl in shifts for _, _, _, rest in dl):
+        raise ValueError("a row's d-action must not carry a parameter")
+    inner_at_y = [_substitution(y, add_terms(x, dl)) for dl in shifts]
+    inner_at_x = [_substitution(None, add_terms(y, dl)) for dl in shifts]
+    at_y = _substitution(y, None)
+    cut = _substitution(None, {(1, 0, 0, ()): -1, (0, 1, 0, ()): -1})
+    at_sum = _substitution(add_terms(x, y), None)
     rows = [None] * len(outer)  # the nonzero entries of outer_i, by row
     cache = {}
 
@@ -519,27 +643,26 @@ def bracket_residual(outer, inner, table, deltas, commutator):
             rows[i] = [[(l, p) for l, p in enumerate(row) if p] for row in outer[i]]
         return rows[i]
 
-    def sub(key, p, mapping):
-        if len(p.terms) == 1 and () in p.terms:  # constants stay as they are
-            return p
+    def sub(key, p, substitution):
         v = cache.get(key)
         if v is None:
-            v = cache[key] = p.subst_many(mapping)
+            v = cache[key] = substitution(_as_terms(p))
         return v
 
     def residual(i, j, r, s):
         h = row_shift[r]
-        lhs = rhs = _POLY_ZERO
+        acc = {}
         for l, p in nonzero_rows(i)[r]:
             q = inner[j][l][s]
             if q:
-                lhs = lhs + p * sub((0, j, l, s, h), q, inner_at_y[h])
+                _add_product(acc, sub((5, i, r, l), p, _as_terms),
+                             sub((0, j, l, s, h), q, inner_at_y[h]), 1)
         if commutator:
             for l, p in nonzero_rows(j)[r]:
                 q = inner[i][l][s]
                 if q:
-                    rhs = rhs + sub((1, j, r, l), p, _AT_Y) * sub(
-                        (2, i, l, s, h), q, inner_at_x[h])
+                    _add_product(acc, sub((1, j, r, l), p, at_y),
+                                 sub((2, i, l, s, h), q, inner_at_x[h]), -1)
         products = cache.get((i, j))
         if products is None:
             products = cache[(i, j)] = [
@@ -548,9 +671,9 @@ def bracket_residual(outer, inner, table, deltas, commutator):
         for k, c in products:
             o = outer[k][r][s]
             if o:
-                rhs = rhs + sub((3, i, j, k), c, _CUT) * sub(
-                    (4, k, r, s), o, _AT_SUM)
-        return lhs - rhs if rhs else lhs
+                _add_product(acc, sub((3, i, j, k), c, cut),
+                             sub((4, k, r, s), o, at_sum), -1)
+        return {key: c for key, c in acc.items() if c}
 
     return residual
 

@@ -1,5 +1,8 @@
+import random
 from fractions import Fraction
+from itertools import combinations, product
 
+import pytest
 
 from confcoh.algebra import (
     ConformalAlgebra,
@@ -20,8 +23,25 @@ from confcoh.algebra import (
     dual_numbers_current,
     regular_bimodule,
 )
-from confcoh.liealg import abelian, adjoint_rep, sl2, sl2_irrep, sl3
-from confcoh.poly import DEL, RatPoly, lam, unit_vec
+from confcoh.errors import RepNotValid
+from confcoh.liealg import (
+    LiePresentation,
+    Rep,
+    abelian,
+    adjoint_rep,
+    sl2,
+    sl2_irrep,
+    sl3,
+)
+from confcoh.poly import (
+    DEL,
+    RatPoly,
+    bracket_residual,
+    lam,
+    left_matrices,
+    terms_poly,
+    unit_vec,
+)
 
 D = RatPoly.var(DEL)
 L1 = RatPoly.var(lam(1))
@@ -190,3 +210,121 @@ def test_non_associative_fixture_detected():
 
     bad = build_assoc_current(("one", "x"), mult)
     assert not check_associativity(bad)[0]
+
+
+# -- the support-driven checkers against full scans of every entry -----------
+
+
+def _full_scan_module(algebra, module):
+    """check_module reading every (i, j, r, s) in order: an exact oracle."""
+    act, dim = module.action, module.dim
+    residual = bracket_residual(act, act, algebra.table, [D] * dim, True)
+    for i, j, r, s in product(range(algebra.ngens), range(algebra.ngens),
+                              range(dim), range(dim)):
+        entry = residual(i, j, r, s)
+        if entry:
+            return False, (i, j, (r, s), terms_poly(entry))
+    return True, None
+
+
+def _random_action(rng, n, dim):
+    def entry():
+        if rng.random() < 0.5:
+            return RatPoly.zero()
+        return (rng.randint(-2, 2) * D + rng.randint(-2, 2) * L1
+                + rng.randint(-1, 1) * L1 * L1 + rng.randint(-3, 3))
+
+    return [[[entry() for _ in range(dim)] for _ in range(dim)] for _ in range(n)]
+
+
+def test_check_module_reports_the_first_entry_of_a_full_scan():
+    rng = random.Random(182)
+    cur2 = build_current(sl2())
+    m_v2 = build_m_u(sl2(), sl2_irrep(sl2(), 2))
+    failed = 0
+    for alg in (build_vir(), cur2):
+        for dim in (2, 3):
+            for _ in range(6):
+                module = ConformalModule("free", dim,
+                                         action=_random_action(rng, alg.ngens, dim))
+                got = check_module(alg, module)
+                assert got == _full_scan_module(alg, module)
+                failed += not got[0]
+    assert failed > 12
+    # one wrong entry of M_V(2) at a time: each is reported where a full
+    # scan first sees it
+    for g, r, s in product(range(3), range(3), range(3)):
+        action = [[list(row) for row in m] for m in m_v2.action]
+        action[g][r][s] = action[g][r][s] + L1
+        module = ConformalModule("free", 3, action=action)
+        assert check_module(cur2, module) == _full_scan_module(cur2, module)
+
+
+def _full_scan_lie(constants):
+    """LiePresentation's Jacobi message by reading every entry: an oracle."""
+    n = len(constants)
+    table = [[tuple(RatPoly.const(x) for x in v) for v in row] for row in constants]
+    ad = left_matrices(table)
+    residual = bracket_residual(ad, ad, table, [RatPoly.zero()] * n, True)
+    for (i, j), k, l in product(combinations(range(n), 2), range(n), range(n)):
+        if residual(i, j, l, k):
+            return f"not a Lie algebra: Jacobi fails at ({i},{j},{k})"
+    return None
+
+
+def test_lie_jacobi_failure_is_the_first_of_a_full_scan():
+    rng = random.Random(183)
+    g3 = sl3()
+    for _ in range(12):
+        bad = [[list(g3.c[i][j]) for j in range(8)] for i in range(8)]
+        for _ in range(rng.randint(1, 3)):
+            i, j = rng.sample(range(8), 2)
+            k = rng.randrange(8)
+            bad[i][j][k] += 1
+            bad[j][i][k] -= 1
+        with pytest.raises(ValueError) as info:
+            LiePresentation(g3.names, bad)
+        assert str(info.value) == _full_scan_lie(bad)
+
+
+def test_rep_failure_is_the_first_pair_of_a_full_scan():
+    rng = random.Random(184)
+    g3 = sl3()
+    ad = adjoint_rep(g3)
+    for _ in range(40):
+        mats = [[row[:] for row in m] for m in ad.mats]
+        x, r, s = rng.randrange(8), rng.randrange(8), rng.randrange(8)
+        mats[x][r][s] += rng.choice([1, -1, Fraction(1, 2)])
+        consts = [[[RatPoly.const(v) for v in row] for row in m] for m in mats]
+        residual = bracket_residual(consts, consts, g3.poly_table,
+                                    [RatPoly.zero()] * 8, True)
+        want = next((f"[rho_{i}, rho_{j}] != rho([x_{i}, x_{j}])"
+                     for i, j in combinations(range(8), 2)
+                     if any(residual(i, j, a, b)
+                            for a, b in product(range(8), repeat=2))), None)
+        with pytest.raises(RepNotValid) as info:
+            Rep(g3, mats)
+        assert str(info.value) == want
+
+
+def test_left_bimodule_failures_are_seen_on_every_entry(mat2_current):
+    # one wrong entry of the left action at a time: the left identity's
+    # first failing pair by a full scan is reported, unless the right or
+    # mixed identity fails at a pair no later
+    bim = regular_bimodule(mat2_current)
+    table = mat2_current.table
+    for g, r, s in product(range(4), range(4), range(4)):
+        left = [[list(row) for row in m] for m in bim.action]
+        left[g][r][s] = left[g][r][s] + 1
+        residual = bracket_residual(left, left, table, [D] * 4, False)
+        first = next(((i, j) for i, j in product(range(4), repeat=2)
+                      if any(residual(i, j, a, b)
+                             for a, b in product(range(4), repeat=2))), None)
+        ok, witness = check_bimodule(mat2_current, ConformalModule(
+            "free", 4, action=left, right_action=bim.right_action))
+        if first is None:
+            continue
+        assert not ok
+        kind, pair = witness
+        assert (kind == "left" and pair == first) or (
+            kind in ("right", "mixed") and pair <= first)

@@ -5,6 +5,7 @@ import pytest
 
 from confcoh import engine
 from confcoh.algebra import (
+    adjoint_module,
     build_current,
     build_m_delta_alpha,
     build_m_u,
@@ -361,6 +362,40 @@ def test_placement_memo_keeps_both_skew_assertions():
             monomial_coordinates(_terms(L1 * L2, 2), (0, 0), placements)
         with pytest.raises(ValueError, match="only involve lam"):
             monomial_coordinates({((1,), ((DEL, 1),)): 1}, (0,), placements)
+
+
+def test_verify_cocycle_reuses_the_placements_kept_on_the_algebra(monkeypatch):
+    # a placement depends only on (sorted tuple, exponent vector): a second
+    # verify_cocycle on the same algebra, and a slice store on it, place no
+    # key that is already in the algebra's memo
+    from confcoh import skew
+
+    placed = []
+    place = skew._placement
+    monkeypatch.setattr(skew, "_placement",
+                        lambda exps, t: placed.append((t, exps)) or place(exps, t))
+    cur2 = build_current(sl2())
+    adj = adjoint_module(cur2)
+    spec = ComplexSpec(cur2, adj, REDUCED)
+    assert cur2._placements == {}  # filled on use
+    rng = random.Random(52)
+    gamma = d_reduced(random_skew_cochain(cur2, adj, 1, 2, rng, variant=REDUCED))
+    assert verify_cocycle(spec, gamma).is_coboundary
+    first = set(cur2._placements)
+    assert first and set(placed) == first
+    del placed[:]
+    verify_cocycle(spec, gamma)
+    assert placed == []
+    for _ in range(3):
+        before = set(cur2._placements)
+        del placed[:]
+        verify_cocycle(spec, random_skew_cochain(cur2, adj, 2, 2, rng,
+                                                 variant=REDUCED))
+        assert not before & set(placed)
+    before = set(cur2._placements)
+    del placed[:]
+    SliceComplex(spec).columns(1, 2)
+    assert not before & set(placed)
 
 
 def test_window_mode_on_filtered_module():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -347,6 +348,35 @@ def test_deform_validity_iff_cocycle():
             assert ok == is_cocycle
             seen[ok] += 1
         assert seen[False] > 0
+
+
+def test_deformation_from_a_cochain_matches_its_datum_table():
+    # the cochain's terms go to the residual directly; the RatPoly table of
+    # datum_from_cochain must give the same residual entries and verdicts
+    rng = random.Random(181)
+    for alg in (VIR, build_current(sl2())):
+        adj = adjoint_module(alg)
+        spec = ComplexSpec(alg, adj, REDUCED)
+        n = alg.ngens
+        gammas = [random_skew_cochain(alg, adj, 2, 3, rng, variant=REDUCED)
+                  for _ in range(3)]
+        gammas += [d_reduced(random_skew_cochain(alg, adj, 1, 3, rng,
+                                                 variant=REDUCED))
+                   for _ in range(2)]
+        verdicts = set()
+        for gamma in gammas:
+            datum = datum_from_cochain(gamma)
+            table = [[datum[(i, j)] for j in range(n)] for i in range(n)]
+            from_cochain, from_table = deform(alg, gamma), deform(alg, table)
+            assert from_cochain.gamma == table
+            for i, j, k, m in product(range(n), repeat=4):
+                assert (from_cochain.jacobi_residual(i, j, k, m)
+                        == from_table.jacobi_residual(i, j, k, m))
+            verdict = from_cochain.check_jacobi_mod_eps2()
+            assert verdict == from_table.check_jacobi_mod_eps2()
+            assert verdict[0] == verify_cocycle(spec, gamma).is_cocycle
+            verdicts.add(verdict[0])
+        assert verdicts == {True, False}
 
 
 def test_deform_coboundaries_are_valid_on_current_sl2():

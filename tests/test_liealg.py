@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from confcoh import linalg
 from confcoh.errors import NotEquivariant, RepNotValid
 from confcoh.liealg import (
     LiePresentation,
@@ -18,6 +19,7 @@ from confcoh.liealg import (
     trivial_rep,
     wedge2_rep,
 )
+from confcoh.poly import mat_mul, mat_sub
 
 
 def test_sl2_structure_constants():
@@ -33,6 +35,57 @@ def test_sl3_closes_and_validates():
     assert g.dim == 8
     # [e1, e2] = e3 in the unit-matrix basis
     assert g.bracket(0, 1)[2] == 1
+
+
+def _all_pairs_constants(mats):
+    """Structure constants by one commutator solve for every ordered pair
+    (i, j), i = j included: an exact oracle for from_matrices."""
+    n, size = len(mats), len(mats[0])
+    columns = [{(r, s): Fraction(m[r][s]) for r in range(size)
+                for s in range(size) if m[r][s]} for m in mats]
+    constants = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            comm = mat_sub(mat_mul(mats[i], mats[j]), mat_mul(mats[j], mats[i]))
+            target = {(r, s): comm[r][s].const_value() for r in range(size)
+                      for s in range(size) if comm[r][s]}
+            x = linalg.solve_columns(columns, target)
+            assert x is not None
+            constants[i][j] = tuple(x.get(k, Fraction(0)) for k in range(n))
+    return constants
+
+
+def _sl3_matrices():
+    def unit(r, s):
+        m = [[0] * 3 for _ in range(3)]
+        m[r][s] = 1
+        return m
+
+    return [unit(0, 1), unit(1, 2), unit(0, 2), unit(1, 0), unit(2, 1),
+            unit(2, 0), [[1, 0, 0], [0, -1, 0], [0, 0, 0]],
+            [[0, 0, 0], [0, 1, 0], [0, 0, -1]]]
+
+
+def test_from_matrices_matches_the_all_pairs_solve(monkeypatch):
+    sl2_mats = [[[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 0], [0, -1]]]
+    want = [_all_pairs_constants(sl2_mats), _all_pairs_constants(_sl3_matrices())]
+    solves = []
+    solve = linalg.solve_columns
+    monkeypatch.setattr(linalg, "solve_columns",
+                        lambda *args: solves.append(1) or solve(*args))
+    got = [sl2().c, sl3().c]
+    # one solve per pair i < j: 3 for sl2, 28 for sl3
+    assert len(solves) == 3 + 28
+    assert got == want
+    assert all(type(x) is Fraction for c in got for row in c for v in row for x in v)
+
+
+def test_from_matrices_refuses_matrices_that_do_not_close():
+    e, f = [[0, 1], [0, 0]], [[0, 0], [1, 0]]  # [e, f] = h is missing
+    with pytest.raises(ValueError, match="do not close"):
+        LiePresentation.from_matrices(("e", "f"), [e, f])
+    with pytest.raises(ValueError, match="do not close"):
+        LiePresentation.from_matrices(("e1", "e2"), _sl3_matrices()[:2])
 
 
 def test_abelian_trivially_valid():
