@@ -393,7 +393,7 @@ def phi_on_pool(sums, pool):
     the format of ``ce_differential_eval``.
 
     ``sums`` is {sorted generator tuple: per component {(lam exponents,
-    rest): coeff}}, the format of the kernel's sums (``cochain.lie_sums``).
+    rest): coeff}}, the format of the kernel's sums (``cochain.term_sums``).
     Each tuple is read on its arrangement sorted by (generator, level), as
     ``phi_eval`` reads a sorted tuple; zero coefficients are dropped.
     """

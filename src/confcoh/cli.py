@@ -70,9 +70,9 @@ from .cochain import (
     cochain_from_obj,
     d_basic,
     lam_count,
-    lie_sums,
     name_index,
     random_skew_cochain,
+    term_sums,
 )
 from .engine import ComplexSpec, truncation_sweep, verify_cocycle
 from .errors import ConfcohError, NotACocycle, ParseError
@@ -416,7 +416,8 @@ def cmd_annih_compare(args):
             )
             # phi(d gamma) from the kernel's sums against the continuous
             # differential of phi(gamma), on every tuple of the pool
-            lhs = phi_on_pool(lie_sums(gamma), pair_pool)
+            lhs = phi_on_pool(term_sums(algebra, module, q, gamma.variant,
+                                        gamma.kernel_terms()), pair_pool)
             rhs = ce_differential_eval(gamma, pair_pool)
             for pairs in combinations_with_replacement(pair_pool, q + 1):
                 if lhs.get(pairs) != rhs.get(pairs):

@@ -30,7 +30,8 @@ higher lam (a contraction by an element carrying lam), and only width-q
 terms are read by the kernel and by slot insertion (``kernel_terms``).
 ``values``, {tuple: vector of RatPoly}, is a view built on first read;
 RatPoly values (parsing, tests) are split once and kept as that view.
-Every differential runs the one kernel of ``kernel`` and stores its sums;
+Every differential runs the one kernel of ``kernel``, through ``term_sums``,
+and stores its sums;
 random cochains, iota and theta write terms, and sums, scaling by a number
 and equality work on them, so no RatPoly is built from a random cochain to
 the comparison of the Cartan identity.
@@ -490,54 +491,70 @@ def terms_to_vec(acc, n):
 
 
 # -- the differentials: every variant through the kernel -----------------------
+#
+# Every variant is one read-plan kind of ``kernel`` and whether d is cut on
+# the sums.  The Lie kind (either Lie variant): over a free module the
+# actions at every output slot i, on the left, with sign (-1)^i, and every
+# bracket [T[i]_lam_{i+1} T[j]] (i < j) fed into the first slot with sign
+# (-1)^(i+j).  Leibniz: the same actions, and [T[i]_lam_{i+1} T[j]] (i < j)
+# fed into the slot of T[j] with sign (-1)^(i+1).  Hochschild: a_1 acting on
+# the left, the adjacent products (-1)^(s+1) a_{s+1} a_{s+2} fed into slot
+# s, and a_{q+1} acting on the right at lam_{q+1} with sign (-1)^(q+1).
+# Cyclic (q counts arguments, the paper's n+1): the adjacent products
+# (-1)^s a_{s+1} a_{s+2} and the wrap-around product (-1)^q a_{q+1} a_1,
+# each fed into the first of its slots.  A reduced cochain is lifted to the
+# basic complex, differentiated and returned to representatives: over a
+# free module, d := -(lam1+...+lam_{q+1}) is cut on the sums.
+
+_KERNEL = {
+    BASIC: (LIE, False),
+    REDUCED: (LIE, True),
+    HOCHSCHILD: (HOCHSCHILD, False),
+    HOCHSCHILD_REDUCED: (HOCHSCHILD, True),
+    CYCLIC: (CYCLIC, False),
+    LEIBNIZ: (LEIBNIZ, False),
+}
 
 
-def _of_sums(c, sums, out_q):
-    """The degree-out_q cochain like c whose terms are the kernel's sums."""
-    return Cochain.from_terms(c.algebra, c.module, out_q, c.variant, sums)
+def term_sums(algebra, module, q, variant, terms):
+    """The ``_d_terms`` sums of d on degree-q values in the term format
+    ({stored tuple: per component {(lam exponents, rest): coeff}})."""
+    if variant not in _KERNEL:
+        raise ValueError(f"unknown variant {variant}")
+    kind, cut = _KERNEL[variant]
+    if kind in (HOCHSCHILD, CYCLIC) and not algebra.associative:
+        name = "Hochschild" if kind == HOCHSCHILD else "cyclic"
+        raise ValueError(f"{name} differential needs an associative algebra")
+    if kind == HOCHSCHILD and module.right_action is None:
+        raise WrongModuleKind("Hochschild cochains need a bimodule")
+    # the module acts when free; Hochschild cochains always act, cyclic never
+    acts = kind == HOCHSCHILD or (kind != CYCLIC and module.is_free())
+    sums = _d_terms(algebra, module, read_plan(algebra, kind, q, acts), terms)
+    return _cut_del(sums, q + 1) if cut and module.is_free() else sums
 
 
-def _d_lie(algebra, module, q, split):
-    """The two-sum differential, on representatives for either Lie variant:
-    over a free module the actions at every output slot i, on the left,
-    with sign (-1)^i, and every bracket [T[i]_lam_{i+1} T[j]] (i < j) fed
-    into the first slot with sign (-1)^(i+j); ``_d_terms`` sums."""
-    return _d_terms(algebra, module,
-                    read_plan(algebra, LIE, q, module.is_free()), split)
-
-
-def lie_sums(c):
-    """``lie_term_sums`` of the cochain's terms."""
-    return lie_term_sums(c.algebra, c.module, c.q, c.variant,
-                         c.kernel_terms())
-
-
-def lie_term_sums(algebra, module, q, variant, split):
-    """The ``_d_terms`` sums of d for either Lie variant, on degree-q values
-    in the term format ({sorted tuple: per component {(lam exponents,
-    rest): coeff}}).  A reduced cochain is lifted to the basic complex,
-    differentiated and returned to representatives: over a free module,
-    d := -(lam1+...+lam_{q+1}) is cut on the sums."""
-    sums = _d_lie(algebra, module, q, split)
-    if variant == REDUCED and module.is_free():
-        sums = _cut_del(sums, q + 1)
-    return sums
+def differential(c):
+    """d of a cochain of any variant: its ``term_sums``, as a cochain."""
+    return Cochain.from_terms(c.algebra, c.module, c.q + 1, c.variant,
+                              term_sums(c.algebra, c.module, c.q, c.variant,
+                                        c.kernel_terms()))
 
 
 def d_basic(c):
     if c.variant != BASIC:
         raise ValueError("d_basic expects a basic cochain")
-    return _of_sums(c, lie_sums(c), c.q + 1)
+    return differential(c)
 
 
 def d_reduced(c):
     if c.variant != REDUCED:
         raise ValueError("d_reduced expects a reduced cochain")
-    return _of_sums(c, lie_sums(c), c.q + 1)
+    return differential(c)
 
 
 def reduce_cochain(c):
-    """The canonical d-free representative: substitute d -> -(lam1+...+lamq)."""
+    """The canonical d-free representative: d := -(lam1+...+lamq), cut on
+    the terms (a contraction keeps its higher lam in place)."""
     if c.variant != BASIC:
         raise ValueError("reduce expects a basic cochain")
     if not c.module.is_free():
@@ -545,9 +562,8 @@ def reduce_cochain(c):
             "reduction by substitution needs a free module; scalar-module "
             "classes are taken modulo (a + sum lam_i) by the engine"
         )
-    cut = {DEL: -lam_sum(c.q)}
-    values = {t: vec_subst(v, cut) for t, v in c.values.items()}
-    return c.copy_with(values=values, variant=REDUCED)
+    return Cochain.from_terms(c.algebra, c.module, c.q, REDUCED,
+                              _cut_del(c.terms, c.q), c.width)
 
 
 def del_action(c):
@@ -560,46 +576,6 @@ def del_action(c):
     )
 
 
-# -- Hochschild, cyclic, Leibniz ------------------------------------------------
-
-
-def d_hochschild(c):
-    """a_1 acting on the left, the adjacent products (-1)^(s+1) a_{s+1} a_{s+2}
-    fed into slot s, and a_{q+1} acting on the right at lam_{q+1} with sign
-    (-1)^(q+1); the reduced variant cuts d on the sums."""
-    A, M, q = c.algebra, c.module, c.q
-    if not A.associative:
-        raise ValueError("Hochschild differential needs an associative algebra")
-    if M.right_action is None:
-        raise WrongModuleKind("Hochschild cochains need a bimodule")
-    out_q = q + 1
-    sums = _d_terms(A, M, read_plan(A, HOCHSCHILD, q, True), c.kernel_terms())
-    if c.variant == HOCHSCHILD_REDUCED:
-        sums = _cut_del(sums, out_q)
-    return _of_sums(c, sums, out_q)
-
-
-def d_cyclic(c):
-    """Differential on cyclic cochains; c.q counts arguments (= paper n+1).
-
-    The adjacent products (-1)^s a_{s+1} a_{s+2} and the wrap-around
-    product (-1)^q a_{q+1} a_1, each fed into the first of its slots.
-    """
-    A, q = c.algebra, c.q
-    if not A.associative:
-        raise ValueError("cyclic differential needs an associative algebra")
-    return _of_sums(c, _d_terms(A, c.module, read_plan(A, CYCLIC, q, False),
-                                c.kernel_terms()), q + 1)
-
-
-def d_leibniz(c):
-    """The actions of d_basic, and [T[i]_lam_{i+1} T[j]] (i < j) fed into
-    the slot of T[j] with sign (-1)^(i+1)."""
-    plan = read_plan(c.algebra, LEIBNIZ, c.q, c.module.is_free())
-    return _of_sums(c, _d_terms(c.algebra, c.module, plan, c.kernel_terms()),
-                    c.q + 1)
-
-
 def as_leibniz(c):
     """Forget skew storage: the same cochain with values on all tuples."""
     if c.variant not in _SKEW_VARIANTS:
@@ -610,20 +586,6 @@ def as_leibniz(c):
         if not vec_is_zero(v):
             values[t] = v
     return Cochain(c.algebra, c.module, c.q, LEIBNIZ, values)
-
-
-def differential(c):
-    if c.variant == BASIC:
-        return d_basic(c)
-    if c.variant == REDUCED:
-        return d_reduced(c)
-    if c.variant in (HOCHSCHILD, HOCHSCHILD_REDUCED):
-        return d_hochschild(c)
-    if c.variant == CYCLIC:
-        return d_cyclic(c)
-    if c.variant == LEIBNIZ:
-        return d_leibniz(c)
-    raise ValueError(f"unknown variant {c.variant}")
 
 
 # -- randomized cochains (seeded suites) ----------------------------------------

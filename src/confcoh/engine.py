@@ -13,7 +13,7 @@ scalar-coefficient reduced complexes, the rows of the (a + sum lam_i) image
 and the columns restricted to the hyperplane sum lam_i = -a.  No slice map
 builds a Cochain or a RatPoly per column: a column's input is its shape's
 terms (skew.element_terms) in one component, fed to the differential kernel
-(cochain.lie_term_sums).  The kernel's sums ({output tuple: per component
+(cochain.term_sums).  The kernel's sums ({output tuple: per component
 {(lam exponents, rest): coeff}}, int where integral, cancelled entries kept
 as zeros), which apply_differential also returns for a Cochain, are read by
 cochain_coords, taking each exponent vector's (basis element, sign) from
@@ -71,7 +71,7 @@ from math import lcm
 from operator import add
 
 from . import linalg
-from .cochain import BASIC, REDUCED, Cochain, lie_sums, lie_term_sums
+from .cochain import BASIC, REDUCED, Cochain, term_sums
 # no caller here; bench/tracer.py wraps this binding by name (bench/test_bench.py)
 from .cochain import d_basic  # noqa: F401
 from .errors import NotEquivariant, UnstableTruncation, UnsupportedComplex
@@ -201,11 +201,11 @@ def pair_degree(pair):
 
 
 def apply_differential(spec, c):
-    """d(c) as the sums of ``cochain.lie_sums``; no Cochain or RatPoly."""
+    """d(c) as the sums of ``cochain.term_sums``; no Cochain or RatPoly."""
     if c.variant != spec.variant:
         raise ValueError(f"a {spec.variant} complex differentiates "
                          f"{spec.variant} cochains, not {c.variant}")
-    return lie_sums(c)
+    return term_sums(c.algebra, c.module, c.q, c.variant, c.kernel_terms())
 
 
 def _differential_image(spec, q, pair):
@@ -214,8 +214,8 @@ def _differential_image(spec, q, pair):
     elem, u = pair
     comps = [{} for _ in range(spec.module.dim)]
     comps[u] = element_terms(elem, q)
-    return lie_term_sums(spec.algebra, spec.module, q, spec.variant,
-                         {element_tuple(elem): comps})
+    return term_sums(spec.algebra, spec.module, q, spec.variant,
+                     {element_tuple(elem): comps})
 
 
 def _mult_coords(spec, q, pair):

@@ -21,10 +21,6 @@ class WrongModuleKind(ConfcohError):
     """Operation requires a free (or scalar) coefficient module."""
 
 
-class NotAssociative(ConfcohError):
-    """Algebra failed the associativity axiom."""
-
-
 class NotACocycle(ConfcohError):
     """Extension or deformation datum is not a cocycle; carries the witness."""
 

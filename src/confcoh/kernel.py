@@ -26,7 +26,8 @@ and the named parameters, coefficients Python ints where integral
 as zeros.  Both reduced variants cut d := -(lam1 + ... + lam_{q+1}) on the
 sums, through the multinomial table of ``poly.multinomials``
 (``_cut_del``); parameters such as mu stay in each term's rest.
-``cochain`` holds the variants and turns sums into RatPoly values.
+``cochain.term_sums`` maps each variant to its kind of plan and its cut,
+and a cochain stores the sums as its terms.
 """
 
 from __future__ import annotations
@@ -324,8 +325,8 @@ def _d_terms(algebra, module, plan, split):
     The plan says which outputs read each stored tuple and how; every term
     is expanded through the cached tables above and added straight into the
     accumulators, whose coefficients stay int where integral and may cancel
-    to zero; ``cochain._d_values`` turns them into RatPoly values.  The
-    outputs come in sorted order.
+    to zero; ``cochain`` stores them as a cochain's terms.  The outputs come
+    in sorted order.
     """
     out_q = plan.q + 1
     dim = module.dim
@@ -371,8 +372,9 @@ def _d_terms(algebra, module, plan, split):
 
 
 def _cut_del(sums, out_q):
-    """``_d_terms`` sums with d := -(lam_1 + ... + lam_{out_q}), expanded
-    through the multinomial table; parameters stay in each term's rest."""
+    """``_d_terms`` sums, or any terms, with d := -(lam_1 + ... +
+    lam_{out_q}), expanded through the multinomial table; parameters stay
+    in each term's rest, and exponents past lam_{out_q} in place."""
     out = {}
     for T, acc in sums.items():
         out[T] = cut = [{} for _ in acc]
@@ -385,7 +387,8 @@ def _cut_del(sums, out_q):
                 m, rest = rest[0][1], rest[1:]
                 if m % 2:
                     coeff = -coeff
+                tail = ev[out_q:]
                 for k, mult in multinomials(out_q, m):
-                    key = (tuple(map(add, ev, k)), rest)
+                    key = (tuple(map(add, ev, k)) + tail, rest)
                     new[key] = new.get(key, 0) + coeff * mult
     return out

@@ -395,11 +395,13 @@ _MULTINOMIALS = {}
 def multinomials(n, m):
     """The expansion of (x_1 + ... + x_n)^m: every exponent vector k of n
     parts summing to m, with its int coefficient m! / (k_1! ... k_n!).
-    Filled on first use."""
+    Filled on first use; for n = 0 the empty sum, 1 if m = 0 else 0."""
     key = (n, m)
     out = _MULTINOMIALS.get(key)
     if out is None:
-        if n == 1:
+        if n == 0:
+            out = () if m else (((), 1),)
+        elif n == 1:
             out = (((m,), 1),)
         else:
             # k_1 = j, the rest a vector of n - 1 parts summing to m - j

@@ -37,8 +37,8 @@ from confcoh.cochain import (
     as_leibniz,
     d_basic,
     del_action,
-    lie_sums,
     random_skew_cochain,
+    term_sums,
 )
 from confcoh.extensions import extend_algebra
 from confcoh.liealg import adjoint_rep, sl2, sl2_irrep, sl3
@@ -676,7 +676,8 @@ def test_ce_differential_eval_matches_oracle():
                                         max_del=max_del)
             dg = d_basic(gamma)
             ce = ce_differential_eval(gamma, pool)
-            lhs = phi_on_pool(lie_sums(gamma), pool)
+            lhs = phi_on_pool(term_sums(alg, mod, q, BASIC,
+                                        gamma.kernel_terms()), pool)
             for pairs in combinations_with_replacement(pool, q + 1):
                 gens = tuple(p[0] for p in pairs)
                 lev = tuple(p[1] for p in pairs)

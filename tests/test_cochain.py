@@ -22,28 +22,26 @@ from confcoh.cochain import (
     HOCHSCHILD_REDUCED,
     LEIBNIZ,
     REDUCED,
+    VARIANTS,
     Cochain,
-    _d_lie,
+    _KERNEL,
     all_tuples,
     as_leibniz,
     cochain_from_obj,
     cochain_to_obj,
     cyclic_symmetrize,
     d_basic,
-    d_cyclic,
-    d_hochschild,
-    d_leibniz,
     d_reduced,
     del_action,
     differential,
     lam_sum,
     lam_terms,
     lam_var,
-    lie_sums,
     random_plain_cochain,
     random_skew_cochain,
     reduce_cochain,
     sorted_tuples,
+    term_sums,
     terms_to_vec,
 )
 from confcoh.errors import WrongModuleKind
@@ -230,6 +228,45 @@ def test_reduce_compatible_with_differential():
             assert left == right
 
 
+def _reduce_oracle(c):
+    """The former reduce_cochain: d := -(lam1 + ... + lamq) by RatPoly
+    substitution on the values."""
+    cut = {DEL: -lam_sum(c.q)}
+    return c.copy_with(values={t: vec_subst(v, cut) for t, v in c.values.items()},
+                       variant=REDUCED)
+
+
+def test_reduce_matches_ratpoly_oracle():
+    rng = random.Random(149)
+    nonzero = wide = 0
+    for mod in (M10, build_m_delta_alpha(-1, 2), build_m_delta_alpha(2, 1)):
+        for q in range(4):
+            for max_del in range(4):
+                for _ in range(2):
+                    gamma = random_skew_cochain(VIR, mod, q, 3, rng,
+                                                max_del=max_del)
+                    got, want = reduce_cochain(gamma), _reduce_oracle(gamma)
+                    assert got == want
+                    nonzero += _assert_equal_exactly(got.values, want.values)
+        # a contraction by an element carrying lam2: a degree-1 cochain over
+        # lam1, lam2 whose d is cut to -lam1, lam2 kept in place
+        for _ in range(3):
+            gamma = random_skew_cochain(VIR, mod, 2, 2, rng, max_del=2)
+            c = contract_lambda((L2 * (1 + D),), gamma)
+            got, want = reduce_cochain(c), _reduce_oracle(c)
+            assert got == want
+            _assert_equal_exactly(got.values, want.values)
+            wide += c.width == 2 and c.has_del() and got.width == 2
+    assert nonzero > 60 and wide >= 4
+
+
+def test_reduce_degree_zero_keeps_the_constant_term():
+    # d := -(the empty sum) = 0
+    c = Cochain(VIR, M10, 0, BASIC, {(): (D ** 2 - 3 * D + 5,)})
+    assert reduce_cochain(c).values == {(): (RatPoly.const(5),)}
+    assert reduce_cochain(c.scale(0)).is_zero()
+
+
 def test_del_action_values():
     c = vir_c_cochain(2, L1 - L2)
     assert del_action(c).values[(0, 0)] == ((L1 + L2) * (L1 - L2),)
@@ -259,7 +296,7 @@ def test_del_action_injective_on_slice_bases():
 def _d_lie_oracle(c):
     """The two-sum differential through slot_insert / value_with_params /
     RatPoly substitution, term by term, on every sorted output tuple: the
-    reference for _d_lie."""
+    reference for the Lie differential's sums (``term_sums``)."""
     A, M, q = c.algebra, c.module, c.q
     out_q = q + 1
     values = {}
@@ -328,8 +365,8 @@ def _assert_equal_exactly(got, want):
 
 def _lie_values(c):
     """d of c through the read plan, before any reduced cut, as values."""
-    return _d_values(_d_lie(c.algebra, c.module, c.q, c.kernel_terms()),
-                     c.q + 1)
+    return _d_values(term_sums(c.algebra, c.module, c.q, BASIC,
+                               c.kernel_terms()), c.q + 1)
 
 
 def _assert_matches_oracle(c):
@@ -441,6 +478,39 @@ def test_d_reduced_cut_matches_oracle():
     assert cut > 25 and with_mu > 40
 
 
+# -- the one entry into the kernel ------------------------------------------------
+
+
+def test_kernel_table_covers_the_variants():
+    assert set(_KERNEL) == set(VARIANTS) and len(_KERNEL) == len(VARIANTS)
+
+
+def test_associative_variants_refuse_a_lie_algebra():
+    for variant, name in ((HOCHSCHILD, "Hochschild"),
+                          (HOCHSCHILD_REDUCED, "Hochschild"),
+                          (CYCLIC, "cyclic")):
+        c = Cochain.zero(VIR, M10, 1, variant)
+        with pytest.raises(ValueError, match=f"^{name} differential needs "
+                           "an associative algebra$"):
+            differential(c)
+
+
+def test_hochschild_refuses_a_module_without_right_action():
+    alg = dual_numbers_current()
+    bim = regular_bimodule(alg)
+    left_only = ConformalModule("free", bim.dim, action=bim.action)
+    for mod in (C, left_only):
+        for variant in (HOCHSCHILD, HOCHSCHILD_REDUCED):
+            with pytest.raises(WrongModuleKind,
+                               match="^Hochschild cochains need a bimodule$"):
+                differential(Cochain.zero(alg, mod, 1, variant))
+
+
+def test_differential_refuses_an_unknown_variant():
+    with pytest.raises(ValueError, match="^unknown variant bogus$"):
+        differential(Cochain.zero(VIR, C, 1, "bogus"))
+
+
 # -- Leibniz -------------------------------------------------------------------
 
 
@@ -448,11 +518,11 @@ def test_leibniz_agrees_with_basic_on_skew():
     rng = random.Random(41)
     for q in (1, 2, 3):
         gamma = random_skew_cochain(VIR, C, q, 4, rng)
-        assert d_leibniz(as_leibniz(gamma)) == as_leibniz(d_basic(gamma))
+        assert differential(as_leibniz(gamma)) == as_leibniz(d_basic(gamma))
     cur = build_current(sl2())
     for q in (1, 2):
         gamma = random_skew_cochain(cur, build_trivial(1, 0), q, 3, rng)
-        assert d_leibniz(as_leibniz(gamma)) == as_leibniz(d_basic(gamma))
+        assert differential(as_leibniz(gamma)) == as_leibniz(d_basic(gamma))
 
 
 def test_leibniz_d_squared_zero_on_plain_cochains():
@@ -460,12 +530,12 @@ def test_leibniz_d_squared_zero_on_plain_cochains():
     for alg, mod in [(VIR, C), (VIR, M10), (build_current(sl2()), build_trivial(1, 0))]:
         for q in (1, 2):
             gamma = random_plain_cochain(alg, mod, q, 4, rng)
-            assert d_leibniz(d_leibniz(gamma)).is_zero()
+            assert differential(differential(gamma)).is_zero()
 
 
 def _d_leibniz_oracle(c):
-    """d_leibniz through slot_insert / value_with_params / M.act, term by
-    term, on every ordered output tuple: the reference for d_leibniz."""
+    """The Leibniz differential through slot_insert / value_with_params /
+    M.act, term by term, on every ordered output tuple: its reference."""
     A, M, q = c.algebra, c.module, c.q
     out_q = q + 1
     values = {}
@@ -520,7 +590,7 @@ def test_d_leibniz_matches_oracle():
             for gamma in plain + skew:
                 assert gamma.variant == LEIBNIZ
                 nonzero += _assert_equal_exactly(
-                    d_leibniz(gamma).values, _d_leibniz_oracle(gamma).values
+                    differential(gamma).values, _d_leibniz_oracle(gamma).values
                 )
     assert nonzero > 30
 
@@ -534,7 +604,7 @@ def test_hochschild_d_squared_zero():
     rng = random.Random(47)
     for q in (0, 1, 2):
         gamma = random_plain_cochain(alg, bim, q, 4, rng, variant=HOCHSCHILD)
-        assert d_hochschild(d_hochschild(gamma)).is_zero()
+        assert differential(differential(gamma)).is_zero()
 
 
 def test_cyclic_symmetrization_and_invariance():
@@ -555,14 +625,14 @@ def test_cyclic_differential_preserves_invariance_and_squares_to_zero():
         gamma = cyclic_symmetrize(
             random_plain_cochain(alg, c_mod, q, 3, rng, variant=CYCLIC)
         )
-        dg = d_cyclic(gamma)
+        dg = differential(gamma)
         assert dg.validate() is None
-        assert d_cyclic(dg).is_zero()
+        assert differential(dg).is_zero()
 
 
 def _d_hochschild_oracle(c):
-    """d_hochschild through M.act / slot_insert / RatPoly substitution, term
-    by term: the reference for d_hochschild."""
+    """The Hochschild differential through M.act / slot_insert / RatPoly
+    substitution, term by term: its reference."""
     A, M, q = c.algebra, c.module, c.q
     if not A.associative:
         raise ValueError("Hochschild differential needs an associative algebra")
@@ -615,8 +685,8 @@ def _d_hochschild_oracle(c):
 
 
 def _d_cyclic_oracle(c):
-    """d_cyclic through slot_insert / RatPoly substitution, term by term:
-    the reference for d_cyclic."""
+    """The cyclic differential through slot_insert / RatPoly substitution,
+    term by term: its reference."""
     A, q = c.algebra, c.q
     if not A.associative:
         raise ValueError("cyclic differential needs an associative algebra")
@@ -693,7 +763,7 @@ def test_d_hochschild_matches_oracle(mat2_current):
                         for t, v in gamma.values.items()
                     })
                     nonzero += _assert_equal_exactly(
-                        d_hochschild(gamma).values,
+                        differential(gamma).values,
                         _d_hochschild_oracle(gamma).values,
                     )
     assert nonzero > 50
@@ -709,7 +779,7 @@ def test_d_cyclic_matches_oracle(mat2_current):
                 raw = random_plain_cochain(alg, c_mod, q, 4, rng, variant=CYCLIC)
                 for gamma in (raw, cyclic_symmetrize(raw)):
                     nonzero += _assert_equal_exactly(
-                        d_cyclic(gamma).values, _d_cyclic_oracle(gamma).values
+                        differential(gamma).values, _d_cyclic_oracle(gamma).values
                     )
     assert nonzero > 20
 
@@ -1133,7 +1203,8 @@ def test_differentials_match_the_former_ratpoly_route():
             c = random_skew_cochain(alg, mod, q, 3, rng, variant=variant,
                                     max_del=max_del)
             got = differential(c)
-            want = c.copy_with(values=_d_values(lie_sums(c), q + 1), q=q + 1)
+            sums = term_sums(alg, mod, q, variant, c.kernel_terms())
+            want = c.copy_with(values=_d_values(sums, q + 1), q=q + 1)
             assert got == want
             nonzero += _assert_equal_exactly(got.values, want.values)
     assert nonzero >= 8

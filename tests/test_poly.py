@@ -10,6 +10,7 @@ from confcoh.poly import (
     bracket_residual,
     bracket_support,
     lam,
+    multinomials,
     param,
     parse_poly,
     split_terms,
@@ -285,3 +286,9 @@ def test_bracket_residual_refuses_a_parameter_in_a_row_shift():
     with pytest.raises(ValueError):
         bracket_residual(m, m, [[(RatPoly.zero(),)]],
                          [RatPoly.var(DEL) + RatPoly.var(param("a"))], True)
+
+
+def test_multinomials_of_no_parts():
+    # the empty sum: its zeroth power is 1, every other power 0
+    assert multinomials(0, 0) == (((), 1),)
+    assert multinomials(0, 3) == ()
