@@ -127,6 +127,8 @@ class Cochain:
         return c
 
     def _store(self, algebra, module, q, variant, width, terms):
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown variant {variant}")
         if variant in _SKEW_VARIANTS and any(tuple(sorted(t)) != t
                                              for t in terms):
             raise ValueError("skew cochains store sorted tuples only")

@@ -11,19 +11,25 @@ SliceComplex, made for that call.  The store fills each bidegree (q, d) on
 first read and keeps its basis pairs and its differential columns, plus, for
 scalar-coefficient reduced complexes, the rows of the (a + sum lam_i) image
 and the columns restricted to the hyperplane sum lam_i = -a.  No slice map
-builds a Cochain or a RatPoly per column: a column's input is its shape's
-terms (skew.element_terms) in one component, fed to the differential kernel
-(cochain.term_sums).  The kernel's sums ({output tuple: per component
-{(lam exponents, rest): coeff}}, int where integral, cancelled entries kept
-as zeros), which apply_differential also returns for a Cochain, are read by
-cochain_coords, taking each exponent vector's (basis element, sign) from
-the placement memo kept on the algebra (``_placements``, filled on use and
-shared by every store, assemble and verify_cocycle call on it).  The (a +
-sum lam_i) rows read a on the pair and raise one slot's exponent per term,
-and the restriction expands lam1^e := (-a - lam2 - ... - lamq)^e on the
-sums' exponent vectors from the multinomial table and sums each column in
-ints over one common denominator (for a = n/m, each monomial's image is
-kept times m^e).
+builds a Cochain or a RatPoly per column.  A column is read from one
+placement of its shape (kernel.skew_column): a skew shape is the
+alternation of one monomial and d commutes with the alternation, so d of
+the shape is the alternation of one action read at slot 0 and one bracket
+read per slot, each term placed in the basis by sorting its pairs, with the
+sign of the sort; over a free module the reduced cut d := -(lam1 + ... +
+lam_{q+1}) applies to the action's d alone.  That needs a skew-symmetric
+bracket, which ComplexSpec checks once (kernel.skew_failure).  Columns
+hold ints where integral.  The (a + sum lam_i) rows read a on the pair and
+raise one slot's exponent per term, and the restriction reads a column's
+coordinates as terms (each shape's skew.element_terms, kept per shape by
+the store), expands lam1^e := (-a - lam2 - ... - lamq)^e on their exponent
+vectors from the multinomial table and sums each column in ints over one
+common denominator (for a = n/m, each monomial's image is kept times m^e).
+A cochain's coordinates (verify_cocycle's cocycle test and target) are read
+by cochain_coords from its terms or from apply_differential's sums, taking
+each exponent vector's (basis element, sign) from the placement memo kept
+on the algebra (``_placements``, filled on use and shared by every
+verify_cocycle call on it).
 
 The store reads only the pairs of Cartan weight 0.  For a current algebra
 (constant brackets, no torsion generator) take a generator h whose ad is
@@ -75,6 +81,7 @@ from .cochain import BASIC, REDUCED, Cochain, term_sums
 # no caller here; bench/tracer.py wraps this binding by name (bench/test_bench.py)
 from .cochain import d_basic  # noqa: F401
 from .errors import NotEquivariant, UnstableTruncation, UnsupportedComplex
+from .kernel import skew_column, skew_failure
 from .liealg import check_equivariant, sym_power_rep, adjoint_rep
 from .poly import (RatPoly, exact, lam, multinomials, parameter_names,
                    vec_is_zero)
@@ -106,6 +113,13 @@ class ComplexSpec:
         if names:
             raise UnsupportedComplex("the engine takes no named parameter; the "
                                      f"brackets or the action use {', '.join(names)}")
+        failure = skew_failure(self.algebra)
+        if failure is not None:
+            a, b, k = (self.algebra.gen_names[i] for i in failure)
+            raise UnsupportedComplex(
+                f"the bracket is not skew-symmetric at (a, b, k) = {failure}: "
+                f"component {k} of [{b}_mu {a}] is not -[{a}_lam {b}] at "
+                "d = -(lam + mu)")
 
     @property
     def scalar_quotient(self):
@@ -136,18 +150,34 @@ def cochain_coords(sums, placements):
     return coords
 
 
-def coords_to_cochain(spec, q, coords):
-    """The cochain with basis coordinates {(shape, u): coeff}, written as
-    each shape's terms (``skew.element_terms``) times its coefficient."""
+def _coords_terms(spec, coords, shapes):
+    """The terms, per sorted tuple and component, of the cochain with basis
+    coordinates {(shape, u): coeff}: each shape's terms
+    (``skew.element_terms``) times its coefficient.  ``shapes`` keeps each
+    shape's (sorted tuple, terms) across calls."""
     terms = {}
     dim = spec.module.dim
     for (elem, u), coeff in coords.items():
         if not coeff:
             continue
-        comp = terms.setdefault(element_tuple(elem), [{} for _ in range(dim)])[u]
-        for key, sign in element_terms(elem, q).items():
+        shape = shapes.get(elem)
+        if shape is None:
+            shape = shapes[elem] = (element_tuple(elem),
+                                    element_terms(elem, len(elem)))
+        t, placed = shape
+        comps = terms.get(t)
+        if comps is None:
+            comps = terms[t] = [{} for _ in range(dim)]
+        comp = comps[u]
+        for key, sign in placed.items():
             comp[key] = comp.get(key, 0) + sign * coeff
-    return Cochain.from_terms(spec.algebra, spec.module, q, spec.variant, terms)
+    return terms
+
+
+def coords_to_cochain(spec, q, coords):
+    """The cochain with basis coordinates {(shape, u): coeff}."""
+    return Cochain.from_terms(spec.algebra, spec.module, q, spec.variant,
+                              _coords_terms(spec, coords, {}))
 
 
 def cartan_weights(spec):
@@ -208,14 +238,12 @@ def apply_differential(spec, c):
     return term_sums(c.algebra, c.module, c.q, c.variant, c.kernel_terms())
 
 
-def _differential_image(spec, q, pair):
-    """The sums of d on a basis pair, fed to the kernel as the shape's terms
-    (``skew.element_terms``) in component u: no Cochain or RatPoly."""
+def _column(spec, q, pair):
+    """Coordinates of d of a basis pair, from one placement of its shape
+    (``kernel.skew_column``)."""
     elem, u = pair
-    comps = [{} for _ in range(spec.module.dim)]
-    comps[u] = element_terms(elem, q)
-    return term_sums(spec.algebra, spec.module, q, spec.variant,
-                     {element_tuple(elem): comps})
+    return skew_column(spec.algebra, spec.module, q, elem, u,
+                       spec.variant == REDUCED)
 
 
 def _mult_coords(spec, q, pair):
@@ -305,10 +333,10 @@ class SliceComplex:
         self._weights = None  # cartan_weights, found on the first read
         self._pairs = {}
         self._columns = {}
-        self._images = {}  # differential images, until their restriction is read
         self._mult = {}
         self._restricted = {}
         self._restriction_memo = {}  # restricted terms per monomial
+        self._shape_terms = {}  # (sorted tuple, terms) per shape
         self._quotients = {}
         self._ranks = {}
         self._cocycles = {}  # q -> (bound, free indices, kernel vectors)
@@ -331,15 +359,7 @@ class SliceComplex:
         """Coordinates of the differential of each basis cochain of (q, d)."""
         key = (q, d)
         if key not in self._columns:
-            cols = []
-            images = []
-            for pair in self.pairs(q, d):
-                image = _differential_image(self.spec, q, pair)
-                images.append(image)
-                cols.append(cochain_coords(image, self.spec.algebra._placements))
-            self._columns[key] = cols
-            if self.spec.scalar_quotient:
-                self._images[key] = images
+            self._columns[key] = [_column(self.spec, q, p) for p in self.pairs(q, d)]
         return self._columns[key]
 
     def mult_rows(self, q, d):
@@ -350,13 +370,15 @@ class SliceComplex:
         return self._mult[key]
 
     def restricted_columns(self, q, d):
-        """The columns of (q, d) restricted to sum lam_i = -a; scalar reduced only."""
+        """The columns of (q, d) restricted to sum lam_i = -a, each read as
+        the terms of its coordinates; scalar reduced only."""
         key = (q, d)
         if key not in self._restricted:
-            self.columns(q, d)
             self._restricted[key] = [
-                _restriction_coords(self.spec, image, self._restriction_memo)
-                for image in self._images.pop(key)
+                _restriction_coords(self.spec,
+                                    _coords_terms(self.spec, col, self._shape_terms),
+                                    self._restriction_memo)
+                for col in self.columns(q, d)
             ]
         return self._restricted[key]
 
@@ -671,9 +693,7 @@ def assemble(spec, q, d):
     keys (their own bidegree is implied by the shape element).
     """
     pairs = slice_pairs(spec, q, d)
-    placements = spec.algebra._placements
-    return pairs, [cochain_coords(_differential_image(spec, q, p), placements)
-                   for p in pairs]
+    return pairs, [_column(spec, q, p) for p in pairs]
 
 
 @dataclass
@@ -704,8 +724,7 @@ def verify_cocycle(spec, gamma):
     if q > 0:
         for d in range(bound + 1):
             pairs += slice_pairs(spec, q - 1, d)
-    columns = [cochain_coords(_differential_image(spec, q - 1, p), placements)
-               for p in pairs]
+    columns = [_column(spec, q - 1, p) for p in pairs]
     if spec.scalar_quotient:
         for d in range(bound + 1):
             columns += [_mult_coords(spec, q, p) for p in slice_pairs(spec, q, d)]

@@ -28,10 +28,18 @@ sums, through the multinomial table of ``poly.multinomials``
 (``_cut_del``); parameters such as mu stay in each term's rest.
 ``cochain.term_sums`` maps each variant to its kind of plan and its cut,
 and a cochain stores the sums as its terms.
+
+The engine's slice columns take a shorter route, ``skew_column``: a skew
+basis shape is the alternation of one monomial, so d of it is one action
+read and one bracket read per slot of that monomial, through the same
+expansion tables, each term placed straight into skew-basis coordinates;
+no read plan and no sums.  It needs a skew-symmetric bracket
+(``skew_failure``).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from math import comb
 from operator import add
 
@@ -369,6 +377,142 @@ def _d_terms(algebra, module, plan, split):
                             comp[key] = comp.get(key, 0) + coeff * gc
     order = sorted(sums) if len(split) > 1 else sums
     return {T: sums[T] for T in order if any(sums[T])}
+
+
+def skew_column(algebra, module, q, elem, u, cut):
+    """Coordinates {(shape, r): coeff} of d of the skew basis pair (elem, u)
+    of a Lie complex, read from one placement of the shape.
+
+    The shape's cochain is the alternation Alt over S_q of the monomial m
+    that puts its pairs on slots 0..q-1 in its own (decreasing) order, and
+    d commutes with the alternation, so for a skew-symmetric bracket
+
+        d Alt(m) = Alt( A[m] - 1/2 sum_s (-1)^s sum_(a, b) P_s^ab[m] ):
+
+    A[m] is the module action at output slot 0 on m at slots 1..q (over a
+    free module); P_s^ab[m] feeds component m_s of [a_lam1 b] into slot s of
+    m at lam1 + lam2, the other pairs of m going to slots 2..q in order.
+    Alt of a monomial on an unsorted tuple is the basis shape of its pairs
+    sorted decreasingly, with the sign of that sort, or zero if a pair
+    repeats.  Here the pairs of m left in place stay sorted, so a term is
+    placed by inserting its one or two new pairs (``_above``).  Skew
+    symmetry makes P_s^ab and P_s^ba alternate to the same thing, so only
+    a <= b is read, a < b counting twice; the doubled sums are halved
+    exactly at the end, an odd int meaning a non-skew bracket.  ``cut``:
+    d := -(lam1 + ... + lam_{q+1}) on the action's d^m, which is symmetric
+    and so commutes with Alt; it spreads d^m over every slot, so those terms
+    are sorted whole (``_orbit_placement``).  The bracket expansion puts
+    d := -(lam1 + lam2) itself.
+    """
+    coords = {}  # (shape, component): twice its coefficient
+    if module.is_free():
+        up = elem[::-1]
+        for g in range(algebra.ngens):
+            for r, expansion in _action_expansion(module, False, g, u, 0):
+                for ex, ed, rest, c in expansion:
+                    if rest or (ed and not cut):
+                        raise ValueError(
+                            "slice values must only involve lam variables")
+                    if not ed:
+                        x = (g, ex)
+                        p = _above(up, x)
+                        if p >= 0:
+                            key = (elem[:p] + (x,) + elem[p:], r)
+                            coords[key] = coords.get(key, 0) + (
+                                -2 * c if p % 2 else 2 * c)
+                        continue
+                    c = -2 * c if ed % 2 else 2 * c
+                    T = (g,) + tuple(k for k, _ in elem)
+                    ev = (ex,) + tuple(e for _, e in elem)
+                    for k, mult in multinomials(q + 1, ed):
+                        shape, sign = _orbit_placement(T, tuple(map(add, ev, k)))
+                        if sign:
+                            key = (shape, r)
+                            coords[key] = coords.get(key, 0) + sign * c * mult
+    for s, (slot_sign, pairs) in enumerate(_skew_bracket_pairs(algebra, elem)):
+        k, e = elem[s]
+        rest = elem[:s] + elem[s + 1:]
+        up = rest[::-1]
+        for a, b, weight in pairs:
+            w = slot_sign * weight
+            for ex, ey, grest, c in _bracket_expansion(algebra, a, b, k, e):
+                if grest:
+                    raise ValueError(
+                        "slice values must only involve lam variables")
+                # x != y: for a = b a skew bracket has no x^p y^p term
+                x, y = (a, ex), (b, ey)
+                px, py = _above(up, x), _above(up, y)
+                if px < 0 or py < 0:
+                    continue
+                # the sort of (x, y, rest...) inverts px + py pairs, and
+                # one more if x < y
+                if x > y:
+                    shape = rest[:px] + (x,) + rest[px:py] + (y,) + rest[py:]
+                    odd = (px + py) % 2
+                else:
+                    shape = rest[:py] + (y,) + rest[py:px] + (x,) + rest[px:]
+                    odd = not (px + py) % 2
+                key = (shape, u)
+                coords[key] = coords.get(key, 0) + (-w * c if odd else w * c)
+    return {key: _half(c) for key, c in coords.items() if c}
+
+
+def _skew_bracket_pairs(algebra, elem):
+    """Per slot s of a shape: (-(-1)^s, [(a, b, weight)]) over the a <= b
+    whose [a_lam b] has a nonzero component elem[s][0], weight 2 for a < b
+    and 1 for a = b."""
+    cache = getattr(algebra, "_skew_pairs", None)
+    if cache is None:
+        cache = algebra._skew_pairs = {
+            k: [(a, b, 2 if a < b else 1) for a, b in pairs if a <= b]
+            for k, pairs in _nonzero_bracket_pairs(algebra).items()}
+    return [(1 if s % 2 else -1, cache[k]) for s, (k, _) in enumerate(elem)]
+
+
+def _above(up, x):
+    """The number of pairs above x in a strictly decreasing tuple of pairs,
+    given as its reverse ``up``, or -1 if x is one of them."""
+    i = bisect_left(up, x)
+    if i < len(up) and up[i] == x:
+        return -1
+    return len(up) - i
+
+
+def _orbit_placement(T, ev):
+    """(shape, sign) of the alternation of the monomial with exponents ev
+    on the tuple T: its (generator, exponent) pairs sorted decreasingly and
+    the sign of that sort, or (None, 0) when a pair repeats."""
+    pairs = list(zip(T, ev))
+    order = sorted(range(len(pairs)), key=pairs.__getitem__, reverse=True)
+    shape = tuple(pairs[s] for s in order)
+    if any(shape[i] == shape[i + 1] for i in range(len(shape) - 1)):
+        return None, 0
+    return shape, permutation_sign(order)
+
+
+def _half(c):
+    """c / 2 for a doubled coordinate, exactly; an odd int cannot come
+    from a skew-symmetric bracket."""
+    if type(c) is int:
+        if c & 1:
+            raise AssertionError(f"odd doubled skew coordinate {c}")
+        return c >> 1
+    return exact(c / 2)
+
+
+def skew_failure(algebra):
+    """The first (a, b, k) at which [b_mu a]_k(d := -(lam + mu)) differs
+    from -[a_lam b]_k(d := -(lam + mu)), read from the bracket expansion
+    table at e = 0; None for a skew-symmetric bracket."""
+    for k, pairs in _nonzero_bracket_pairs(algebra).items():
+        for a, b in pairs:
+            ab = {(ex, ey, rest): c for ex, ey, rest, c
+                  in _bracket_expansion(algebra, a, b, k, 0)}
+            ba = {(ey, ex, rest): -c for ex, ey, rest, c
+                  in _bracket_expansion(algebra, b, a, k, 0)}
+            if ab != ba:
+                return a, b, k
+    return None
 
 
 def _cut_del(sums, out_q):

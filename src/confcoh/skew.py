@@ -14,7 +14,7 @@ sequences, i.e. partitions of degree - q(q-1)/2 into at most q parts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, product
 
 from .poly import RatPoly, from_terms, lam
 
@@ -90,22 +90,44 @@ def element_terms(elem, q):
     """The value of the antisymmetrized basis element on its sorted tuple, as
     {(lam exponents, ()): sign}, the term format of ``kernel._d_terms``.
 
-    The walk over placements: each permutation that puts the element's
-    pairs on slots of their own generator places exponent elem[s][1] on
-    slot perm[s], with the permutation's sign.  S_0 has one placement, the
-    empty one, so q = 0 gives {((), ()): 1}.
+    Its placements put each pair on a slot of its own generator: pair s
+    goes to slot perm[s], with the sign of perm.  The element's pairs
+    decrease and the sorted tuple increases, so the pairs of one generator
+    are one run of the element, and its slots one run of the tuple, after
+    the slots of the smaller generators: a run whose last pair is at index
+    j - 1 starts at slot q - j.  A placement maps each run onto its slots in order,
+    which inverts every two pairs of different runs, then permutes within
+    the runs; its sign is the product.  S_0 has one placement, the empty
+    one, so q = 0 gives {((), ()): 1}.  Pairs of one generator have
+    distinct exponents, so no two placements give the same exponent vector.
     """
-    t = element_tuple(elem)
+    exps = [0] * q
+    runs = []  # (first element index, first slot, length) of the longer runs
+    inversions = 0
+    i = 0
+    while i < q:
+        j = i + 1
+        while j < q and elem[j][0] == elem[i][0]:
+            j += 1
+        slot = q - j
+        inversions += (j - i) * slot
+        for a in range(i, j):
+            exps[slot + a - i] = elem[a][1]
+        if j - i > 1:
+            runs.append((i, slot, j - i))
+        i = j
+    sign = -1 if inversions % 2 else 1
+    if not runs:
+        return {(tuple(exps), ()): sign}
     terms = {}
-    for perm, sign in signed_permutations(q):
-        if any(t[perm[s]] != elem[s][0] for s in range(q)):
-            continue
-        exps = [0] * q
-        for s in range(q):
-            exps[perm[s]] = elem[s][1]
-        key = (tuple(exps), ())
-        terms[key] = terms.get(key, 0) + sign
-    return {key: c for key, c in terms.items() if c}
+    for choice in product(*(signed_permutations(n) for _, _, n in runs)):
+        placed = sign
+        for (first, slot, _), (perm, psign) in zip(runs, choice):
+            placed *= psign
+            for a, b in enumerate(perm):
+                exps[slot + b] = elem[first + a][1]
+        terms[(tuple(exps), ())] = placed
+    return terms
 
 
 def element_value(elem, q):

@@ -429,6 +429,23 @@ def test_named_parameters_pass_check_and_are_refused_by_the_engine(
     assert "named parameter" in err
 
 
+def test_betti_refuses_a_non_skew_bracket(tmp_path, capsys):
+    # the slice columns read one placement per shape, which needs a
+    # skew-symmetric bracket; this spec file died with an AssertionError
+    # traceback from the placement of a repeated pair
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({
+        "algebra": {"generators": ["L"], "brackets": {"L,L": {"L": "lam1"}}},
+        "module": {"kind": "scalar", "basis": ["v"], "del_scalar": "0"}}))
+    for variant in ("reduced", "basic"):
+        code, out, err = run(capsys, "betti", "--spec-file", str(path),
+                             "--variant", variant)
+        assert (code, out) == (2, "")
+        assert err == ("error: the bracket is not skew-symmetric at (a, b, k) "
+                       "= (0, 0, 0): component L of [L_mu L] is not "
+                       "-[L_lam L] at d = -(lam + mu)\n")
+
+
 def _entries(value, args=("L", "L")):
     return [{"args": list(args), "value": value}]
 

@@ -511,6 +511,22 @@ def test_differential_refuses_an_unknown_variant():
         differential(Cochain.zero(VIR, C, 1, "bogus"))
 
 
+def test_cochain_refuses_an_unknown_variant():
+    # at construction, by either route, not first at the differential
+    with pytest.raises(ValueError, match="^unknown variant bogus$"):
+        Cochain(VIR, C, 1, "bogus", {})
+    with pytest.raises(ValueError, match="^unknown variant bogus$"):
+        Cochain.from_terms(VIR, C, 1, "bogus", {})
+    c = Cochain(VIR, C, 1, BASIC, {(0,): (L1,)})
+    with pytest.raises(ValueError, match="^unknown variant bogus$"):
+        c.copy_with(variant="bogus")
+    # term_sums keeps its own check for raw terms
+    with pytest.raises(ValueError, match="^unknown variant bogus$"):
+        term_sums(VIR, C, 1, "bogus", c.terms)
+    for variant in VARIANTS:
+        assert Cochain.zero(VIR, C, 1, variant).variant == variant
+
+
 # -- Leibniz -------------------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from confcoh.cochain import (
     lam_sum,
     lam_terms,
     random_skew_cochain,
+    term_sums,
 )
 from confcoh.engine import (
     ComplexSpec,
@@ -48,7 +50,8 @@ from confcoh.liealg import (
     sym_power_rep,
 )
 from confcoh.poly import DEL, RatPoly, lam, param, vec_scale
-from confcoh.skew import monomial_coordinates, permutation_sign
+from confcoh.skew import (element_terms, element_tuple, monomial_coordinates,
+                          permutation_sign)
 
 VIR = build_vir()
 C = build_trivial(1, 0)
@@ -901,3 +904,167 @@ def test_h4_of_cur_sl2_with_v8_sits_at_degree_10():
     g = sl2()
     spec = ComplexSpec(build_current(g), build_m_u(g, sl2_irrep(g, 8)), REDUCED)
     assert graded_bidegree_dims(spec, 4, 10) == {(4, 10): 1}
+
+
+def test_goncharova_r3_classes_of_vir_m_minus_14():
+    # Delta = 1 - (3r^2 + r)/2 = -14 for r = 3: dims 1, 2, 1 in q = 3, 4, 5
+    # at d = (1 - Delta) + r = 18 and 19
+    spec = ComplexSpec(VIR, build_m_delta_alpha(-14, 0), REDUCED)
+    assert graded_bidegree_dims(spec, 5, 20) == {
+        (3, 18): 1, (4, 18): 1, (4, 19): 1, (5, 19): 1}
+
+
+def test_basic_trivial_table_of_cur_sl3_is_lambda_x3_x5():
+    # H(sl3) = Lambda(x_3, x_5): classes in q = 0, 3, 5 and 8, all at d = 0
+    spec = ComplexSpec(build_current(sl3()), C, BASIC)
+    assert graded_bidegree_dims(spec, 8, 3) == {
+        (0, 0): 1, (3, 0): 1, (5, 0): 1, (8, 0): 1}
+
+
+# -- slice columns from one placement against the former kernel route -----------
+
+
+def _differential_image(spec, q, pair):
+    """The former slice column route: the kernel's sums of d on a basis
+    pair, fed as every placement of the shape (``skew.element_terms``) in
+    component u."""
+    elem, u = pair
+    comps = [{} for _ in range(spec.module.dim)]
+    comps[u] = element_terms(elem, q)
+    return term_sums(spec.algebra, spec.module, q, spec.variant,
+                     {element_tuple(elem): comps})
+
+
+def _orbit_fixtures():
+    g, g3 = sl2(), sl3()
+    cur2, cur3 = build_current(g), build_current(g3)
+    ab2 = build_current(abelian(2))
+    # (spec, qmax, highest lam-degree of the domain slices)
+    fixtures = [
+        (ComplexSpec(VIR, C, REDUCED), 5, 9),
+        (ComplexSpec(VIR, C, BASIC), 5, 9),
+        (ComplexSpec(VIR, build_m_delta_alpha(1, 0), REDUCED), 4, 7),
+        (ComplexSpec(VIR, build_m_delta_alpha(-14, 0), REDUCED), 4, 12),
+        (ComplexSpec(VIR, build_m_delta_alpha(0, 2), REDUCED), 3, 7),
+        (ComplexSpec(VIR, build_m_delta_alpha(2, Fraction(1, 3)), REDUCED), 3, 7),
+        (ComplexSpec(VIR, build_trivial(1, 5), REDUCED), 3, 7),
+        (ComplexSpec(VIR, build_trivial(1, Fraction(-7, 3)), REDUCED), 3, 7),
+        (ComplexSpec(cur2, C, BASIC), 4, 4),
+        (ComplexSpec(cur2, build_trivial(1, Fraction(1, 2)), REDUCED), 3, 4),
+        (ComplexSpec(cur3, C, BASIC), 4, 1),
+        (ComplexSpec(cur3, build_m_u(g3, adjoint_rep(g3)), REDUCED), 2, 1),
+        (ComplexSpec(ab2, C, REDUCED), 3, 4),
+        (ComplexSpec(ab2, build_trivial(1, 2), REDUCED), 3, 4),
+    ]
+    fixtures += [(ComplexSpec(cur2, build_m_u(g, sl2_irrep(g, m)), REDUCED),
+                  3 if m < 8 else 4, 2 if m < 8 else 3) for m in range(9)]
+    return fixtures
+
+
+def test_slice_columns_match_the_former_kernel_route():
+    # every column of assemble, of the slice store (its weight-0 pairs) and
+    # of the restriction to sum lam_i = -a, against d of the shape's full
+    # skew value read back through the placement memo
+    counts = {"columns": 0, "restricted": 0, "specs": 0}
+    for spec, qmax, dmax in _orbit_fixtures():
+        store = SliceComplex(spec)
+        placements, memo = {}, {}
+        sorted_memo = dict(spec.algebra._placements)
+        for q in range(qmax + 1):
+            for d in range(dmax + 1):
+                pairs, cols = assemble(spec, q, d)
+                want, want_restricted = {}, {}
+                for pair, col in zip(pairs, cols):
+                    image = _differential_image(spec, q, pair)
+                    want[pair] = cochain_coords(image, placements)
+                    assert col == want[pair], (q, pair)
+                    counts["columns"] += bool(col)
+                    if spec.scalar_quotient:
+                        want_restricted[pair] = engine._restriction_coords(
+                            spec, image, memo)
+                weight_zero = store.pairs(q, d)
+                assert store.columns(q, d) == [want[p] for p in weight_zero]
+                if spec.scalar_quotient:
+                    got = store.restricted_columns(q, d)
+                    assert got == [want_restricted[p] for p in weight_zero]
+                    counts["restricted"] += sum(map(bool, got))
+        counts["specs"] += 1
+        # the slice columns place unsorted tuples apart from the sorted-tuple
+        # memo, whose entries raise on a repeated pair
+        assert spec.algebra._placements == sorted_memo
+    assert counts["specs"] == 23
+    assert counts["columns"] > 6000 and counts["restricted"] > 140
+
+
+def test_orbit_placements_sort_with_sign_and_drop_repeated_pairs():
+    from confcoh.kernel import _orbit_placement
+
+    assert _orbit_placement((), ()) == ((), 1)
+    assert _orbit_placement((1, 0), (0, 2)) == (((1, 0), (0, 2)), 1)
+    assert _orbit_placement((0, 1), (2, 0)) == (((1, 0), (0, 2)), -1)
+    # one generator: the exponents alone order the pairs
+    assert _orbit_placement((0, 0, 0), (1, 3, 2)) == (
+        ((0, 3), (0, 2), (0, 1)), 1)
+    assert _orbit_placement((0, 0, 0), (1, 2, 3)) == (
+        ((0, 3), (0, 2), (0, 1)), -1)
+    assert _orbit_placement((0, 1, 0), (1, 5, 1)) == (None, 0)
+
+
+def test_doubled_coordinates_are_halved_exactly():
+    from confcoh.kernel import _half
+
+    assert _half(4) == 2 and type(_half(4)) is int
+    assert _half(-6) == -3
+    assert _half(Fraction(3)) == Fraction(3, 2)
+    assert _half(Fraction(4, 3)) == Fraction(2, 3)
+    assert type(_half(Fraction(2))) is int
+    with pytest.raises(AssertionError, match="odd doubled skew coordinate 3"):
+        _half(3)
+
+
+def _gens_algebra(names, brackets):
+    from confcoh.algebra import ConformalAlgebra
+    from confcoh.poly import parse_poly
+
+    n = len(names)
+    table = [[[RatPoly.zero()] * n for _ in range(n)] for _ in range(n)]
+    for (i, j, k), text in brackets.items():
+        table[i][j][k] = parse_poly(text)
+    return ConformalAlgebra(names, table)
+
+
+@pytest.mark.parametrize("names, brackets, failure", [
+    (["L"], {(0, 0, 0): "lam1"}, (0, 0, 0)),
+    # Vir's bracket with the wrong sign on d
+    (["L"], {(0, 0, 0): "2*lam1 - d"}, (0, 0, 0)),
+    # [a_lam b] = b with no [b_lam a]
+    (["a", "b"], {(0, 1, 1): "1"}, (0, 1, 1)),
+    # [b_lam a] = b with no [a_lam b]: found on the pair as stored
+    (["a", "b"], {(1, 0, 1): "1"}, (1, 0, 1)),
+    # skew in the generators but not in lam: [a_lam b] = lam b = [b_lam a]
+    (["a", "b"], {(0, 1, 1): "lam1", (1, 0, 1): "lam1"}, (0, 1, 1)),
+])
+def test_a_non_skew_bracket_is_refused(names, brackets, failure):
+    from confcoh.kernel import skew_failure
+
+    alg = _gens_algebra(names, brackets)
+    assert skew_failure(alg) == failure
+    for module in (C, build_trivial(1, 2)):
+        for variant in (BASIC, REDUCED):
+            with pytest.raises(UnsupportedComplex, match=re.escape(
+                    f"not skew-symmetric at (a, b, k) = {failure}")):
+                ComplexSpec(alg, module, variant)
+
+
+def test_skew_brackets_pass_the_skew_check():
+    from confcoh.kernel import skew_failure
+
+    g = sl2()
+    algebras = [VIR, build_current(g), build_current(sl3()),
+                build_current(abelian(2)),
+                _gens_algebra(["a", "b"], {(0, 1, 1): "lam1 + d",
+                                           (1, 0, 1): "lam1"})]
+    for alg in algebras:
+        assert skew_failure(alg) is None
+    ComplexSpec(VIR, build_m_delta_alpha(1, 0), REDUCED)
+    ComplexSpec(build_current(g), build_m_u(g, adjoint_rep(g)), REDUCED)

@@ -107,6 +107,36 @@ def test_element_terms_are_the_terms_of_element_value():
     assert checked > 1000
 
 
+def _element_terms_walk(elem, q):
+    """The former element_terms: the walk over all of S_q, keeping the
+    permutations that put each pair on a slot of its own generator."""
+    t = element_tuple(elem)
+    terms = {}
+    for perm, sign in signed_permutations(q):
+        if any(t[perm[s]] != elem[s][0] for s in range(q)):
+            continue
+        exps = [0] * q
+        for s in range(q):
+            exps[perm[s]] = elem[s][1]
+        key = (tuple(exps), ())
+        terms[key] = terms.get(key, 0) + sign
+    return {key: c for key, c in terms.items() if c}
+
+
+def test_element_terms_match_the_walk_over_all_placements():
+    # placements per generator run against the walk over S_q, up to q = 8 on
+    # the eight generators of Cur sl3 (the weight-0 slices of its trivial
+    # table read d = 0), and on up to three generators at higher degree
+    checked = 0
+    windows = [(q, d, 8) for q in range(9) for d in range(2 if q < 5 else 1)]
+    windows += [(q, d, g) for q in range(6) for d in range(7) for g in (1, 2, 3)]
+    for q, d, g in windows:
+        for elem in skew_basis(q, d, g).elements:
+            assert element_terms(elem, q) == _element_terms_walk(elem, q), elem
+            checked += 1
+    assert checked > 2400
+
+
 def test_alternation_of_symmetric_input_is_zero():
     raw = {(0, 0): L[1] * L[2] + 3}
     out = skew_symmetrize(raw, 2)
