@@ -621,26 +621,6 @@ def random_skew_cochain(algebra, module, q, max_deg, rng, variant=BASIC,
     return Cochain.from_terms(algebra, module, q, variant, terms)
 
 
-def random_plain_cochain(algebra, module, q, max_deg, rng, variant=LEIBNIZ,
-                         density=0.4):
-    """A random cochain with no symmetry constraint (Leibniz/Hochschild)."""
-    values = {}
-    for t in all_tuples(algebra.ngens, q):
-        if rng.random() > density:
-            continue
-        vec = list(zero_vec(module.dim))
-        for b in range(module.dim):
-            exps = tuple(rng.randint(0, max(0, max_deg // max(q, 1))) for _ in range(q))
-            coeff = rng.randint(-3, 3)
-            if not coeff:
-                continue
-            mono = tuple(sorted((lam(s + 1), e) for s, e in enumerate(exps) if e))
-            vec[b] = vec[b] + RatPoly({mono: coeff})
-        if not vec_is_zero(tuple(vec)):
-            values[t] = tuple(vec)
-    return Cochain(algebra, module, q, variant, values)
-
-
 def cyclic_symmetrize(c):
     """Project a plain cochain onto the cyclic-invariant part (exact weights)."""
     q = c.q

@@ -50,9 +50,12 @@ Two computation modes, decided over the columns the computation reads:
 
 * graded -- every assembled column is homogeneous with one global lam-degree
   shift, and for scalar coefficients the d-action scalar is 0 so the quotient
-  by (sum lam_i) is homogeneous too.  The dimension h(q, d) of each bidegree
-  is then exact and computed once; a Betti row sums h over d <= D+2 and is
-  stabilized when h vanishes at d = D+1 and D+2.
+  by (sum lam_i) is homogeneous too.  The dimension of each bidegree is then
+  exact: h(q, d) = n(q, d) - rank(q, d) - rank(q - 1, d - shift), n the
+  quotient-slice dimension and rank(q, d) the rank of the induced
+  differential out of (q, d), kept per store from its first read
+  (graded_rank), so bidegrees may be read in any order.  A Betti row sums h
+  over d <= D+2 and is stabilized when h vanishes at d = D+1 and D+2.
 * window -- filtered differentials (nonzero module parameters).  Cocycles in
   degrees <= D are exact (membership in the d-action ideal is decided by
   restriction to the hyperplane sum lam_i = -a); the coboundary space is
@@ -424,24 +427,40 @@ class SliceComplex:
             if pair not in pivots_in
         ]
 
+    def graded_rank(self, q, d, shift):
+        """The rank of the induced differential out of quotient slice (q, d),
+        0 when q < 0 or d < 0.  Eliminated on first read, as rows (the
+        orientation of kernel_of_columns), and kept."""
+        if q < 0 or d < 0:
+            return 0
+        key = (q, d)
+        if key not in self._ranks:
+            cols = self._graded_matrix(q, d, shift)
+            self._ranks[key] = linalg.rank(linalg.transpose(cols)) if cols else 0
+        return self._ranks[key]
+
     def graded_h(self, q, d, shift, want_reps=False):
         """(h, representatives) at bidegree (q, d) of a graded complex.
 
-        Read bidegrees in increasing q: the rank of the differential into
-        (q, d) is the one kept from bidegree (q - 1, d - shift).
+        h = n - rank(q, d) - rank(q - 1, d - shift), n the dimension of the
+        quotient slice (q, d), each rank read through graded_rank, so
+        bidegrees may be read in any order.  Representatives need the kernel
+        of (q, d); it gives rank(q, d) as well, which is kept, so a sweep in
+        increasing q eliminates each slice matrix once either way.
         """
         pivots = set(self._quotient(q, d)[1])
         domain = [p for p in self.pairs(q, d) if p not in pivots]
         if not domain:
-            self._ranks[(q, d)] = 0
             return 0, []
+        incoming = self.graded_rank(q - 1, d - shift, shift)
+        if not want_reps:
+            return len(domain) - self.graded_rank(q, d, shift) - incoming, []
         kernel = linalg.kernel_of_columns(self._graded_matrix(q, d, shift))
         self._ranks[(q, d)] = len(domain) - len(kernel)
-        has_prev = q > 0 and d >= shift
-        h = len(kernel) - (self._ranks[(q - 1, d - shift)] if has_prev else 0)
-        if not (want_reps and h > 0):
-            return h, []
-        prev_cols = self._graded_matrix(q - 1, d - shift, shift) if has_prev else []
+        h = len(kernel) - incoming
+        if not h:
+            return 0, []
+        prev_cols = self._graded_matrix(q - 1, d - shift, shift) if incoming else []
         cocycles = [{domain[j]: x for j, x in kvec.items()} for kvec in kernel]
         normal = _remainder_rref(*linalg.sparse_rref(prev_cols), cocycles)
         return h, [coords_to_cochain(self.spec, q, row) for row in normal[:h]]

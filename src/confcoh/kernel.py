@@ -44,7 +44,7 @@ from math import comb
 from operator import add
 
 from .poly import DEL, _mono_mul, exact, is_lam, multinomials
-from .skew import permutation_sign
+from .skew import permutation_sign, placement
 
 # the kinds of read plan: both Lie variants share one, both Hochschild ones
 # another; the other names are the cochain variants'
@@ -401,7 +401,7 @@ def skew_column(algebra, module, q, elem, u, cut):
     exactly at the end, an odd int meaning a non-skew bracket.  ``cut``:
     d := -(lam1 + ... + lam_{q+1}) on the action's d^m, which is symmetric
     and so commutes with Alt; it spreads d^m over every slot, so those terms
-    are sorted whole (``_orbit_placement``).  The bracket expansion puts
+    are sorted whole (``skew.placement``).  The bracket expansion puts
     d := -(lam1 + lam2) itself.
     """
     coords = {}  # (shape, component): twice its coefficient
@@ -425,7 +425,7 @@ def skew_column(algebra, module, q, elem, u, cut):
                     T = (g,) + tuple(k for k, _ in elem)
                     ev = (ex,) + tuple(e for _, e in elem)
                     for k, mult in multinomials(q + 1, ed):
-                        shape, sign = _orbit_placement(T, tuple(map(add, ev, k)))
+                        shape, sign = placement(T, tuple(map(add, ev, k)))
                         if sign:
                             key = (shape, r)
                             coords[key] = coords.get(key, 0) + sign * c * mult
@@ -476,18 +476,6 @@ def _above(up, x):
     if i < len(up) and up[i] == x:
         return -1
     return len(up) - i
-
-
-def _orbit_placement(T, ev):
-    """(shape, sign) of the alternation of the monomial with exponents ev
-    on the tuple T: its (generator, exponent) pairs sorted decreasingly and
-    the sign of that sort, or (None, 0) when a pair repeats."""
-    pairs = list(zip(T, ev))
-    order = sorted(range(len(pairs)), key=pairs.__getitem__, reverse=True)
-    shape = tuple(pairs[s] for s in order)
-    if any(shape[i] == shape[i + 1] for i in range(len(shape) - 1)):
-        return None, 0
-    return shape, permutation_sign(order)
 
 
 def _half(c):

@@ -138,9 +138,6 @@ def sparse_rref(rows):
     return [_unit_row(r, key) for r, key in zip(reduced, pivots)], pivots
 
 
-# rank and intersection_dim have no caller in src; they stay only because
-# bench/tracer.py names them in TARGETS and wraps them by name (--trace 1,
-# bench/test_bench.py)
 def rank(rows):
     return len(sparse_rref(rows)[0])
 
@@ -170,6 +167,16 @@ def reduce_mod_span(reduced_rows, pivots, vector):
     return {k: Fraction(x, den) for k, x in v.items()}
 
 
+def transpose(columns):
+    """The rows {column index: entry} of the matrix with the given columns,
+    in the order their keys first appear."""
+    rows = {}
+    for j, col in enumerate(columns):
+        for key, c in col.items():
+            rows.setdefault(key, {})[j] = c
+    return list(rows.values())
+
+
 def kernel_of_columns(columns):
     """Kernel basis of the map x -> sum x_j columns[j].
 
@@ -177,11 +184,7 @@ def kernel_of_columns(columns):
     free index set in increasing order.
     """
     n = len(columns)
-    row_map = {}
-    for j, col in enumerate(columns):
-        for key, c in col.items():
-            row_map.setdefault(key, {})[j] = c
-    reduced, pivots = sparse_rref(list(row_map.values()))
+    reduced, pivots = sparse_rref(transpose(columns))
     pivot_set = set(pivots)
     basis = {free: {free: Fraction(1)}
              for free in range(n) if free not in pivot_set}
@@ -196,13 +199,7 @@ def kernel_of_columns(columns):
 def solve_columns(columns, target):
     """Solve sum x_j columns[j] = target; returns x dict or None."""
     n = len(columns)
-    row_map = {}
-    for j, col in enumerate(columns):
-        for key, c in col.items():
-            row_map.setdefault(key, {})[j] = c
-    for key, c in target.items():
-        row_map.setdefault(key, {})[n] = c
-    reduced, pivots = sparse_rref(list(row_map.values()))
+    reduced, pivots = sparse_rref(transpose([*columns, target]))
     if n in pivots:
         return None
     x = {}
@@ -214,6 +211,8 @@ def solve_columns(columns, target):
     return x
 
 
+# no caller in src; bench/tracer.py names it in TARGETS and wraps it by name
+# (--trace 1, bench/test_bench.py)
 def intersection_dim(rows_a, rows_b):
     ra = rank(rows_a)
     rb = rank(rows_b)

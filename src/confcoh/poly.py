@@ -251,9 +251,6 @@ class RatPoly:
         """Max total degree in the lam variables (-1 for the zero poly)."""
         return self.degree_in(is_lam)
 
-    def del_degree(self):
-        return self.degree_in(lambda v: v == DEL)
-
     def variables(self):
         out = set()
         for m in self.terms:
@@ -419,12 +416,6 @@ def multinomials(n, m):
 
 def zero_vec(n):
     return (_POLY_ZERO,) * n
-
-
-def unit_vec(n, i, scale=None):
-    out = [_POLY_ZERO] * n
-    out[i] = RatPoly.const(1) if scale is None else scale
-    return tuple(out)
 
 
 def vec_add(u, v):

@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations, product
 
-from .poly import RatPoly, from_terms, lam
-
 _PERM_CACHE = {}
 
 
@@ -130,14 +128,6 @@ def element_terms(elem, q):
     return terms
 
 
-def element_value(elem, q):
-    """Value polynomial of the antisymmetrized basis element on its sorted
-    tuple: ``element_terms`` as a RatPoly."""
-    lams = [lam(s + 1) for s in range(q)]
-    return from_terms({tuple((lams[s], e) for s, e in enumerate(exps) if e): c
-                       for (exps, _), c in element_terms(elem, q).items()})
-
-
 def monomial_coordinates(terms, sorted_tuple, placements):
     """Decompose a skew value on a sorted tuple into basis coordinates.
 
@@ -173,55 +163,21 @@ def monomial_coordinates(terms, sorted_tuple, placements):
 def _placement(exps, sorted_tuple):
     """The basis element an exponent vector on a sorted tuple reads, and
     the sign of the sort that places it."""
-    q = len(sorted_tuple)
-    pairs = [(sorted_tuple[s], exps[s]) for s in range(q)]
-    order = sorted(range(q), key=lambda s: pairs[s], reverse=True)
-    elem = tuple(pairs[s] for s in order)
-    if any(elem[i] == elem[i + 1] for i in range(q - 1)):
+    elem, sign = placement(sorted_tuple, exps)
+    if elem is None:
+        elem = tuple(sorted(zip(sorted_tuple, exps), reverse=True))
         raise AssertionError(f"repeated pair with nonzero coefficient: {elem}")
-    return elem, permutation_sign(order)
+    return elem, sign
 
 
-def skew_symmetrize(raw, q):
-    """Plain alternation of a tuple-indexed polynomial family.
-
-    ``raw`` maps every ordered generator q-tuple to a value (RatPoly or a
-    tuple of RatPoly); the result maps sorted tuples to the alternating sum
-    over simultaneous permutations of slots and lam indices.
-    """
-    if q == 0:
-        return dict(raw)
-    keys = set()
-    for t in raw:
-        keys.add(tuple(sorted(t)))
-    out = {}
-    for t in sorted(keys):
-        total = None
-        for perm, sign in signed_permutations(q):
-            permuted = tuple(t[perm[s]] for s in range(q))
-            val = raw.get(permuted)
-            if val is None:
-                continue
-            relabel = {lam(s + 1): RatPoly.var(lam(perm[s] + 1)) for s in range(q)}
-            if isinstance(val, tuple):
-                term = tuple(sign * p.subst_many(relabel) for p in val)
-                total = term if total is None else tuple(
-                    a + b for a, b in zip(total, term)
-                )
-            else:
-                term = sign * val.subst_many(relabel)
-                total = term if total is None else total + term
-        if total is not None:
-            out[t] = total
-    return out
-
-
-def count_partitions_at_most(n, parts):
-    """Number of partitions of n into at most ``parts`` parts (0 if n < 0)."""
-    if n < 0:
-        return 0
-    table = [1] + [0] * n
-    for k in range(1, parts + 1):
-        for m in range(k, n + 1):
-            table[m] += table[m - k]
-    return table[n]
+def placement(T, ev):
+    """(shape, sign) of the alternation of the monomial with exponents ev
+    on the generator tuple T: its (generator, exponent) pairs sorted
+    decreasingly and the sign of that sort, or (None, 0) when a pair
+    repeats."""
+    pairs = list(zip(T, ev))
+    order = sorted(range(len(pairs)), key=pairs.__getitem__, reverse=True)
+    shape = tuple(pairs[s] for s in order)
+    if any(shape[i] == shape[i + 1] for i in range(len(shape) - 1)):
+        return None, 0
+    return shape, permutation_sign(order)

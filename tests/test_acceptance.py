@@ -41,7 +41,6 @@ from confcoh.cochain import (
     d_basic,
     d_reduced,
     differential,
-    random_plain_cochain,
     random_skew_cochain,
     sorted_tuples,
 )
@@ -78,6 +77,7 @@ from confcoh.liealg import (
 from confcoh.linalg import solve_columns
 from confcoh.poly import DEL, RatPoly, lam, zero_vec
 from confcoh.skew import skew_basis
+from oracles import element_value, random_plain_cochain
 
 D = RatPoly.var(DEL)
 L1, L2, L3 = (RatPoly.var(lam(i)) for i in (1, 2, 3))
@@ -249,8 +249,6 @@ def _proportional_mod_ideal(rep_poly, target_poly, q, ideal_degree):
     columns[0] = {mono: c for mono, c in target_poly.terms.items()}
     total = sum((RatPoly.var(lam(s + 1)) for s in range(q)), RatPoly.zero())
     for elem in skew_basis(q, ideal_degree, 1).elements:
-        from confcoh.skew import element_value
-
         w = total * element_value(elem, q)
         columns.append({mono: c for mono, c in w.terms.items()})
     target = {mono: c for mono, c in rep_poly.terms.items()}

@@ -40,7 +40,6 @@ from confcoh.poly import (
     lam,
     left_matrices,
     terms_poly,
-    unit_vec,
 )
 
 D = RatPoly.var(DEL)
@@ -133,9 +132,10 @@ def test_bracket_eval_sesquilinearity():
 
 def test_bracket_eval_current():
     cur = build_current(sl2())
-    e = unit_vec(3, 0)
-    f = unit_vec(3, 1)
-    assert bracket_eval(cur, e, f) == unit_vec(3, 2)  # [e,f] = h
+    zero, one = RatPoly.zero(), RatPoly.const(1)
+    e = (one, zero, zero)
+    f = (zero, one, zero)
+    assert bracket_eval(cur, e, f) == (zero, zero, one)  # [e,f] = h
 
 
 def test_bracket_eval_random_skew():

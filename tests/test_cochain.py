@@ -37,7 +37,6 @@ from confcoh.cochain import (
     lam_sum,
     lam_terms,
     lam_var,
-    random_plain_cochain,
     random_skew_cochain,
     reduce_cochain,
     sorted_tuples,
@@ -70,7 +69,8 @@ from confcoh.poly import (
     vec_subst,
     zero_vec,
 )
-from confcoh.skew import element_tuple, element_value, permutation_sign, skew_basis
+from confcoh.skew import element_tuple, permutation_sign, skew_basis
+from oracles import element_value, random_plain_cochain
 
 D = RatPoly.var(DEL)
 L1, L2, L3 = (RatPoly.var(lam(i)) for i in (1, 2, 3))

@@ -152,20 +152,27 @@ def test_slice_ranks_agree_with_bareiss():
         ComplexSpec(build_current(g), build_trivial(1, 0), REDUCED),
         ComplexSpec(build_current(g), build_m_u(g, sl2_irrep(g, 2)), REDUCED),
     ]
+    def dense_rank(vectors):
+        keys = list(dict.fromkeys(k for v in vectors for k in v))
+        return rank_bareiss([[v.get(k, 0) for k in keys] for v in vectors])
+
     checked = 0
     for spec in specs:
         store = SliceComplex(spec)
+        shift = store.graded_shift(2, 5)
+        assert shift is not None
         for q in range(3):
             for d in range(5):
-                matrices = [store.columns(q, d)]
+                graded = store._graded_matrix(q, d, shift)
+                matrices = [store.columns(q, d), graded]
                 if spec.scalar_quotient:
                     matrices += [store.mult_rows(q, d),
                                  store.restricted_columns(q, d)]
                 for vectors in matrices:
-                    keys = list(dict.fromkeys(k for v in vectors for k in v))
-                    dense = [[v.get(k, 0) for k in keys] for v in vectors]
-                    assert rank_bareiss(dense) == rank(vectors)
+                    assert dense_rank(vectors) == rank(vectors)
                     checked += rank(vectors) > 0
+                # the rank graded_h reads, eliminated as rows
+                assert store.graded_rank(q, d, shift) == dense_rank(graded)
     assert checked > 0
 
 
@@ -546,10 +553,13 @@ def _euler_fixtures():
 def test_euler_characteristic_along_each_diagonal(spec, qmax, dtop):
     """Along a diagonal d = d0 + q * shift whose quotient slice at q = qmax + 1
     is empty, the complex is finite, so sum (-1)^q (quotient slice dim) equals
-    sum (-1)^q h.  graded_h takes h as the kernel dimension less the rank it
-    kept from (q - 1, d - shift); this checks that carried rank, which must
-    be the rank of the map along the same diagonal.  It is not an
-    independent rank: the kernel and the rank come from one elimination.
+    sum (-1)^q h.  graded_h takes h = n - rank(q, d) - rank(q - 1, d - shift)
+    from graded_rank; this checks that the rank into (q, d) is the rank of
+    the map out of (q - 1, d - shift) along the same diagonal.  It is not an
+    independent rank: every rank comes from the same elimination route.
+    The same h must come out in any read order: decreasing q on a fresh
+    store, and the highest class read cold, with and without
+    representatives.
     """
     store = SliceComplex(spec)
     shift = store.graded_shift(qmax, dtop)
@@ -564,6 +574,15 @@ def test_euler_characteristic_along_each_diagonal(spec, qmax, dtop):
     for q in range(qmax + 1):
         for d in range(dtop + 1):
             h[(q, d)] = store.graded_h(q, d, shift)[0]
+    backwards = SliceComplex(spec)
+    for q in range(qmax, -1, -1):
+        for d in range(dtop, -1, -1):
+            assert backwards.graded_h(q, d, shift)[0] == h[(q, d)], (q, d)
+    cold = max(key for key, n in h.items() if n)
+    assert cold[0] > 0
+    assert SliceComplex(spec).graded_h(*cold, shift)[0] == h[cold]
+    n, reps = SliceComplex(spec).graded_h(*cold, shift, True)
+    assert n == len(reps) == h[cold]
     checked = classes = 0
     for d0 in range(-qmax * shift, dtop - qmax * shift + 1):
         if quotient_dim(qmax + 1, d0 + (qmax + 1) * shift):
@@ -997,7 +1016,7 @@ def test_slice_columns_match_the_former_kernel_route():
 
 
 def test_orbit_placements_sort_with_sign_and_drop_repeated_pairs():
-    from confcoh.kernel import _orbit_placement
+    from confcoh.skew import placement as _orbit_placement
 
     assert _orbit_placement((), ()) == ((), 1)
     assert _orbit_placement((1, 0), (0, 2)) == (((1, 0), (0, 2)), 1)

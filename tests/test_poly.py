@@ -79,7 +79,7 @@ def test_pow_and_const():
 def test_degrees():
     p = L1 ** 2 * L2 + D ** 3
     assert p.lam_degree() == 3
-    assert p.del_degree() == 3
+    assert p.degree_in(lambda v: v == DEL) == 3
     assert RatPoly.zero().lam_degree() == -1
 
 
