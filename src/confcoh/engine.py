@@ -17,10 +17,11 @@ alternation of one monomial and d commutes with the alternation, so d of
 the shape is the alternation of one action read at slot 0 and one bracket
 read per slot, each term placed in the basis by sorting its pairs, with the
 sign of the sort; over a free module the reduced cut d := -(lam1 + ... +
-lam_{q+1}) applies to the action's d alone.  That needs a skew-symmetric
-bracket, which ComplexSpec checks once (kernel.skew_failure).  Columns
-hold ints where integral.  The (a + sum lam_i) rows read a on the pair and
-raise one slot's exponent per term, and the restriction reads a column's
+lam_{q+1}) applies to the action's d alone.  That needs free generators
+and a skew-symmetric bracket, which ComplexSpec checks once (no torsion
+generator, kernel.skew_failure).  Columns hold ints where integral.  The
+(a + sum lam_i) rows read a on the pair and raise one slot's exponent per
+term, and the restriction reads a column's
 coordinates as terms (each shape's skew.element_terms, kept per shape by
 the store), expands lam1^e := (-a - lam2 - ... - lamq)^e on their exponent
 vectors from the multinomial table and sums each column in ints over one
@@ -46,17 +47,20 @@ representatives are those of the full slice restricted to weight 0.
 slice_pairs, assemble and verify_cocycle read the full slice: a coboundary
 of nonzero weight needs primitives of that weight.
 
-Two computation modes, decided over the columns the computation reads:
+Two computation modes, decided by the spec (ComplexSpec.shift):
 
-* graded -- every assembled column is homogeneous with one global lam-degree
-  shift, and for scalar coefficients the d-action scalar is 0 so the quotient
-  by (sum lam_i) is homogeneous too.  The dimension of each bidegree is then
-  exact: h(q, d) = n(q, d) - rank(q, d) - rank(q - 1, d - shift), n the
-  quotient-slice dimension and rank(q, d) the rank of the induced
-  differential out of (q, d), kept per store from its first read
-  (graded_rank), so bidegrees may be read in any order.  A Betti row sums h
-  over d <= D+2 and is stabilized when h vanishes at d = D+1 and D+2.
-* window -- filtered differentials (nonzero module parameters).  Cocycles in
+* graded -- every nonzero term of the brackets, and of the action over a
+  free module, has one total degree in (lam1, d), the shift (0 when there
+  is no term), and a scalar quotient has d-action scalar 0, so d maps slice
+  (q, d) into (q + 1, d + shift) and the quotient by (sum lam_i) is
+  homogeneous too.  The dimension of each bidegree is then exact: h(q, d) =
+  n(q, d) - rank(q, d) - rank(q - 1, d - shift), n the quotient-slice
+  dimension and rank(q, d) the rank of the induced differential out of
+  (q, d), kept per store from its first read (graded_rank), so bidegrees
+  may be read in any order.  A Betti row sums h over d <= D+2 and is
+  stabilized when h vanishes at d = D+1 and D+2.
+* window -- filtered differentials (terms of two degrees, such as the alpha
+  of M_{Delta,alpha}, or a scalar quotient with a != 0).  Cocycles in
   degrees <= D are exact (membership in the d-action ideal is decided by
   restriction to the hyperplane sum lam_i = -a); the coboundary space is
   approximated by images of the window, and agreement across bounds D, D+1,
@@ -94,10 +98,17 @@ from .skew import (element_terms, element_tuple, monomial_coordinates,
 
 @dataclass(frozen=True)
 class ComplexSpec:
+    """A complex (algebra, module, variant) the engine can slice, and its
+    grading: ``shift`` is the common total degree in (lam1, d) of every
+    nonzero term of the brackets and, over a free module, of the action
+    (0 when there is none), or None when two terms differ or the complex
+    is a scalar quotient with a != 0."""
+
     algebra: object
     module: object
     variant: str = REDUCED
     label: str = ""
+    shift: object = field(init=False)
 
     def __post_init__(self):
         if self.variant not in (BASIC, REDUCED):
@@ -116,13 +127,22 @@ class ComplexSpec:
         if names:
             raise UnsupportedComplex("the engine takes no named parameter; the "
                                      f"brackets or the action use {', '.join(names)}")
-        failure = skew_failure(self.algebra)
+        alg = self.algebra
+        torsion = [alg.gen_names[k] for k in range(alg.ngens) if not alg.is_free(k)]
+        if torsion:
+            raise UnsupportedComplex("the engine takes no torsion generator; d "
+                                     f"acts by a scalar on {', '.join(torsion)}")
+        failure = skew_failure(alg)
         if failure is not None:
-            a, b, k = (self.algebra.gen_names[i] for i in failure)
+            a, b, k = (alg.gen_names[i] for i in failure)
             raise UnsupportedComplex(
                 f"the bracket is not skew-symmetric at (a, b, k) = {failure}: "
                 f"component {k} of [{b}_mu {a}] is not -[{a}_lam {b}] at "
                 "d = -(lam + mu)")
+        degrees = {sum(e for _, e in mono) for p in entries for mono in p.terms}
+        graded = len(degrees) <= 1 and not (self.scalar_quotient
+                                            and self.module.del_scalar)
+        object.__setattr__(self, "shift", min(degrees, default=0) if graded else None)
 
     @property
     def scalar_quotient(self):
@@ -131,10 +151,6 @@ class ComplexSpec:
 
 def slice_pairs(spec, q, d):
     """Deterministically ordered basis labels (shape element, module index)."""
-    if q == 0:
-        if d != 0:
-            return []
-        return [((), u) for u in range(spec.module.dim)]
     elements = skew_basis(q, d, spec.algebra.ngens).elements
     return [(elem, u) for elem in elements for u in range(spec.module.dim)]
 
@@ -186,7 +202,8 @@ def coords_to_cochain(spec, q, coords):
 def cartan_weights(spec):
     """[(generator weights, module weights)] of each Cartan generator with a
     nonzero weight, ints where integral; [] unless the algebra is a current
-    Lie conformal algebra (constant brackets, no torsion generator).
+    Lie conformal algebra (constant brackets; ComplexSpec refuses a torsion
+    generator).
 
     A generator h is Cartan when [h_lam x_j] = w_j x_j with constant w_j for
     every generator x_j and, on a free module, h acts by a constant diagonal
@@ -194,7 +211,7 @@ def cartan_weights(spec):
     """
     alg, module = spec.algebra, spec.module
     n = alg.ngens
-    if alg.associative or not all(alg.is_free(k) for k in range(n)):
+    if alg.associative:
         return []
     if not all(_constant(p) for row in alg.table for vec in row for p in vec):
         return []
@@ -229,10 +246,6 @@ def _weight(weights, pair):
     return module_weights[u] - sum(generator_weights[k] for k, _ in elem)
 
 
-def pair_degree(pair):
-    return sum(e for _, e in pair[0])
-
-
 def apply_differential(spec, c):
     """d(c) as the sums of ``cochain.term_sums``; no Cochain or RatPoly."""
     if c.variant != spec.variant:
@@ -249,7 +262,7 @@ def _column(spec, q, pair):
                        spec.variant == REDUCED)
 
 
-def _mult_coords(spec, q, pair):
+def _mult_coords(spec, pair):
     """Coordinates of (a + sum lam_i) times a basis cochain.
 
     a stays on the pair itself.  sum lam_i is symmetric, so it commutes with
@@ -369,7 +382,7 @@ class SliceComplex:
         """Coordinates of (a + sum lam_i) times each basis cochain of (q, d)."""
         key = (q, d)
         if key not in self._mult:
-            self._mult[key] = [_mult_coords(self.spec, q, p) for p in self.pairs(q, d)]
+            self._mult[key] = [_mult_coords(self.spec, p) for p in self.pairs(q, d)]
         return self._mult[key]
 
     def restricted_columns(self, q, d):
@@ -387,25 +400,6 @@ class SliceComplex:
 
     # -- graded mode -------------------------------------------------------------
 
-    def graded_shift(self, qmax, dtop):
-        """The single lam-degree shift of the columns with q <= qmax and
-        d <= dtop, or None if the complex is filtered."""
-        if self.spec.scalar_quotient and self.spec.module.del_scalar != 0:
-            return None
-        shift = None
-        for q in range(qmax + 1):
-            for d in range(dtop + 1):
-                for col in self.columns(q, d):
-                    for key in col:
-                        s = pair_degree(key) - d
-                        if shift is None:
-                            shift = s
-                        elif shift != s:
-                            return None
-        if shift is None:
-            shift = 0
-        return shift if shift >= 0 else None
-
     def _quotient(self, q, d):
         """RREF of the (sum lam_i) image inside slice (q, d); scalar reduced only."""
         key = (q, d)
@@ -416,10 +410,10 @@ class SliceComplex:
             self._quotients[key] = linalg.sparse_rref(rows) if rows else ([], [])
         return self._quotients[key]
 
-    def _graded_matrix(self, q, d, shift):
+    def _graded_matrix(self, q, d):
         """Columns of the induced differential on quotient slices; with no
         quotient in the target they are the stored columns, ints kept."""
-        reduced_out, pivots_out = self._quotient(q + 1, d + shift)
+        reduced_out, pivots_out = self._quotient(q + 1, d + self.spec.shift)
         pivots_in = set(self._quotient(q, d)[1])
         return [
             linalg.reduce_mod_span(reduced_out, pivots_out, col) if pivots_out else col
@@ -427,7 +421,7 @@ class SliceComplex:
             if pair not in pivots_in
         ]
 
-    def graded_rank(self, q, d, shift):
+    def graded_rank(self, q, d):
         """The rank of the induced differential out of quotient slice (q, d),
         0 when q < 0 or d < 0.  Eliminated on first read, as rows (the
         orientation of kernel_of_columns), and kept."""
@@ -435,11 +429,11 @@ class SliceComplex:
             return 0
         key = (q, d)
         if key not in self._ranks:
-            cols = self._graded_matrix(q, d, shift)
+            cols = self._graded_matrix(q, d)
             self._ranks[key] = linalg.rank(linalg.transpose(cols)) if cols else 0
         return self._ranks[key]
 
-    def graded_h(self, q, d, shift, want_reps=False):
+    def graded_h(self, q, d, want_reps=False):
         """(h, representatives) at bidegree (q, d) of a graded complex.
 
         h = n - rank(q, d) - rank(q - 1, d - shift), n the dimension of the
@@ -452,15 +446,16 @@ class SliceComplex:
         domain = [p for p in self.pairs(q, d) if p not in pivots]
         if not domain:
             return 0, []
-        incoming = self.graded_rank(q - 1, d - shift, shift)
+        shift = self.spec.shift
+        incoming = self.graded_rank(q - 1, d - shift)
         if not want_reps:
-            return len(domain) - self.graded_rank(q, d, shift) - incoming, []
-        kernel = linalg.kernel_of_columns(self._graded_matrix(q, d, shift))
+            return len(domain) - self.graded_rank(q, d) - incoming, []
+        kernel = linalg.kernel_of_columns(self._graded_matrix(q, d))
         self._ranks[(q, d)] = len(domain) - len(kernel)
         h = len(kernel) - incoming
         if not h:
             return 0, []
-        prev_cols = self._graded_matrix(q - 1, d - shift, shift) if incoming else []
+        prev_cols = self._graded_matrix(q - 1, d - shift) if incoming else []
         cocycles = [{domain[j]: x for j, x in kvec.items()} for kvec in kernel]
         normal = _remainder_rref(*linalg.sparse_rref(prev_cols), cocycles)
         return h, [coords_to_cochain(self.spec, q, row) for row in normal[:h]]
@@ -645,16 +640,15 @@ def truncation_sweep(spec, qmax, bound=8, representatives=False):
     _check_counts(qmax, bound)
     store = SliceComplex(spec)
     top = bound + 2
-    shift = store.graded_shift(qmax, top)
     rows = []
     for q in range(qmax + 1):
-        if shift is None:
+        if spec.shift is None:
             store.window_cocycles(q, top)  # the one kernel; lower bounds read prefixes
             lower = [store.window_h(q, b)[0] for b in (bound, bound + 1)]
             dim, reps = store.window_h(q, top, representatives)
             stabilized = lower[0] == lower[1] == dim
         else:
-            per_d = [store.graded_h(q, d, shift, representatives)
+            per_d = [store.graded_h(q, d, representatives)
                      for d in range(top + 1)]
             dim = sum(h for h, _ in per_d)
             reps = [c for _, r in per_d for c in r]
@@ -665,7 +659,7 @@ def truncation_sweep(spec, qmax, bound=8, representatives=False):
                 dim=dim,
                 bound=bound,
                 stabilized=stabilized,
-                mode="window" if shift is None else "graded",
+                mode="window" if spec.shift is None else "graded",
                 representatives=reps,
             )
         )
@@ -680,14 +674,13 @@ def graded_bidegree_dims(spec, qmax, bound):
     lam-degree shift): bidegree localization is only meaningful there.
     """
     _check_counts(qmax, bound)
-    store = SliceComplex(spec)
-    shift = store.graded_shift(qmax, bound)
-    if shift is None:
+    if spec.shift is None:
         raise UnsupportedComplex("complex is filtered; no bidegree splitting")
+    store = SliceComplex(spec)
     out = {}
     for q in range(qmax + 1):
         for d in range(bound + 1):
-            h, _ = store.graded_h(q, d, shift)
+            h, _ = store.graded_h(q, d)
             if h:
                 out[(q, d)] = h
     return out
@@ -746,7 +739,7 @@ def verify_cocycle(spec, gamma):
     columns = [_column(spec, q - 1, p) for p in pairs]
     if spec.scalar_quotient:
         for d in range(bound + 1):
-            columns += [_mult_coords(spec, q, p) for p in slice_pairs(spec, q, d)]
+            columns += [_mult_coords(spec, p) for p in slice_pairs(spec, q, d)]
     sol = linalg.solve_columns(columns, target)
     if sol is None:
         return VerifyResult(True, False)

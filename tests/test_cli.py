@@ -446,6 +446,39 @@ def test_betti_refuses_a_non_skew_bracket(tmp_path, capsys):
                        "-[L_lam L] at d = -(lam + mu)\n")
 
 
+def test_betti_reads_the_mode_from_the_spec(capsys):
+    # the alpha of M_{1,1} makes the complex filtered at every qmax; read
+    # off the q = 0 columns alone, where the reduced cut leaves a constant,
+    # the row was labelled graded
+    for qmax in ("0", "1"):
+        code, out, _ = run(capsys, "betti", "--algebra", "vir", "--module",
+                           "mda:1,1", "--qmax", qmax, "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[1] == "vir/mda:1,1,reduced,0,0,10,True,window,\"\""
+
+
+# Vir with a central term: the second generator is torsion, d acts on it by 0
+TORSION_SPEC = {
+    "algebra": {"generators": ["L", "C"],
+                "brackets": {"L,L": {"L": "d + 2*lam1", "C": "lam1^3"}},
+                "del_scalars": {"C": "0"}},
+    "module": {"kind": "scalar", "basis": ["v"], "del_scalar": "0"}}
+
+
+def test_betti_refuses_a_torsion_generator(tmp_path, capsys):
+    # the slice columns treat every generator as free; this spec file was
+    # refused as "not skew-symmetric", which check contradicts
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(TORSION_SPEC))
+    code, out, err = run(capsys, "check", "--spec-file", str(path))
+    report = json.loads(out.splitlines()[0])
+    assert code == 0 and report["skew_symmetry"] and report["jacobi"]
+    code, out, err = run(capsys, "betti", "--spec-file", str(path))
+    assert (code, out) == (2, "")
+    assert err == ("error: the engine takes no torsion generator; d acts by a "
+                   "scalar on C\n")
+
+
 def _entries(value, args=("L", "L")):
     return [{"args": list(args), "value": value}]
 

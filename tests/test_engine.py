@@ -125,9 +125,9 @@ def test_slice_matrix_composition_is_zero():
 
 def test_window_and_graded_agree_on_vir_c():
     store = SliceComplex(ComplexSpec(VIR, C, REDUCED))
-    assert store.graded_shift(3, 9) == 1
+    assert store.spec.shift == 1
     for q in range(4):
-        hg = sum(store.graded_h(q, d, 1)[0] for d in range(7))
+        hg = sum(store.graded_h(q, d)[0] for d in range(7))
         hw, _ = store.window_h(q, 6)
         assert hg == hw
 
@@ -159,11 +159,10 @@ def test_slice_ranks_agree_with_bareiss():
     checked = 0
     for spec in specs:
         store = SliceComplex(spec)
-        shift = store.graded_shift(2, 5)
-        assert shift is not None
+        assert spec.shift is not None
         for q in range(3):
             for d in range(5):
-                graded = store._graded_matrix(q, d, shift)
+                graded = store._graded_matrix(q, d)
                 matrices = [store.columns(q, d), graded]
                 if spec.scalar_quotient:
                     matrices += [store.mult_rows(q, d),
@@ -172,7 +171,7 @@ def test_slice_ranks_agree_with_bareiss():
                     assert dense_rank(vectors) == rank(vectors)
                     checked += rank(vectors) > 0
                 # the rank graded_h reads, eliminated as rows
-                assert store.graded_rank(q, d, shift) == dense_rank(graded)
+                assert store.graded_rank(q, d) == dense_rank(graded)
     assert checked > 0
 
 
@@ -318,7 +317,7 @@ def test_slice_assembly_matches_the_ratpoly_routes():
                     assert all(type(x) is Fraction for v in dc.values.values()
                                for p in v for x in p.terms.values())
                     counts["columns"] += bool(col)
-                    assert engine._mult_coords(spec, q, pair) == \
+                    assert engine._mult_coords(spec, pair) == \
                         _mult_coords_oracle(spec, q, pair), (q, pair)
                     counts["mult"] += 1
                     if not spec.scalar_quotient:
@@ -532,6 +531,27 @@ def test_vir_c_reduced_classes_localize_in_bidegree():
         assert table.dims()[q] == sum(h for (p, _), h in dims.items() if p == q)
 
 
+def _graded_shift_oracle(store, qmax, dtop):
+    """The former SliceComplex.graded_shift: the single lam-degree shift of
+    the columns with q <= qmax and d <= dtop, or None if the complex is
+    filtered."""
+    if store.spec.scalar_quotient and store.spec.module.del_scalar != 0:
+        return None
+    shift = None
+    for q in range(qmax + 1):
+        for d in range(dtop + 1):
+            for col in store.columns(q, d):
+                for key in col:
+                    s = sum(e for _, e in key[0]) - d
+                    if shift is None:
+                        shift = s
+                    elif shift != s:
+                        return None
+    if shift is None:
+        shift = 0
+    return shift if shift >= 0 else None
+
+
 def _euler_fixtures():
     g = sl2()
     cur2 = build_current(g)
@@ -562,7 +582,7 @@ def test_euler_characteristic_along_each_diagonal(spec, qmax, dtop):
     representatives.
     """
     store = SliceComplex(spec)
-    shift = store.graded_shift(qmax, dtop)
+    shift = spec.shift
     assert shift is not None
 
     def quotient_dim(q, d):
@@ -573,15 +593,17 @@ def test_euler_characteristic_along_each_diagonal(spec, qmax, dtop):
     h = {}
     for q in range(qmax + 1):
         for d in range(dtop + 1):
-            h[(q, d)] = store.graded_h(q, d, shift)[0]
+            h[(q, d)] = store.graded_h(q, d)[0]
+    # the store has read every column of the range: the spec's shift is theirs
+    assert _graded_shift_oracle(store, qmax, dtop) == shift
     backwards = SliceComplex(spec)
     for q in range(qmax, -1, -1):
         for d in range(dtop, -1, -1):
-            assert backwards.graded_h(q, d, shift)[0] == h[(q, d)], (q, d)
+            assert backwards.graded_h(q, d)[0] == h[(q, d)], (q, d)
     cold = max(key for key, n in h.items() if n)
     assert cold[0] > 0
-    assert SliceComplex(spec).graded_h(*cold, shift)[0] == h[cold]
-    n, reps = SliceComplex(spec).graded_h(*cold, shift, True)
+    assert SliceComplex(spec).graded_h(*cold)[0] == h[cold]
+    n, reps = SliceComplex(spec).graded_h(*cold, True)
     assert n == len(reps) == h[cold]
     checked = classes = 0
     for d0 in range(-qmax * shift, dtop - qmax * shift + 1):
@@ -690,10 +712,9 @@ def test_graded_slicing_consistent_with_window_sum():
     g = sl2()
     spec = ComplexSpec(build_current(g), build_m_u(g, sl2_irrep(g, 2)), REDUCED)
     store = SliceComplex(spec)
-    shift = store.graded_shift(2, 6)
-    assert shift == 0
+    assert spec.shift == 0
     for q in (0, 1, 2):
-        hg = sum(store.graded_h(q, d, shift)[0] for d in range(5))
+        hg = sum(store.graded_h(q, d)[0] for d in range(5))
         hw, _ = store.window_h(q, 4)
         assert hg == hw
 
@@ -887,13 +908,13 @@ def _betti_reading(spec, qmax, bound):
     rows = [(row.dim, row.stabilized, row.mode, coords(row.representatives))
             for row in table.rows]
     store = SliceComplex(spec)
-    shift = store.graded_shift(qmax, bound)
-    if shift is None:
+    assert spec.shift == _graded_shift_oracle(store, qmax, bound)
+    if spec.shift is None:
         return rows, None
     per_bidegree = {}
     for q in range(qmax + 1):
         for d in range(bound + 1):
-            h, reps = store.graded_h(q, d, shift, True)
+            h, reps = store.graded_h(q, d, True)
             per_bidegree[(q, d)] = (h, coords(reps))
     dims = graded_bidegree_dims(spec, qmax, bound)
     assert dims == {key: h for key, (h, _) in per_bidegree.items() if h}
@@ -910,19 +931,21 @@ def test_weight_zero_slices_match_the_full_slices(spec, qmax, bound, filtered,
     assert _betti_reading(spec, qmax, bound) == weight_zero
 
 
-def test_h3_of_cur_sl2_with_v6_sits_at_degree_6():
-    # the m = 2n class of criterion 7 for n = 3, at d = n(n+1)/2
+@pytest.mark.parametrize("m", range(9))
+def test_criterion_7_classes_of_cur_sl2_sit_at_their_bidegrees(m):
+    # dim H^n(Cur sl2, M_V(m)) = [m in {2n, 2(n-3)}] for n <= 4: the m = 2n
+    # class at d = n(n+1)/2, the m = 2(n-3) class at d = (n-3)(n-2)/2.  H^4
+    # of M_V(8) sits at d = 10: a sweep with bound 4 reads d <= 6 only and
+    # reports H^4 = 0, stabilized
     g = sl2()
-    spec = ComplexSpec(build_current(g), build_m_u(g, sl2_irrep(g, 6)), REDUCED)
-    assert graded_bidegree_dims(spec, 3, 8) == {(3, 6): 1}
-
-
-def test_h4_of_cur_sl2_with_v8_sits_at_degree_10():
-    # the m = 2n class of criterion 7 for n = 4, at d = n(n+1)/2; a sweep
-    # with bound 4 reads d <= 6 only and reports H^4 = 0, stabilized
-    g = sl2()
-    spec = ComplexSpec(build_current(g), build_m_u(g, sl2_irrep(g, 8)), REDUCED)
-    assert graded_bidegree_dims(spec, 4, 10) == {(4, 10): 1}
+    spec = ComplexSpec(build_current(g), build_m_u(g, sl2_irrep(g, m)), REDUCED)
+    want = {}
+    for n in range(5):
+        if m == 2 * n:
+            want[(n, n * (n + 1) // 2)] = 1
+        if m == 2 * (n - 3):
+            want[(n, (n - 3) * (n - 2) // 2)] = 1
+    assert graded_bidegree_dims(spec, 4, 10) == want
 
 
 def test_goncharova_r3_classes_of_vir_m_minus_14():
@@ -1087,3 +1110,58 @@ def test_skew_brackets_pass_the_skew_check():
         assert skew_failure(alg) is None
     ComplexSpec(VIR, build_m_delta_alpha(1, 0), REDUCED)
     ComplexSpec(build_current(g), build_m_u(g, adjoint_rep(g)), REDUCED)
+
+
+# -- the grading read from the spec ----------------------------------------------
+
+
+def test_the_spec_shift_is_the_degree_of_its_terms():
+    g = sl2()
+    cur2 = build_current(g)
+    assert ComplexSpec(VIR, C, REDUCED).shift == 1
+    assert ComplexSpec(VIR, build_trivial(1, 2), BASIC).shift == 1
+    assert ComplexSpec(VIR, build_trivial(1, 2), REDUCED).shift is None
+    assert ComplexSpec(VIR, build_m_delta_alpha(-4, 0), REDUCED).shift == 1
+    assert ComplexSpec(VIR, build_m_delta_alpha(1, 1), REDUCED).shift is None
+    assert ComplexSpec(cur2, build_m_u(g, sl2_irrep(g, 2)), REDUCED).shift == 0
+    # no nonzero term at all
+    assert ComplexSpec(build_current(abelian(2)), C, REDUCED).shift == 0
+    with pytest.raises(TypeError):
+        ComplexSpec(VIR, C, REDUCED, "", 1)
+
+
+def test_a_filtered_complex_is_filtered_at_qmax_0():
+    # at q = 0 the reduced cut leaves d + 1 + lam1 as the constant 1, so the
+    # q = 0 columns of Vir/M_{1,1} alone look homogeneous
+    spec = ComplexSpec(VIR, build_m_delta_alpha(1, 1), REDUCED)
+    assert _graded_shift_oracle(SliceComplex(spec), 0, 10) == 0
+    assert spec.shift is None
+    with pytest.raises(UnsupportedComplex, match="filtered"):
+        graded_bidegree_dims(spec, 0, 8)
+
+
+def test_a_filtered_spec_is_refused_before_any_column(monkeypatch):
+    def no_column(*args):
+        raise AssertionError("a column was read")
+
+    monkeypatch.setattr(engine, "_column", no_column)
+    for module in (build_m_delta_alpha(0, 2), build_trivial(1, 5)):
+        with pytest.raises(UnsupportedComplex, match="filtered"):
+            graded_bidegree_dims(ComplexSpec(VIR, module, REDUCED), 3, 8)
+
+
+def test_a_torsion_generator_is_refused():
+    # Vir with a central term, d acting on C by 0: skew-symmetric and Jacobi
+    # as a torsion algebra, refused as such rather than as a non-skew bracket
+    from confcoh.algebra import ConformalAlgebra, check_jacobi, check_skew_symmetry
+    from confcoh.poly import parse_poly
+
+    zero = RatPoly.zero()
+    table = [[(parse_poly("d + 2*lam1"), parse_poly("lam1^3")), (zero, zero)],
+             [(zero, zero), (zero, zero)]]
+    central = ConformalAlgebra(["L", "C"], table, del_scalars=(None, Fraction(0)))
+    assert check_skew_symmetry(central)[0] and check_jacobi(central)[0]
+    for variant in (BASIC, REDUCED):
+        with pytest.raises(UnsupportedComplex,
+                           match="no torsion generator; d acts by a scalar on C$"):
+            ComplexSpec(central, C, variant)
