@@ -296,7 +296,10 @@ def _resolve(args):
         name = args.spec_file
         if algebra is None:
             raise ParseError("spec file has no algebra section")
-        if module is None and getattr(args, "module", None):
+        if getattr(args, "module", None):
+            if module is not None:
+                raise ParseError(f"spec file {name} has a module section and "
+                                 "--module gives another; give one of them")
             module, reps = parse_module(args.module, name, None)
         return algebra, module, name, reps
     algebra, name, g = parse_algebra(args.algebra)
@@ -342,7 +345,8 @@ def cmd_betti(args):
     if module is None:
         return _fail(EXIT_PARSE, "betti needs --module")
     variant = REDUCED if args.variant == "reduced" else BASIC
-    spec = ComplexSpec(algebra, module, variant, label=f"{name}/{args.module}")
+    label = f"{name}/{args.module}" if args.module else name
+    spec = ComplexSpec(algebra, module, variant, label=label)
     if args.bound is not None:
         bound = args.bound
     elif args.module and args.module.startswith(("trivial", "mu:")):
@@ -489,8 +493,8 @@ def _read_cocycle(path, algebra, module):
         try:
             cochain = cochain_from_obj(algebra, module, json.load(fh))
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
-            # invalid JSON, a missing key, a non-integer degree, unsorted
-            # skew args, a value that is not an object
+            # invalid JSON, a missing key, unsorted skew args, a value that
+            # is not an object
             raise ParseError(f"malformed cochain file {path}: {exc}") from None
     if cochain.variant != REDUCED or cochain.q != 2:
         raise ParseError(

@@ -668,18 +668,22 @@ def name_index(names, name, where):
 
 def cochain_from_obj(algebra, module, obj):
     """The cochain written by ``cochain_to_obj``; ParseError if malformed."""
-    variant, q = obj["variant"], int(obj["q"])
+    variant, q = obj["variant"], obj["q"]
     if variant not in VARIANTS:
         raise ParseError(f"unknown cochain variant {variant!r}")
-    if q < 0:
-        raise ParseError(f"negative cochain degree {q}")
+    if type(q) is not int or q < 0:
+        raise ParseError(f"the cochain degree {q!r} is not an integer >= 0")
     values = {}
     for entry in obj["entries"]:
         args = entry["args"]
+        if not isinstance(args, list):
+            raise ParseError(f"cochain args {args!r} are not a list of names")
         if len(args) != q:
             raise ParseError(f"a degree-{q} cochain entry has {len(args)} args")
         t = tuple(name_index(algebra.gen_names, name, "cochain args")
                   for name in args)
+        if t in values:
+            raise ParseError(f"the cochain args {args} are given twice")
         vec = list(zero_vec(module.dim))
         for name, text in entry["value"].items():
             poly = parse_poly(text)

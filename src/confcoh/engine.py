@@ -9,10 +9,9 @@ parameters are refused), so coordinates are read off exponent vectors.
 The Betti entry points (truncation_sweep, graded_bidegree_dims) read one
 SliceComplex, made for that call.  The store fills each bidegree (q, d) on
 first read and keeps its basis pairs and its differential columns, plus, for
-scalar-coefficient reduced complexes, the rows of the (a + sum lam_i) image
-and the columns restricted to the hyperplane sum lam_i = -a.  No slice map
-builds a Cochain or a RatPoly per column.  A column is read from one
-placement of its shape (kernel.skew_column): a skew shape is the
+scalar-coefficient reduced complexes, the rows of the (a + sum lam_i) image.
+No slice map builds a Cochain or a RatPoly per column.  A column is read
+from one placement of its shape (kernel.skew_column): a skew shape is the
 alternation of one monomial and d commutes with the alternation, so d of
 the shape is the alternation of one action read at slot 0 and one bracket
 read per slot, each term placed in the basis by sorting its pairs, with the
@@ -21,16 +20,11 @@ lam_{q+1}) applies to the action's d alone.  That needs free generators
 and a skew-symmetric bracket, which ComplexSpec checks once (no torsion
 generator, kernel.skew_failure).  Columns hold ints where integral.  The
 (a + sum lam_i) rows read a on the pair and raise one slot's exponent per
-term, and the restriction reads a column's
-coordinates as terms (each shape's skew.element_terms, kept per shape by
-the store), expands lam1^e := (-a - lam2 - ... - lamq)^e on their exponent
-vectors from the multinomial table and sums each column in ints over one
-common denominator (for a = n/m, each monomial's image is kept times m^e).
-A cochain's coordinates (verify_cocycle's cocycle test and target) are read
-by cochain_coords from its terms or from apply_differential's sums, taking
-each exponent vector's (basis element, sign) from the placement memo kept
-on the algebra (``_placements``, filled on use and shared by every
-verify_cocycle call on it).
+term.  A cochain's coordinates (verify_cocycle's cocycle test and target)
+are read by cochain_coords from its terms or from apply_differential's
+sums, taking each exponent vector's (basis element, sign) from the
+placement memo kept on the algebra (``_placements``, filled on use and
+shared by every verify_cocycle call on it).
 
 The store reads only the pairs of Cartan weight 0.  For a current algebra
 (constant brackets, no torsion generator) take a generator h whose ad is
@@ -61,17 +55,20 @@ Two computation modes, decided by the spec (ComplexSpec.shift):
   stabilized when h vanishes at d = D+1 and D+2.
 * window -- filtered differentials (terms of two degrees, such as the alpha
   of M_{Delta,alpha}, or a scalar quotient with a != 0).  Cocycles in
-  degrees <= D are exact (membership in the d-action ideal is decided by
-  restriction to the hyperplane sum lam_i = -a); the coboundary space is
-  approximated by images of the window, and agreement across bounds D, D+1,
-  D+2 is reported as the stabilized flag.  Per degree q the store keeps one
-  cocycle kernel, of the top window D+2, whose prefixes are the kernels of
-  the smaller windows, and one coboundary RREF, grown from bound to bound;
-  h is the rank of the cocycles' remainders modulo that RREF.
+  degrees <= D are exact (over a scalar quotient d of a cocycle lies in the
+  span of the (a + sum lam_i) image rows, eliminated with the columns in
+  one kernel); the coboundary space is approximated by images of the
+  window, and agreement across bounds D, D+1, D+2 is reported as the
+  stabilized flag.  Per degree q the store keeps one cocycle kernel, of the
+  top window D+2, whose prefixes are the kernels of the smaller windows,
+  and one coboundary RREF, grown from bound to bound; h is the rank of the
+  cocycles' remainders modulo that RREF.
 
 The scalar-module reduced complex is the quotient by the image of
-multiplication by (a + sum lam_i); the quotient is taken here, on slices,
-never by eliminating a variable.
+multiplication by (a + sum lam_i), taken one way, against the image rows:
+graded slices reduce their columns modulo the rows' RREF (_quotient), and
+window cocycles, window coboundaries and verify_cocycle eliminate the rows
+together with the columns or the target.  No variable is eliminated.
 """
 
 from __future__ import annotations
@@ -80,8 +77,6 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
-from operator import add
 
 from . import linalg
 from .cochain import BASIC, REDUCED, Cochain, term_sums
@@ -90,8 +85,7 @@ from .cochain import d_basic  # noqa: F401
 from .errors import NotEquivariant, UnstableTruncation, UnsupportedComplex
 from .kernel import skew_column, skew_failure
 from .liealg import check_equivariant, sym_power_rep, adjoint_rep
-from .poly import (RatPoly, exact, lam, multinomials, parameter_names,
-                   vec_is_zero)
+from .poly import RatPoly, exact, lam, parameter_names, vec_is_zero
 from .skew import (element_terms, element_tuple, monomial_coordinates,
                    permutation_sign, skew_basis)
 
@@ -169,34 +163,22 @@ def cochain_coords(sums, placements):
     return coords
 
 
-def _coords_terms(spec, coords, shapes):
-    """The terms, per sorted tuple and component, of the cochain with basis
-    coordinates {(shape, u): coeff}: each shape's terms
-    (``skew.element_terms``) times its coefficient.  ``shapes`` keeps each
-    shape's (sorted tuple, terms) across calls."""
+def coords_to_cochain(spec, q, coords):
+    """The cochain with basis coordinates {(shape, u): coeff}: each shape's
+    terms (``skew.element_terms``) times its coefficient."""
     terms = {}
     dim = spec.module.dim
     for (elem, u), coeff in coords.items():
         if not coeff:
             continue
-        shape = shapes.get(elem)
-        if shape is None:
-            shape = shapes[elem] = (element_tuple(elem),
-                                    element_terms(elem, len(elem)))
-        t, placed = shape
+        t = element_tuple(elem)
         comps = terms.get(t)
         if comps is None:
             comps = terms[t] = [{} for _ in range(dim)]
         comp = comps[u]
-        for key, sign in placed.items():
+        for key, sign in element_terms(elem, q).items():
             comp[key] = comp.get(key, 0) + sign * coeff
-    return terms
-
-
-def coords_to_cochain(spec, q, coords):
-    """The cochain with basis coordinates {(shape, u): coeff}."""
-    return Cochain.from_terms(spec.algebra, spec.module, q, spec.variant,
-                              _coords_terms(spec, coords, {}))
+    return Cochain.from_terms(spec.algebra, spec.module, q, spec.variant, terms)
 
 
 def cartan_weights(spec):
@@ -282,64 +264,6 @@ def _mult_coords(spec, pair):
     return coords
 
 
-def _restriction_coords(spec, sums, memo):
-    """Coordinates of the sums after lam1 := -a - lam2 - ... - lamq.
-
-    Vanishing is equivalent to divisibility by (a + sum lam_i); keys are
-    (tuple, u, exponents of lam2..lamq, other variables) and need not be
-    skew-decomposed.  ``memo`` keeps the restricted terms of each (lam
-    exponents, rest) across calls.  The sums run on ints over one common
-    denominator, the lcm of each term's coefficient denominator times m^e
-    for a = n/m and lam1^e, and are divided by it once at the end.
-    """
-    terms = []
-    den = 1
-    for t, comps in sums.items():
-        for u, comp in enumerate(comps):
-            for key, coeff in comp.items():
-                if not coeff:
-                    continue
-                image = memo.get(key)
-                if image is None:
-                    image = memo[key] = _restrict_monomial(
-                        spec.module.del_scalar, *key)
-                terms.append((t, u, coeff, image))
-                den = lcm(den, coeff.denominator * image[0])
-    out = {}
-    for t, u, coeff, (scale, image) in terms:
-        base = coeff.numerator * (den // (coeff.denominator * scale))
-        for exps, rest, c2 in image:
-            key = (t, u, exps, rest)
-            total = out.get(key, 0) + base * c2
-            if total:
-                out[key] = total
-            else:
-                del out[key]
-    if den != 1:
-        for key, total in out.items():
-            out[key] = exact(Fraction(total, den))
-    return out
-
-
-def _restrict_monomial(a, exps, rest):
-    """(m^e, [(exponents of lam2..lamq, rest, int coeff)]) of the monomial
-    with lam exponents ``exps`` after lam1 := -a - lam2 - ... - lamq, for
-    a = n/m, expanded on exponent vectors and times m^e:
-    (-1)^e sum over k of e!/(k_0! ... k_{q-1}!) n^k_0 m^(e-k_0) lam2^k_1 ... lamq^k_{q-1}."""
-    e, tail = exps[0], exps[1:]
-    if not e:
-        return 1, ((tail, rest, 1),)
-    a = Fraction(a)
-    n, m = a.numerator, a.denominator
-    sign = -1 if e % 2 else 1
-    return m ** e, tuple(
-        (tuple(map(add, tail, k[1:])), rest,
-         sign * mult * n ** k[0] * m ** (e - k[0]))
-        for k, mult in multinomials(len(exps), e)
-        if n or not k[0]
-    )
-
-
 class SliceComplex:
     """The bidegree slices of one complex, each filled on first read and kept
     for the life of the store: one entry-point call, never shared."""
@@ -350,9 +274,6 @@ class SliceComplex:
         self._pairs = {}
         self._columns = {}
         self._mult = {}
-        self._restricted = {}
-        self._restriction_memo = {}  # restricted terms per monomial
-        self._shape_terms = {}  # (sorted tuple, terms) per shape
         self._quotients = {}
         self._ranks = {}
         self._cocycles = {}  # q -> (bound, free indices, kernel vectors)
@@ -384,19 +305,6 @@ class SliceComplex:
         if key not in self._mult:
             self._mult[key] = [_mult_coords(self.spec, p) for p in self.pairs(q, d)]
         return self._mult[key]
-
-    def restricted_columns(self, q, d):
-        """The columns of (q, d) restricted to sum lam_i = -a, each read as
-        the terms of its coordinates; scalar reduced only."""
-        key = (q, d)
-        if key not in self._restricted:
-            self._restricted[key] = [
-                _restriction_coords(self.spec,
-                                    _coords_terms(self.spec, col, self._shape_terms),
-                                    self._restriction_memo)
-                for col in self.columns(q, d)
-            ]
-        return self._restricted[key]
 
     # -- graded mode -------------------------------------------------------------
 
@@ -471,20 +379,34 @@ class SliceComplex:
         RREF of a column prefix is the prefix of the RREF: the kernel of a
         smaller window is the run of stored vectors whose free index falls
         inside it, vector for vector.
+
+        Over a scalar quotient d of a cocycle need only lie in the (a + sum
+        lam_i) image, of one lam-degree less: the image rows of degree q + 1
+        below the columns' top degree go ahead of the columns.  They are
+        independent, so each is a pivot and every free index a column, and
+        the kernel vectors' column parts are the kernel of the columns
+        modulo the image, normalized as above.
         """
         stored = self._cocycles.get(q)
         if stored is None or stored[0] < bound:
-            scalar = self.spec.scalar_quotient
             domain = []
             zcols = []
             for d in range(bound + 1):
                 domain += self.pairs(q, d)
-                zcols += self.restricted_columns(q, d) if scalar else self.columns(q, d)
-            kernel = linalg.kernel_of_columns(zcols)
+                zcols += self.columns(q, d)
+            rows = []
+            if self.spec.scalar_quotient:
+                top = max((sum(e for _, e in elem) for col in zcols for elem, _ in col),
+                          default=0)
+                for d in range(top):
+                    rows += self.mult_rows(q + 1, d)
+            kernel = linalg.kernel_of_columns(rows + zcols)
+            skip = len(rows)
             stored = self._cocycles[q] = (
                 bound,
-                [max(kvec) for kvec in kernel],
-                [{domain[j]: x for j, x in kvec.items()} for kvec in kernel],
+                [max(kvec) - skip for kvec in kernel],
+                [{domain[j - skip]: x for j, x in kvec.items() if j >= skip}
+                 for kvec in kernel],
             )
         _, frees, vectors = stored
         width = sum(len(self.pairs(q, d)) for d in range(bound + 1))
@@ -717,15 +639,20 @@ class VerifyResult:
 
 def verify_cocycle(spec, gamma):
     """Exact cocycle test and a window coboundary solve with witness."""
-    dv = apply_differential(spec, gamma)
     placements = spec.algebra._placements
-    if spec.scalar_quotient:
-        is_cocycle = not _restriction_coords(spec, dv, {})
+    q = gamma.q
+    dv = cochain_coords(apply_differential(spec, gamma), placements)
+    if dv and spec.scalar_quotient:
+        # zero in the quotient when d gamma is an (a + sum lam_i) multiple,
+        # of one lam-degree less, on the full slices
+        top = max(sum(e for _, e in elem) for elem, _ in dv)
+        rows = [_mult_coords(spec, p)
+                for d in range(top) for p in slice_pairs(spec, q + 1, d)]
+        is_cocycle = linalg.solve_columns(rows, dv) is not None
     else:
-        is_cocycle = not cochain_coords(dv, placements)
+        is_cocycle = not dv
     if not is_cocycle:
         return VerifyResult(False, False)
-    q = gamma.q
     target = cochain_coords(gamma.kernel_terms(), placements)
     if not target:
         return VerifyResult(True, True, witness=None)

@@ -506,9 +506,20 @@ def _entries(value, args=("L", "L")):
     # a value of the wrong JSON type
     ("extend", {"variant": "reduced", "q": 2,
                 "entries": _entries(["lam1^3 - lam2^3"])}),
+    # args as a string were read character by character, as (L, L)
+    ("extend", {"variant": "reduced", "q": 2,
+                "entries": [{"args": "LL", "value": {"v0": "lam1^3 - lam2^3"}}]}),
+    # a fractional degree was truncated to 2
+    ("extend", {"variant": "reduced", "q": 2.7,
+                "entries": _entries({"v0": "lam1^3 - lam2^3"})}),
+    # a repeated args tuple overwrote the earlier entry: "valid" in this
+    # order, "invalid" in the other
+    ("deform", {"variant": "reduced", "q": 2,
+                "entries": _entries({"L": "lam1^3 - lam2^3"}) + _entries({"L": "0"})}),
 ], ids=["lam-above-degree", "basis-name", "generator-name", "args-length",
         "unknown-variant", "extend-basic", "extend-degree-3", "deform-basic",
-        "deform-basis-name", "value-list"])
+        "deform-basis-name", "value-list", "args-string", "fractional-degree",
+        "repeated-args"])
 def test_malformed_cochain_files_are_parse_failures(tmp_path, capsys, command,
                                                     payload):
     path = tmp_path / "cochain.json"
@@ -520,3 +531,38 @@ def test_malformed_cochain_files_are_parse_failures(tmp_path, capsys, command,
     assert code == 3
     assert out == ""
     assert err.startswith("error: ")
+
+
+VIR_SCALAR_SPEC = {"algebra": VIR_SPEC,
+                   "module": {"kind": "scalar", "basis": ["v"], "del_scalar": "0"}}
+
+
+@pytest.mark.parametrize("command", ["check", "betti", "cartan", "annih-compare"])
+def test_a_spec_file_module_and_module_are_a_parse_failure(tmp_path, capsys,
+                                                          command):
+    # --module was ignored: betti labelled the spec file's C_0 table ca:1
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(VIR_SCALAR_SPEC))
+    code, out, err = run(capsys, command, "--spec-file", str(path),
+                         "--module", "ca:1")
+    assert (code, out) == (3, "")
+    assert err == (f"error: spec file {path} has a module section and --module "
+                   "gives another; give one of them\n")
+
+
+def test_betti_labels_a_spec_file_table_by_its_module(tmp_path, capsys):
+    # the module of the file: the file name alone, not "<file>/None"
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(VIR_SCALAR_SPEC))
+    code, out, _ = run(capsys, "betti", "--spec-file", str(path), "--qmax", "1",
+                       "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1:] == [f"{path},reduced,0,1,10,True,graded,\"\"",
+                                    f"{path},reduced,1,0,10,True,graded,\"\""]
+    # the module of --module, on a file with no module section: H(Vir, C_1) = 0
+    path.write_text(json.dumps({"algebra": VIR_SPEC}))
+    code, out, _ = run(capsys, "betti", "--spec-file", str(path), "--module", "ca:1",
+                       "--qmax", "1", "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1:] == [f"{path}/ca:1,reduced,0,0,10,True,window,\"\"",
+                                    f"{path}/ca:1,reduced,1,0,10,True,window,\"\""]

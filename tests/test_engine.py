@@ -49,14 +49,13 @@ from confcoh.liealg import (
     sl3,
     sym_power_rep,
 )
-from confcoh.poly import DEL, RatPoly, lam, param, vec_scale
+from confcoh.poly import DEL, RatPoly, lam, vec_scale
 from confcoh.skew import (element_terms, element_tuple, monomial_coordinates,
                           permutation_sign)
 
 VIR = build_vir()
 C = build_trivial(1, 0)
 L1, L2, L3 = (RatPoly.var(lam(i)) for i in (1, 2, 3))
-MU = RatPoly.var(param("mu"))
 
 
 def _coords(c):
@@ -165,8 +164,13 @@ def test_slice_ranks_agree_with_bareiss():
                 graded = store._graded_matrix(q, d)
                 matrices = [store.columns(q, d), graded]
                 if spec.scalar_quotient:
-                    matrices += [store.mult_rows(q, d),
-                                 store.restricted_columns(q, d)]
+                    # the window cocycle matrix: the degree-(q + 1) image
+                    # rows below the columns' top degree, then the columns
+                    top = max((sum(e for _, e in elem) for col in store.columns(q, d)
+                               for elem, _ in col), default=0)
+                    stacked = [row for e in range(top)
+                               for row in store.mult_rows(q + 1, e)]
+                    matrices += [store.mult_rows(q, d), stacked + store.columns(q, d)]
                 for vectors in matrices:
                     assert dense_rank(vectors) == rank(vectors)
                     checked += rank(vectors) > 0
@@ -225,8 +229,10 @@ def _mult_coords_oracle(spec, q, pair):
 
 
 def _restriction_coords_oracle(spec, c, memo):
-    """The former _restriction_coords: lam1 := -a - lam2 - ... - lamq by
-    RatPoly products with cached powers; keys (tuple, monomial, u)."""
+    """The restriction to the hyperplane sum lam_i = -a, lam1 := -a - lam2 -
+    ... - lamq by RatPoly products with cached powers; keys (tuple,
+    monomial, u).  It vanishes exactly on the multiples of (a + sum lam_i):
+    the independent route to membership in that image."""
     q = c.q
     out = {}
     for t, vec in c.values.items():
@@ -264,19 +270,6 @@ def _restrict_monomial_oracle(spec, q, mono, memo):
     return tuple((RatPoly({mono[1:]: Fraction(1)}) * power).terms.items())
 
 
-def _restricted_polys(coords, old_keys):
-    """{(tuple, u): the restricted value as a RatPoly}, from either key form."""
-    out = {}
-    for key, coeff in coords.items():
-        if old_keys:
-            t, mono, u = key
-        else:
-            t, u, exps, rest = key
-            mono = tuple((lam(s + 2), e) for s, e in enumerate(exps) if e) + rest
-        out[(t, u)] = out.get((t, u), RatPoly.zero()) + RatPoly({mono: coeff})
-    return out
-
-
 def _assembly_fixtures():
     g, g3 = sl2(), sl3()
     cur2 = build_current(g)
@@ -297,12 +290,12 @@ def _assembly_fixtures():
 
 
 def test_slice_assembly_matches_the_ratpoly_routes():
-    # columns through the placement memo, (a + sum lam_i) rows and the
-    # restriction to sum lam_i = -a, each against its former RatPoly route;
-    # one memo per fixture, as a store keeps them
-    counts = {"columns": 0, "mult": 0, "restricted": 0}
+    # columns through the placement memo and (a + sum lam_i) rows, each
+    # against its former RatPoly route; one memo per fixture, as a store
+    # keeps them
+    counts = {"columns": 0, "mult": 0}
     for spec, dmax in _assembly_fixtures():
-        placements, memo, oracle_memo = {}, {}, {}
+        placements = {}
         for q in range(4):
             for d in range(dmax + 1):
                 for pair in slice_pairs(spec, q, d):
@@ -320,19 +313,7 @@ def test_slice_assembly_matches_the_ratpoly_routes():
                     assert engine._mult_coords(spec, pair) == \
                         _mult_coords_oracle(spec, q, pair), (q, pair)
                     counts["mult"] += 1
-                    if not spec.scalar_quotient:
-                        continue
-                    # a parameter next to the lams stays in the key
-                    scaled = dc.scale(1 + MU)
-                    for value, sums in ((dc, image), (scaled, scaled.kernel_terms())):
-                        got = engine._restriction_coords(spec, sums, memo)
-                        want = _restriction_coords_oracle(spec, value, oracle_memo)
-                        assert _restricted_polys(got, False) == \
-                            _restricted_polys(want, True), (q, pair)
-                        assert bool(got) == bool(want)
-                        counts["restricted"] += bool(got)
     assert counts["columns"] > 900 and counts["mult"] > 1000
-    assert counts["restricted"] > 1200
 
 
 def test_cancelled_entries_of_the_sums_are_skipped():
@@ -346,10 +327,6 @@ def test_cancelled_entries_of_the_sums_are_skipped():
     dc = d_reduced(basis)
     coords = cochain_coords(sums, {})
     assert coords and coords == _cochain_coords_oracle(dc)
-    restricted = engine._restriction_coords(spec, sums, {})
-    assert restricted
-    assert _restricted_polys(restricted, False) == \
-        _restricted_polys(_restriction_coords_oracle(spec, dc, {}), True)
 
 
 def _terms(p, q):
@@ -720,16 +697,22 @@ def test_graded_slicing_consistent_with_window_sum():
 
 
 def _window_h_oracle(store, q, bound, want_reps=False):
-    """The separate elimination per window: a kernel over the whole window,
-    then dim(Z & B) by three ranks, then the representatives."""
+    """The separate elimination per window: a kernel over the whole window
+    (over a scalar quotient, of the columns restricted to sum lam_i = -a),
+    then dim(Z & B) by three ranks, then the representatives; returns (h,
+    representatives, cocycle kernel)."""
     from confcoh import linalg
 
-    scalar = store.spec.scalar_quotient
+    spec = store.spec
+    scalar = spec.scalar_quotient
     domain = []
     zcols = []
+    memo = {}
     for d in range(bound + 1):
         domain += store.pairs(q, d)
-        zcols += store.restricted_columns(q, d) if scalar else store.columns(q, d)
+        zcols += [_restriction_coords_oracle(spec, coords_to_cochain(spec, q + 1, col),
+                                             memo) if scalar else col
+                  for col in store.columns(q, d)]
     kernel = linalg.kernel_of_columns(zcols)
     zvecs = [{domain[j]: x for j, x in kvec.items()} for kvec in kernel]
     brows = []
@@ -742,7 +725,7 @@ def _window_h_oracle(store, q, bound, want_reps=False):
     brows = [r for r in brows if r]
     h = len(zvecs) - linalg.intersection_dim(zvecs, brows)
     if not (want_reps and h > 0):
-        return h, []
+        return h, [], zvecs
     reduced, pivots = linalg.sparse_rref(brows)
     remainders = []
     for v in zvecs:
@@ -750,7 +733,7 @@ def _window_h_oracle(store, q, bound, want_reps=False):
         if rem:
             remainders.append(rem)
     normal, _ = linalg.sparse_rref(remainders)
-    return h, [coords_to_cochain(store.spec, q, row) for row in normal[:h]]
+    return h, [coords_to_cochain(store.spec, q, row) for row in normal[:h]], zvecs
 
 
 def _window_fixtures():
@@ -780,18 +763,19 @@ def _window_fixtures():
 @pytest.mark.parametrize("spec, qmax, bound, has_classes", _window_fixtures())
 def test_window_h_matches_separate_eliminations(spec, qmax, bound, has_classes):
     # the shared top-window kernel and the grown coboundary RREF give the
-    # h and the representatives of a separate elimination per window: in
-    # the sweep's call order, in a fresh store asked for one bound alone and
-    # with the bounds asked from the top down
+    # cocycle kernel, the h and the representatives of a separate
+    # elimination per window: in the sweep's call order, in a fresh store
+    # asked for one bound alone and with the bounds asked from the top down
     oracle_store = SliceComplex(spec)
     sweep = SliceComplex(spec)
     top_down = SliceComplex(spec)
     bounds = (bound, bound + 1, bound + 2)
     oracle = []
+    cocycles = {}
     for q in range(qmax + 1):
         expected = {}
         for b in bounds:
-            h, reps = _window_h_oracle(oracle_store, q, b, True)
+            h, reps, cocycles[b] = _window_h_oracle(oracle_store, q, b, True)
             expected[b] = (h, [_coords(c) for c in reps])
         oracle.append(expected)
         sweep.window_cocycles(q, bounds[-1])
@@ -799,9 +783,12 @@ def test_window_h_matches_separate_eliminations(spec, qmax, bound, has_classes):
             for b in order:
                 h, reps = store.window_h(q, b, True)
                 assert (h, [_coords(c) for c in reps]) == expected[b], (q, b)
+                assert store.window_cocycles(q, b) == cocycles[b], (q, b)
         for b in bounds:
-            h, reps = SliceComplex(spec).window_h(q, b, True)
+            fresh = SliceComplex(spec)
+            h, reps = fresh.window_h(q, b, True)
             assert (h, [_coords(c) for c in reps]) == expected[b], (q, b)
+            assert fresh.window_cocycles(q, b) == cocycles[b], (q, b)
             assert sweep.window_h(q, b) == (expected[b][0], [])
     assert any(e[b][0] for e in oracle for b in bounds) == has_classes
     table = truncation_sweep(spec, qmax, bound, representatives=True)
@@ -842,6 +829,41 @@ def test_verify_cocycle_finds_coboundaries_of_nonzero_weight():
     res = verify_cocycle(spec, gamma)
     assert res.is_cocycle and res.is_coboundary
     assert d_reduced(res.witness) == gamma
+
+
+def _c_a_fixtures():
+    cur2, ab2 = build_current(sl2()), build_current(abelian(2))
+    out = [pytest.param(ComplexSpec(VIR, build_trivial(1, a), REDUCED), 2, 3, False,
+                        id=f"vir/ca:{a}") for a in (Fraction(1, 2), 5, 0)]
+    out += [pytest.param(ComplexSpec(cur2, build_trivial(1, a), REDUCED), 2, 2, False,
+                         id=f"cur_sl2/ca:{a}") for a in (Fraction(-7, 3), 0)]
+    out.append(pytest.param(ComplexSpec(ab2, build_trivial(1, 2), REDUCED), 2, 2, True,
+                            id="cur_abelian2/ca:2"))
+    return out
+
+
+@pytest.mark.parametrize("spec, qmax, degmax, abelian", _c_a_fixtures())
+def test_verify_cocycle_agrees_with_the_restriction(spec, qmax, degmax, abelian):
+    # a reduced cochain over C_a is a cocycle when d of it vanishes on the
+    # hyperplane sum lam_i = -a; verify_cocycle decides it against the
+    # (a + sum lam_i) image rows instead.  Random cochains c, their d c and
+    # (a + sum lam_i) c, the last a cocycle whose d need not be 0
+    rng = random.Random(23)
+    a = spec.module.del_scalar
+    memo = {}
+    seen = set()
+    for q in range(qmax + 1):
+        factor = RatPoly.const(a) + lam_sum(q)
+        for _ in range(4):
+            c = random_skew_cochain(spec.algebra, spec.module, q, degmax, rng,
+                                    variant=REDUCED)
+            for gamma in (c, d_reduced(c), c.scale(factor)):
+                dc = d_reduced(gamma)
+                want = not _restriction_coords_oracle(spec, dc, memo)
+                assert verify_cocycle(spec, gamma).is_cocycle == want, (q, gamma)
+                seen.add((want, bool(dc)))
+    # the abelian bracket is zero: every d c lies in the image, none is 0
+    assert seen == ({(True, True)} if abelian else {(False, True), (True, True)})
 
 
 def test_assemble_and_slice_pairs_read_the_full_slice():
@@ -1004,38 +1026,31 @@ def _orbit_fixtures():
 
 
 def test_slice_columns_match_the_former_kernel_route():
-    # every column of assemble, of the slice store (its weight-0 pairs) and
-    # of the restriction to sum lam_i = -a, against d of the shape's full
-    # skew value read back through the placement memo
-    counts = {"columns": 0, "restricted": 0, "specs": 0}
+    # every column of assemble and of the slice store (its weight-0 pairs)
+    # against d of the shape's full skew value read back through the
+    # placement memo
+    counts = {"columns": 0, "specs": 0}
     for spec, qmax, dmax in _orbit_fixtures():
         store = SliceComplex(spec)
-        placements, memo = {}, {}
+        placements = {}
         sorted_memo = dict(spec.algebra._placements)
         for q in range(qmax + 1):
             for d in range(dmax + 1):
                 pairs, cols = assemble(spec, q, d)
-                want, want_restricted = {}, {}
+                want = {}
                 for pair, col in zip(pairs, cols):
                     image = _differential_image(spec, q, pair)
                     want[pair] = cochain_coords(image, placements)
                     assert col == want[pair], (q, pair)
                     counts["columns"] += bool(col)
-                    if spec.scalar_quotient:
-                        want_restricted[pair] = engine._restriction_coords(
-                            spec, image, memo)
                 weight_zero = store.pairs(q, d)
                 assert store.columns(q, d) == [want[p] for p in weight_zero]
-                if spec.scalar_quotient:
-                    got = store.restricted_columns(q, d)
-                    assert got == [want_restricted[p] for p in weight_zero]
-                    counts["restricted"] += sum(map(bool, got))
         counts["specs"] += 1
         # the slice columns place unsorted tuples apart from the sorted-tuple
         # memo, whose entries raise on a repeated pair
         assert spec.algebra._placements == sorted_memo
     assert counts["specs"] == 23
-    assert counts["columns"] > 6000 and counts["restricted"] > 140
+    assert counts["columns"] > 6000
 
 
 def test_orbit_placements_sort_with_sign_and_drop_repeated_pairs():
