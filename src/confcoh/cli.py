@@ -37,6 +37,8 @@ row-major matrix (a list of lists) of polynomials per generator; scalar
 modules give "del_scalar" and no actions.  Entries are polynomials in lam1,
 d and named parameters (lam2 and above are a parse failure); ``check``
 accepts named parameters, ``betti`` and ``deform`` refuse them (exit 2).
+``betti`` and ``deform`` also refuse a spec file that ``check`` rejects
+(exit 2, with check's failing-identity line).
 """
 
 from __future__ import annotations
@@ -312,8 +314,11 @@ def _resolve(args):
 # -- subcommands -------------------------------------------------------------
 
 
-def cmd_check(args):
-    algebra, module, name, _ = _resolve(args)
+def _axioms(algebra, module, name):
+    """(report, failure) of check's axiom sequence: associativity, or
+    skew-symmetry then Jacobi, then the module axiom when there is a
+    module; failure is the line naming the first failing identity, None
+    when every axiom holds."""
     report = {"algebra": name}
     if algebra.associative:
         ok, witness = check_associativity(algebra)
@@ -325,18 +330,24 @@ def cmd_check(args):
             ok, witness = check_jacobi(algebra)
             report["jacobi"] = ok
     if not ok:
-        print(json.dumps(report))
         idx = ", ".join(str(x) for x in witness[:-1])
-        print(f"failing identity at ({idx}): residual {witness[-1]}")
-        return EXIT_AXIOM
+        return report, f"failing identity at ({idx}): residual {witness[-1]}"
     if module is not None:
-        mok, witness = check_module(algebra, module)
-        report["module"] = mok
-        if not mok:
-            print(json.dumps(report))
-            print(f"module identity fails at {witness[:-1]}: residual {witness[-1]}")
-            return EXIT_AXIOM
+        ok, witness = check_module(algebra, module)
+        report["module"] = ok
+        if not ok:
+            return report, (f"module identity fails at {witness[:-1]}: "
+                            f"residual {witness[-1]}")
+    return report, None
+
+
+def cmd_check(args):
+    algebra, module, name, _ = _resolve(args)
+    report, failure = _axioms(algebra, module, name)
     print(json.dumps(report))
+    if failure is not None:
+        print(failure)
+        return EXIT_AXIOM
     return EXIT_OK
 
 
@@ -347,6 +358,10 @@ def cmd_betti(args):
     variant = REDUCED if args.variant == "reduced" else BASIC
     label = f"{name}/{args.module}" if args.module else name
     spec = ComplexSpec(algebra, module, variant, label=label)
+    if args.spec_file:  # builtins are valid by construction
+        failure = _axioms(algebra, module, name)[1]
+        if failure is not None:
+            return _fail(EXIT_AXIOM, failure)
     if args.bound is not None:
         bound = args.bound
     elif args.module and args.module.startswith(("trivial", "mu:")):
@@ -524,6 +539,10 @@ def cmd_extend(args):
 
 def cmd_deform(args):
     algebra, module, name, _ = _resolve(args)
+    if args.spec_file:  # builtins are valid by construction
+        failure = _axioms(algebra, module, name)[1]
+        if failure is not None:
+            return _fail(EXIT_AXIOM, failure)
     adjoint = adjoint_module(algebra)
     if args.cocycle:
         defo = deform(algebra, _read_cocycle(args.cocycle, algebra, adjoint))
@@ -568,7 +587,8 @@ def build_parser():
     p.add_argument("--variant", choices=("reduced", "basic"), default="reduced")
     p.add_argument("--qmax", type=int, default=3)
     p.add_argument("--bound", type=int, default=None,
-                   help="sweep bound D (default 8 graded / 10 filtered)")
+                   help="sweep bound D (default 8 for --module trivial "
+                        "and mu:..., else 10, spec-file modules included)")
     p.add_argument("--representatives", action="store_true")
     p.add_argument("--format", choices=("table", "csv", "json"), default="table")
     p.set_defaults(fn=cmd_betti)

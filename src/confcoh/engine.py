@@ -18,13 +18,13 @@ read per slot, each term placed in the basis by sorting its pairs, with the
 sign of the sort; over a free module the reduced cut d := -(lam1 + ... +
 lam_{q+1}) applies to the action's d alone.  That needs free generators
 and a skew-symmetric bracket, which ComplexSpec checks once (no torsion
-generator, kernel.skew_failure).  Columns hold ints where integral.  The
-(a + sum lam_i) rows read a on the pair and raise one slot's exponent per
-term.  A cochain's coordinates (verify_cocycle's cocycle test and target)
-are read by cochain_coords from its terms or from apply_differential's
-sums, taking each exponent vector's (basis element, sign) from the
-placement memo kept on the algebra (``_placements``, filled on use and
-shared by every verify_cocycle call on it).
+generator, then algebra.check_skew_symmetry).  Columns hold ints where
+integral.  The (a + sum lam_i) rows read a on the pair and raise one slot's
+exponent per term.  A cochain's coordinates (verify_cocycle's cocycle test
+and target) are read by cochain_coords from its terms or from
+apply_differential's sums, taking each exponent vector's (basis element,
+sign) from the placement memo kept on the algebra (``_placements``, filled
+on use and shared by every verify_cocycle call on it).
 
 The store reads only the pairs of Cartan weight 0.  For a current algebra
 (constant brackets, no torsion generator) take a generator h whose ad is
@@ -38,8 +38,8 @@ is therefore acyclic, and the cohomology is that of the weight-0 pairs
 alone, for every such h with a nonzero weight (cartan_weights).  The pairs
 keep their slice order, and d preserves weight, so kernels, RREFs and
 representatives are those of the full slice restricted to weight 0.
-slice_pairs, assemble and verify_cocycle read the full slice: a coboundary
-of nonzero weight needs primitives of that weight.
+slice_pairs and verify_cocycle read the full slice: a coboundary of nonzero
+weight needs primitives of that weight.
 
 Two computation modes, decided by the spec (ComplexSpec.shift):
 
@@ -79,11 +79,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
+from .algebra import check_skew_symmetry
 from .cochain import BASIC, REDUCED, Cochain, term_sums
 # no caller here; bench/tracer.py wraps this binding by name (bench/test_bench.py)
 from .cochain import d_basic  # noqa: F401
 from .errors import NotEquivariant, UnstableTruncation, UnsupportedComplex
-from .kernel import skew_column, skew_failure
+from .kernel import skew_column
 from .liealg import check_equivariant, sym_power_rep, adjoint_rep
 from .poly import RatPoly, exact, lam, parameter_names, vec_is_zero
 from .skew import (element_terms, element_tuple, monomial_coordinates,
@@ -126,8 +127,9 @@ class ComplexSpec:
         if torsion:
             raise UnsupportedComplex("the engine takes no torsion generator; d "
                                      f"acts by a scalar on {', '.join(torsion)}")
-        failure = skew_failure(alg)
-        if failure is not None:
+        ok, witness = check_skew_symmetry(alg)
+        if not ok:
+            failure = witness[:3]
             a, b, k = (alg.gen_names[i] for i in failure)
             raise UnsupportedComplex(
                 f"the bracket is not skew-symmetric at (a, b, k) = {failure}: "
@@ -618,16 +620,6 @@ def betti(spec, qmax, bound=8, representatives=False):
                 f"{bound}/{bound + 1}/{bound + 2}"
             )
     return table
-
-
-def assemble(spec, q, d):
-    """The exact differential matrix out of slice (q, d).
-
-    Returns (domain_pairs, columns); the codomain is read off the column
-    keys (their own bidegree is implied by the shape element).
-    """
-    pairs = slice_pairs(spec, q, d)
-    return pairs, [_column(spec, q, p) for p in pairs]
 
 
 @dataclass

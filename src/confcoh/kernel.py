@@ -33,8 +33,8 @@ The engine's slice columns take a shorter route, ``skew_column``: a skew
 basis shape is the alternation of one monomial, so d of it is one action
 read and one bracket read per slot of that monomial, through the same
 expansion tables, each term placed straight into skew-basis coordinates;
-no read plan and no sums.  It needs a skew-symmetric bracket
-(``skew_failure``).
+no read plan and no sums.  It needs a skew-symmetric bracket, which
+``engine.ComplexSpec`` checks through ``algebra.check_skew_symmetry``.
 """
 
 from __future__ import annotations
@@ -486,21 +486,6 @@ def _half(c):
             raise AssertionError(f"odd doubled skew coordinate {c}")
         return c >> 1
     return exact(c / 2)
-
-
-def skew_failure(algebra):
-    """The first (a, b, k) at which [b_mu a]_k(d := -(lam + mu)) differs
-    from -[a_lam b]_k(d := -(lam + mu)), read from the bracket expansion
-    table at e = 0; None for a skew-symmetric bracket."""
-    for k, pairs in _nonzero_bracket_pairs(algebra).items():
-        for a, b in pairs:
-            ab = {(ex, ey, rest): c for ex, ey, rest, c
-                  in _bracket_expansion(algebra, a, b, k, 0)}
-            ba = {(ey, ex, rest): -c for ex, ey, rest, c
-                  in _bracket_expansion(algebra, b, a, k, 0)}
-            if ab != ba:
-                return a, b, k
-    return None
 
 
 def _cut_del(sums, out_q):

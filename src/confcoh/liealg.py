@@ -161,17 +161,16 @@ def abelian(n):
 class Rep:
     """Representation by exact matrices, validated at construction."""
 
-    def __init__(self, algebra, mats, names=None, check=True):
+    def __init__(self, algebra, mats, names=None):
         self.algebra = algebra
         self.mats = [[[Fraction(x) for x in row] for row in m] for m in mats]
         self.dim = len(self.mats[0]) if self.mats else 0
         self.names = tuple(names) if names else tuple(
             f"u{j}" for j in range(self.dim)
         )
-        if check:
-            bad = self._check()
-            if bad is not None:
-                raise RepNotValid(bad)
+        bad = self._check()
+        if bad is not None:
+            raise RepNotValid(bad)
 
     def _check(self):
         g = self.algebra

@@ -566,3 +566,31 @@ def test_betti_labels_a_spec_file_table_by_its_module(tmp_path, capsys):
     assert code == 0
     assert out.splitlines()[1:] == [f"{path}/ca:1,reduced,0,0,10,True,window,\"\"",
                                     f"{path}/ca:1,reduced,1,0,10,True,window,\"\""]
+
+
+# skew-symmetric, but not Jacobi: the CI's jacobi.json
+JACOBI_SPEC = {"generators": ["L"],
+               "brackets": {"L,L": {"L": "(d + 2*lam1)*lam1*(lam1 + d)"}}}
+# Vir acting on C[d]v by L_lam v = (d + lam^2) v: not a module
+FREE_MODULE = {"basis": ["v"], "actions": {"L": [["d + lam1^2"]]}}
+
+
+@pytest.mark.parametrize("spec, argv", [
+    ({"algebra": JACOBI_SPEC, "module": VIR_SCALAR_SPEC["module"]},
+     ("betti", "--qmax", "4", "--bound", "6")),
+    ({"algebra": JACOBI_SPEC}, ("deform", "--trials", "3")),
+    ({"algebra": VIR_SPEC, "module": FREE_MODULE}, ("betti",)),
+], ids=["betti-jacobi", "deform-jacobi", "betti-module"])
+def test_a_spec_file_that_check_rejects_is_refused(tmp_path, capsys, spec,
+                                                   argv):
+    # betti printed a graded table (exit 0) for the Jacobi failure and
+    # dimensions with a stabilization warning (exit 1) for the module;
+    # deform printed "deformation-roundtrip": true
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, _ = run(capsys, "check", "--spec-file", str(path))
+    assert code == 2
+    failure = out.splitlines()[1]
+    code, out, err = run(capsys, argv[0], "--spec-file", str(path), *argv[1:])
+    assert (code, out, err) == (2, "", f"error: {failure}\n")
+

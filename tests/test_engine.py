@@ -28,7 +28,6 @@ from confcoh.engine import (
     ComplexSpec,
     SliceComplex,
     apply_differential,
-    assemble,
     cartan_weights,
     cochain_coords,
     coords_to_cochain,
@@ -63,6 +62,13 @@ def _coords(c):
     return cochain_coords(c.kernel_terms(), {})
 
 
+def _full_slice(spec, q, d):
+    """(pairs, columns) of the full slice (q, d): every basis pair, weight 0
+    or not, with its differential column read through engine._column."""
+    pairs = slice_pairs(spec, q, d)
+    return pairs, [engine._column(spec, q, p) for p in pairs]
+
+
 def _basis_cochain(spec, q, pair):
     """The skew-basis cochain of a slice pair (shape, u)."""
     elem, u = pair
@@ -89,7 +95,7 @@ def test_assemble_vir_c_reduced_slice():
     # q=2 -> 3 at lam-degree 3: one quotient generator mapping onto the
     # Vandermonde direction
     spec = ComplexSpec(VIR, C, REDUCED)
-    pairs, cols = assemble(spec, 2, 3)
+    pairs, cols = _full_slice(spec, 2, 3)
     assert len(pairs) == 2  # raw slice, before the quotient
     nonzero = [c for c in cols if c]
     assert nonzero
@@ -100,7 +106,7 @@ def test_assemble_vir_c_reduced_slice():
 
 def test_assemble_empty_domain():
     spec = ComplexSpec(VIR, C, REDUCED)
-    pairs, cols = assemble(spec, 3, 1)  # no skew shapes of degree 1 on 3 slots
+    pairs, cols = _full_slice(spec, 3, 1)  # no skew shapes of degree 1 on 3 slots
     assert pairs == [] and cols == []
 
 
@@ -116,7 +122,7 @@ def test_slice_matrix_composition_is_zero():
     for spec, dmax in fixtures:
         for q in (0, 1, 2):
             for d in range(dmax + 1):
-                pairs, cols = assemble(spec, q, d)
+                pairs, cols = _full_slice(spec, q, d)
                 for pair, col in zip(pairs, cols):
                     image = coords_to_cochain(spec, q + 1, col)
                     assert cochain_coords(apply_differential(spec, image), {}) == {}
@@ -873,7 +879,7 @@ def test_assemble_and_slice_pairs_read_the_full_slice():
     weight_zero = SliceComplex(spec).pairs(1, 1)
     assert weight_zero == [p for p in full if p in weight_zero]
     assert 0 < len(weight_zero) < len(full)
-    pairs, columns = assemble(spec, 1, 1)
+    pairs, columns = _full_slice(spec, 1, 1)
     assert pairs == full and len(columns) == len(full)
 
 
@@ -1026,7 +1032,7 @@ def _orbit_fixtures():
 
 
 def test_slice_columns_match_the_former_kernel_route():
-    # every column of assemble and of the slice store (its weight-0 pairs)
+    # every column of the full slice and of the slice store (its weight-0 pairs)
     # against d of the shape's full skew value read back through the
     # placement memo
     counts = {"columns": 0, "specs": 0}
@@ -1036,7 +1042,7 @@ def test_slice_columns_match_the_former_kernel_route():
         sorted_memo = dict(spec.algebra._placements)
         for q in range(qmax + 1):
             for d in range(dmax + 1):
-                pairs, cols = assemble(spec, q, d)
+                pairs, cols = _full_slice(spec, q, d)
                 want = {}
                 for pair, col in zip(pairs, cols):
                     image = _differential_image(spec, q, pair)
@@ -1096,16 +1102,18 @@ def _gens_algebra(names, brackets):
     (["L"], {(0, 0, 0): "2*lam1 - d"}, (0, 0, 0)),
     # [a_lam b] = b with no [b_lam a]
     (["a", "b"], {(0, 1, 1): "1"}, (0, 1, 1)),
-    # [b_lam a] = b with no [a_lam b]: found on the pair as stored
-    (["a", "b"], {(1, 0, 1): "1"}, (1, 0, 1)),
+    # [b_lam a] = b with no [a_lam b]: the check scans (i, j, k) in order,
+    # so the zero entry [a_lam b] meets its nonzero mirror first
+    (["a", "b"], {(1, 0, 1): "1"}, (0, 1, 1)),
     # skew in the generators but not in lam: [a_lam b] = lam b = [b_lam a]
     (["a", "b"], {(0, 1, 1): "lam1", (1, 0, 1): "lam1"}, (0, 1, 1)),
 ])
 def test_a_non_skew_bracket_is_refused(names, brackets, failure):
-    from confcoh.kernel import skew_failure
+    from confcoh.algebra import check_skew_symmetry
 
     alg = _gens_algebra(names, brackets)
-    assert skew_failure(alg) == failure
+    ok, witness = check_skew_symmetry(alg)
+    assert not ok and witness[:3] == failure
     for module in (C, build_trivial(1, 2)):
         for variant in (BASIC, REDUCED):
             with pytest.raises(UnsupportedComplex, match=re.escape(
@@ -1114,7 +1122,7 @@ def test_a_non_skew_bracket_is_refused(names, brackets, failure):
 
 
 def test_skew_brackets_pass_the_skew_check():
-    from confcoh.kernel import skew_failure
+    from confcoh.algebra import check_skew_symmetry
 
     g = sl2()
     algebras = [VIR, build_current(g), build_current(sl3()),
@@ -1122,7 +1130,8 @@ def test_skew_brackets_pass_the_skew_check():
                 _gens_algebra(["a", "b"], {(0, 1, 1): "lam1 + d",
                                            (1, 0, 1): "lam1"})]
     for alg in algebras:
-        assert skew_failure(alg) is None
+        assert check_skew_symmetry(alg) == (True, None)
+        ComplexSpec(alg, C, REDUCED)
     ComplexSpec(VIR, build_m_delta_alpha(1, 0), REDUCED)
     ComplexSpec(build_current(g), build_m_u(g, adjoint_rep(g)), REDUCED)
 

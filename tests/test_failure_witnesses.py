@@ -181,9 +181,9 @@ def _cases(mat2):
         "associativity_polynomial": lambda: check_associativity(
             ConformalAlgebra(("a",), [[(D + L1,)]], associative=True)),
         "module_one_generator": lambda: check_module(VIR, bad_rank1),
-        "module_corrupted_rep": lambda: check_module(cur2, build_m_u(
-            g2, Rep(g2, _corrupted(sl2_irrep(g2, 2).mats, 2, 1, 1, 1),
-                    check=False))),
+        "module_corrupted_rep": lambda: check_module(cur2, ConformalModule(
+            "free", 3, action=_const_mats(
+                _corrupted(sl2_irrep(g2, 2).mats, 2, 1, 1, 1)))),
         "module_polynomial_rep": lambda: check_module(cur2, ConformalModule(
             "free", 3, action=[[[L1 * p for p in row] for row in m] if i == 0 else m
                                for i, m in enumerate(
