@@ -64,8 +64,6 @@ from .algebra import (
     check_module,
     check_skew_symmetry,
 )
-from .annihilation import ce_differential_eval, phi_on_pool
-from .calculus import contract_lambda, lie_theta
 from .cochain import (
     BASIC,
     REDUCED,
@@ -78,7 +76,6 @@ from .cochain import (
 )
 from .engine import ComplexSpec, truncation_sweep, verify_cocycle
 from .errors import ConfcohError, NotACocycle, ParseError
-from .extensions import deform, extend_algebra
 from .liealg import (
     abelian,
     adjoint_rep,
@@ -92,6 +89,9 @@ from .liealg import (
     wedge2_rep,
 )
 from .poly import DEL, RatPoly, lam, parse_poly
+
+# annihilation, calculus and extensions serve one or two subcommands each and
+# are imported inside them, so a process that runs only betti never loads them
 
 EXIT_OK = 0
 EXIT_WARNING = 1
@@ -384,6 +384,8 @@ def cmd_betti(args):
 
 
 def cmd_cartan(args):
+    from .calculus import contract_lambda, lie_theta
+
     algebra, module, name, _ = _resolve(args)
     if module is None:
         module = build_trivial(1, 0)
@@ -419,6 +421,8 @@ def cmd_cartan(args):
 
 
 def cmd_annih_compare(args):
+    from .annihilation import ce_differential_eval, phi_on_pool
+
     algebra, module, name, _ = _resolve(args)
     if module is None:
         module = build_trivial(1, 0)
@@ -520,6 +524,8 @@ def _read_cocycle(path, algebra, module):
 
 
 def cmd_extend(args):
+    from .extensions import extend_algebra
+
     algebra, module, name, reps = _resolve(args)
     if module is None:
         return _fail(EXIT_PARSE, "extend needs --module")
@@ -538,6 +544,8 @@ def cmd_extend(args):
 
 
 def cmd_deform(args):
+    from .extensions import deform
+
     algebra, module, name, _ = _resolve(args)
     if args.spec_file:  # builtins are valid by construction
         failure = _axioms(algebra, module, name)[1]
@@ -634,9 +642,14 @@ _CHECKED_COUNTS = {"cartan": ("qmax", "trials"), "annih-compare": ("trials",),
                    "deform": ("trials",)}
 
 
+_parser = None  # main's parser, built on its first call
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     for name in _COUNT_OPTIONS:
         value = getattr(args, name, None)
         if value is not None and value < 0:

@@ -75,7 +75,6 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
@@ -91,7 +90,6 @@ from .skew import (element_terms, element_tuple, monomial_coordinates,
                    permutation_sign, skew_basis)
 
 
-@dataclass(frozen=True)
 class ComplexSpec:
     """A complex (algebra, module, variant) the engine can slice, and its
     grading: ``shift`` is the common total degree in (lam1, d) of every
@@ -99,13 +97,11 @@ class ComplexSpec:
     (0 when there is none), or None when two terms differ or the complex
     is a scalar quotient with a != 0."""
 
-    algebra: object
-    module: object
-    variant: str = REDUCED
-    label: str = ""
-    shift: object = field(init=False)
-
-    def __post_init__(self):
+    def __init__(self, algebra, module, variant=REDUCED, label=""):
+        self.algebra = algebra
+        self.module = module
+        self.variant = variant
+        self.label = label
         if self.variant not in (BASIC, REDUCED):
             raise UnsupportedComplex(
                 f"the engine slices basic/reduced Lie complexes, not {self.variant}"
@@ -138,7 +134,7 @@ class ComplexSpec:
         degrees = {sum(e for _, e in mono) for p in entries for mono in p.terms}
         graded = len(degrees) <= 1 and not (self.scalar_quotient
                                             and self.module.del_scalar)
-        object.__setattr__(self, "shift", min(degrees, default=0) if graded else None)
+        self.shift = min(degrees, default=0) if graded else None
 
     @property
     def scalar_quotient(self):
@@ -465,21 +461,21 @@ def _remainder_rref(reduced, pivots, vectors):
     return linalg.sparse_rref(remainders)[0]
 
 
-@dataclass
 class BettiRow:
-    q: int
-    dim: int
-    bound: int
-    stabilized: bool
-    mode: str
-    representatives: list = field(default_factory=list)
+    def __init__(self, q, dim, bound, stabilized, mode, representatives=None):
+        self.q = q
+        self.dim = dim
+        self.bound = bound
+        self.stabilized = stabilized
+        self.mode = mode
+        self.representatives = [] if representatives is None else representatives
 
 
-@dataclass
 class BettiTable:
-    label: str
-    variant: str
-    rows: list
+    def __init__(self, label, variant, rows):
+        self.label = label
+        self.variant = variant
+        self.rows = rows
 
     def dims(self):
         return [row.dim for row in self.rows]
@@ -622,11 +618,11 @@ def betti(spec, qmax, bound=8, representatives=False):
     return table
 
 
-@dataclass
 class VerifyResult:
-    is_cocycle: bool
-    is_coboundary: bool
-    witness: object = None
+    def __init__(self, is_cocycle, is_coboundary, witness=None):
+        self.is_cocycle = is_cocycle
+        self.is_coboundary = is_coboundary
+        self.witness = witness
 
 
 def verify_cocycle(spec, gamma):

@@ -163,7 +163,8 @@ class Rep:
 
     def __init__(self, algebra, mats, names=None):
         self.algebra = algebra
-        self.mats = [[[Fraction(x) for x in row] for row in m] for m in mats]
+        self.mats = [[[x if isinstance(x, Fraction) else Fraction(x)
+                       for x in row] for row in m] for m in mats]
         self.dim = len(self.mats[0]) if self.mats else 0
         self.names = tuple(names) if names else tuple(
             f"u{j}" for j in range(self.dim)

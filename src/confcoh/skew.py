@@ -13,7 +13,6 @@ sequences, i.e. partitions of degree - q(q-1)/2 into at most q parts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations, product
 
 _PERM_CACHE = {}
@@ -39,12 +38,14 @@ def signed_permutations(q):
     return out
 
 
-@dataclass(frozen=True)
 class SkewBasis:
-    q: int
-    degree: int
-    gens: int
-    elements: tuple  # strictly-decreasing tuples of (gen, exp) pairs
+    __slots__ = ("q", "degree", "gens", "elements")
+
+    def __init__(self, q, degree, gens, elements):
+        self.q = q
+        self.degree = degree
+        self.gens = gens
+        self.elements = elements  # strictly-decreasing tuples of (gen, exp) pairs
 
 
 def skew_basis(q, degree, gens):

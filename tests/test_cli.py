@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from confcoh import cli
 from confcoh.cli import main
 
 
@@ -594,3 +598,61 @@ def test_a_spec_file_that_check_rejects_is_refused(tmp_path, capsys, spec,
     code, out, err = run(capsys, argv[0], "--spec-file", str(path), *argv[1:])
     assert (code, out, err) == (2, "", f"error: {failure}\n")
 
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _fresh(code, *argv):
+    """A new interpreter running ``code`` with confcoh importable from SRC."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=str(SRC) + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_betti_loads_no_subcommand_only_module():
+    # annihilation, calculus and extensions are imported by the subcommands
+    # that use them, and src uses no dataclasses
+    proc = _fresh("""
+import contextlib, io, sys
+from confcoh.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["betti", "--algebra", "vir", "--module", "trivial",
+                 "--qmax", "2", "--format", "json"])
+print(code, sorted(m for m in ("dataclasses", "confcoh.annihilation",
+                               "confcoh.calculus", "confcoh.extensions")
+                   if m in sys.modules))
+""")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 []\n", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ("annih-compare", "--algebra", "vir", "--module", "mda:1,0", "--qmax",
+     "1", "--levels", "2", "--trials", "1"),
+    ("cartan", "--algebra", "vir", "--qmax", "1", "--trials", "1"),
+    ("extend", "--algebra", "cur:sl2", "--module", "mu:V4", "--cocycle",
+     "remark81"),
+    ("deform", "--algebra", "cur:sl2", "--trials", "1"),
+], ids=lambda argv: argv[0])
+def test_subcommands_run_in_a_fresh_process(argv):
+    proc = _fresh("import sys; from confcoh.cli import main; "
+                  "sys.exit(main(sys.argv[1:]))", *argv)
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+
+
+def test_main_reuses_its_parser_across_calls(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["betti", "--qmax", "x"])
+    assert exc.value.code == 2
+    assert "invalid int value: 'x'" in capsys.readouterr().err
+    parser = cli._parser
+    assert parser is not None
+    code, _, err = run(capsys, "betti", "--algebra", "vir", "--module",
+                       "trivial", "--qmax", "-1")
+    assert (code, err) == (3, "error: --qmax must be >= 0, got -1\n")
+    code, out, err = run(capsys, "betti", *GOLDEN_BETTI["vir_trivial_reduced_q4"],
+                         "--representatives", "--format", "table")
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "vir_trivial_reduced_q4.txt").read_text()
+    assert cli._parser is parser

@@ -91,7 +91,7 @@ def test_coords_round_trip():
     assert coords_to_cochain(spec, 2, coords) == gamma
 
 
-def test_assemble_vir_c_reduced_slice():
+def test_full_slice_vir_c_reduced():
     # q=2 -> 3 at lam-degree 3: one quotient generator mapping onto the
     # Vandermonde direction
     spec = ComplexSpec(VIR, C, REDUCED)
@@ -104,7 +104,7 @@ def test_assemble_vir_c_reduced_slice():
             assert sum(e for _, e in elem) == 4
 
 
-def test_assemble_empty_domain():
+def test_full_slice_empty_domain():
     spec = ComplexSpec(VIR, C, REDUCED)
     pairs, cols = _full_slice(spec, 3, 1)  # no skew shapes of degree 1 on 3 slots
     assert pairs == [] and cols == []
@@ -872,15 +872,24 @@ def test_verify_cocycle_agrees_with_the_restriction(spec, qmax, degmax, abelian)
     assert seen == ({(True, True)} if abelian else {(False, True), (True, True)})
 
 
-def test_assemble_and_slice_pairs_read_the_full_slice():
+def test_full_slice_columns_keep_the_cartan_weight():
     g = sl2()
     spec = ComplexSpec(build_current(g), build_m_u(g, sl2_irrep(g, 2)), REDUCED)
     full = slice_pairs(spec, 1, 1)
     weight_zero = SliceComplex(spec).pairs(1, 1)
     assert weight_zero == [p for p in full if p in weight_zero]
     assert 0 < len(weight_zero) < len(full)
+    # d commutes with theta(h): the column of a pair of nonzero weight has
+    # its entries at pairs of the same weight
+    (weights,) = engine.cartan_weights(spec)
     pairs, columns = _full_slice(spec, 1, 1)
-    assert pairs == full and len(columns) == len(full)
+    seen = 0
+    for pair, column in zip(pairs, columns):
+        w = engine._weight(weights, pair)
+        if w and column:
+            assert {engine._weight(weights, p) for p in column} == {w}, pair
+            seen += 1
+    assert seen
 
 
 def _conjugated_v2(g):
