@@ -61,14 +61,15 @@ Two computation modes, decided by the spec (ComplexSpec.shift):
   window, and agreement across bounds D, D+1, D+2 is reported as the
   stabilized flag.  Per degree q the store keeps one cocycle kernel, of the
   top window D+2, whose prefixes are the kernels of the smaller windows,
-  and one coboundary RREF, grown from bound to bound; h is the rank of the
-  cocycles' remainders modulo that RREF.
+  and one coboundary echelon form, grown from bound to bound; h is the
+  rank of the cocycles' remainders modulo it.
 
 The scalar-module reduced complex is the quotient by the image of
 multiplication by (a + sum lam_i), taken one way, against the image rows:
-graded slices reduce their columns modulo the rows' RREF (_quotient), and
-window cocycles, window coboundaries and verify_cocycle eliminate the rows
-together with the columns or the target.  No variable is eliminated.
+graded slices reduce their columns modulo the rows' echelon form
+(_quotient), and window cocycles, window coboundaries and verify_cocycle
+eliminate the rows together with the columns or the target.  No variable is
+eliminated.
 """
 
 from __future__ import annotations
@@ -275,7 +276,7 @@ class SliceComplex:
         self._quotients = {}
         self._ranks = {}
         self._cocycles = {}  # q -> (bound, free indices, kernel vectors)
-        self._coboundaries = {}  # q -> (bound, RREF rows, pivots)
+        self._coboundaries = {}  # q -> (bound, echelon rows, pivots)
 
     def pairs(self, q, d):
         """The weight-0 basis pairs of (q, d), in slice order (all of them
@@ -307,22 +308,26 @@ class SliceComplex:
     # -- graded mode -------------------------------------------------------------
 
     def _quotient(self, q, d):
-        """RREF of the (sum lam_i) image inside slice (q, d); scalar reduced only."""
+        """Echelon form of the (sum lam_i) image inside slice (q, d); scalar
+        reduced only."""
         key = (q, d)
         if key not in self._quotients:
             rows = []
             if self.spec.scalar_quotient and q > 0 and d > 0:
                 rows = self.mult_rows(q, d - 1)
-            self._quotients[key] = linalg.sparse_rref(rows) if rows else ([], [])
+            self._quotients[key] = linalg.echelon(rows) if rows else ([], [])
         return self._quotients[key]
 
-    def _graded_matrix(self, q, d):
+    def _graded_matrix(self, q, d, exact=True):
         """Columns of the induced differential on quotient slices; with no
-        quotient in the target they are the stored columns, ints kept."""
-        reduced_out, pivots_out = self._quotient(q + 1, d + self.spec.shift)
+        quotient in the target they are the stored columns, ints kept.
+        Unless exact, a reduced column is an int multiple of its remainder,
+        which leaves the rank and the span of the columns unchanged."""
+        rows_out, pivots_out = self._quotient(q + 1, d + self.spec.shift)
         pivots_in = set(self._quotient(q, d)[1])
+        reduce = linalg.reduce_mod_span if exact else linalg.remainder_multiple
         return [
-            linalg.reduce_mod_span(reduced_out, pivots_out, col) if pivots_out else col
+            reduce(rows_out, pivots_out, col) if pivots_out else col
             for pair, col in zip(self.pairs(q, d), self.columns(q, d))
             if pair not in pivots_in
         ]
@@ -335,7 +340,7 @@ class SliceComplex:
             return 0
         key = (q, d)
         if key not in self._ranks:
-            cols = self._graded_matrix(q, d)
+            cols = self._graded_matrix(q, d, exact=False)
             self._ranks[key] = linalg.rank(linalg.transpose(cols)) if cols else 0
         return self._ranks[key]
 
@@ -361,9 +366,11 @@ class SliceComplex:
         h = len(kernel) - incoming
         if not h:
             return 0, []
-        prev_cols = self._graded_matrix(q - 1, d - shift) if incoming else []
+        prev_cols = (self._graded_matrix(q - 1, d - shift, exact=False)
+                     if incoming else [])
         cocycles = [{domain[j]: x for j, x in kvec.items()} for kvec in kernel]
-        normal = _remainder_rref(*linalg.sparse_rref(prev_cols), cocycles)
+        remainders = _remainders(*linalg.echelon(prev_cols), cocycles)
+        normal = linalg.sparse_rref(remainders)[0]
         return h, [coords_to_cochain(self.spec, q, row) for row in normal[:h]]
 
     # -- window mode -------------------------------------------------------------
@@ -411,14 +418,16 @@ class SliceComplex:
         return vectors[:bisect_left(frees, width)]
 
     def window_coboundaries(self, q, bound):
-        """RREF (rows, pivots) of the coboundaries in degree q over d <= bound:
-        the differentials of degree q - 1 and, for scalar coefficients, the
-        (a + sum lam_i) multiples.
+        """Echelon form (rows, pivots) of the coboundaries in degree q over
+        d <= bound: the differentials of degree q - 1 and, for scalar
+        coefficients, the (a + sum lam_i) multiples.
 
-        The RREF is kept per q for the largest window read so far and grown
-        by eliminating it together with the rows of the new d; the RREF of a
-        span is unique, so that equals a fresh elimination.  A smaller window
-        is eliminated afresh.
+        The echelon form is kept per q for the largest window read so far
+        and grown by eliminating its rows together with the rows of the new
+        d.  The rows may differ from those of a fresh elimination, but they
+        span the same space, so the pivot set and the remainder of each
+        vector (reduce_mod_span) are the same.  A smaller window is
+        eliminated afresh.
         """
         stored = self._coboundaries.get(q)
         if stored is not None and stored[0] == bound:
@@ -432,7 +441,7 @@ class SliceComplex:
                 rows += self.columns(q - 1, d)
             if self.spec.scalar_quotient:
                 rows += self.mult_rows(q, d)
-        reduced, pivots = linalg.sparse_rref([r for r in rows if r])
+        reduced, pivots = linalg.echelon([r for r in rows if r])
         if keep:
             self._coboundaries[q] = (bound, reduced, pivots)
         return reduced, pivots
@@ -444,21 +453,24 @@ class SliceComplex:
         rank of its remainders modulo the coboundaries, and the RREF of the
         remainders gives the normalized representatives.
         """
-        normal = _remainder_rref(*self.window_coboundaries(q, bound),
+        remainders = _remainders(*self.window_coboundaries(q, bound),
                                  self.window_cocycles(q, bound))
-        reps = [coords_to_cochain(self.spec, q, row) for row in normal] if want_reps else []
-        return len(normal), reps
+        if not want_reps:
+            return linalg.rank(remainders), []
+        normal = linalg.sparse_rref(remainders)[0]
+        return len(normal), [coords_to_cochain(self.spec, q, row) for row in normal]
 
 
-def _remainder_rref(reduced, pivots, vectors):
-    """RREF of the vectors modulo an already-reduced span; its length is the
-    dimension of their image in the quotient."""
+def _remainders(rows, pivots, vectors):
+    """The nonzero remainders of the vectors modulo an echelon or reduced
+    span, each as an int multiple: their rank and their RREF, what the
+    callers read, do not change under scaling."""
     remainders = []
     for v in vectors:
-        rem = linalg.reduce_mod_span(reduced, pivots, v)
+        rem = linalg.remainder_multiple(rows, pivots, v)
         if rem:
             remainders.append(rem)
-    return linalg.sparse_rref(remainders)[0]
+    return remainders
 
 
 class BettiRow:
@@ -552,10 +564,10 @@ def truncation_sweep(spec, qmax, bound=8, representatives=False):
     h vanishes at d = D+1 and D+2; a window row is stabilized when the three
     bounds agree.  A window row eliminates once for the cocycles of the top
     window D+2 (the lower windows read prefixes of that kernel), grows one
-    coboundary RREF through D, D+1 and D+2, and takes h at each bound as the
-    rank of the cocycles' remainders modulo it.  Either flag is evidence, not
-    proof: nothing above D+2 is read.  Cur sl2 / M_V(8) at qmax 4, bound 4
-    has H^4 = 0, stabilized, yet h(4, 10) = 1.
+    coboundary echelon form through D, D+1 and D+2, and takes h at each
+    bound as the rank of the cocycles' remainders modulo it.  Either flag is
+    evidence, not proof: nothing above D+2 is read.  Cur sl2 / M_V(8) at
+    qmax 4, bound 4 has H^4 = 0, stabilized, yet h(4, 10) = 1.
     """
     _check_counts(qmax, bound)
     store = SliceComplex(spec)

@@ -10,14 +10,26 @@ Inputs may hold ints, Fractions or both.  The elimination runs on primitive
 integer rows: each input row is cleared of its denominators by their lcm and
 divided by the gcd of its entries (its content), and a pivot row p with pivot
 entry a clears the entry c of another row r by r := (a/g) r - (c/g) p,
-g = gcd(a, c), after which r is made primitive again.  The pivot rows are
-cleared at the later pivots once the forward pass is done, from the last row
-up, and the unit-pivot Fraction rows are built once, at the end.  The RREF
-of a span is unique, so the reduced rows, pivots, kernels, solutions and
-remainders are the values a Fraction elimination gives, and every vector
-returned holds Fractions.  Each reduced row carries its primitive integer
-form (``ReducedRow.ints``, pivot entry positive), which reduce_mod_span and a
-later sparse_rref of the same rows read instead of clearing the row again.
+g = gcd(a, c), after which r is made primitive again.  The rows holding a key
+are found through a key -> row index built for each pass.
+
+It comes in two depths, and each caller reads the one it needs:
+
+* echelon, the forward pass alone: primitive int rows, each zero at every
+  earlier pivot.  Its pivot set is the RREF's, and reduced in increasing
+  pivot order a vector keeps the RREF's remainder, the unique vector of its
+  class that is zero at every pivot.  rank, the remainders of
+  reduce_mod_span and remainder_multiple, and the engine's quotients,
+  coboundary spans and remainder ranks read it.
+* the RREF: the pivot rows are also cleared at the later pivots, from the
+  last row up (back substitution).  sparse_rref builds the unit-pivot
+  Fraction rows from them, each carrying its primitive integer form
+  (``ReducedRow.ints``, pivot entry positive); kernel_of_columns and
+  solve_columns read the integer rows, one Fraction per entry.  Kernels,
+  solutions and the engine's representatives read these.
+
+The RREF of a span is unique, so rows, pivots, kernels, solutions and
+remainders are the values a Fraction elimination gives.
 
 A dense fraction-free (Bareiss) rank is kept alongside as the independent
 cross-check mandated for the rational elimination.
@@ -95,65 +107,115 @@ def _unit_row(ints, key):
     return row
 
 
-def sparse_rref(rows):
-    """Ordered reduced row echelon form of dict-vectors.
+def echelon(rows):
+    """Ordered row echelon form of dict-vectors: the forward pass alone.
 
-    Returns (reduced_rows, pivot_keys): nonzero ReducedRows with unit pivots,
-    each pivot key appearing in exactly one row, processed in sorted key
-    order; among the rows holding a key, the shortest (the first of those)
-    is its pivot row.  Entries may be int or Fraction; the reduced rows hold
-    Fractions.
+    Returns (rows, pivot_keys): primitive int rows, each with a positive
+    entry at its pivot key and zero at every earlier pivot, in increasing
+    pivot order.  Keys are processed in sorted order; among the rows holding
+    a key, the shortest (the first of those) is its pivot row.  Entries may
+    be int or Fraction.  The pivot set and the remainder of a vector modulo
+    the rows (reduce_mod_span) are those of the RREF.
     """
     work = [_primitive(r) for r in rows if r]
+    # key -> indices of the work rows that hold it or held it; a row only
+    # gains keys from its pivot rows, all above the current key
+    holders = {}
+    for i, r in enumerate(work):
+        for k in r:
+            ids = holders.get(k)
+            if ids is None:
+                holders[k] = [i]
+            else:
+                ids.append(i)
     reduced = []
     pivots = []
-    keys = sorted({k for r in work for k in r})
-    for key in keys:
-        pivot_row = None
-        best = None
-        for idx, r in enumerate(work):
-            if key in r and (best is None or len(r) < best):
-                pivot_row = idx
-                best = len(r)
-        if pivot_row is None:
+    for key in sorted(holders):
+        ids = [i for i in holders.pop(key) if key in work[i]]
+        if not ids:
             continue
-        row = work.pop(pivot_row)
+        best = ids[0]
+        size = len(work[best])
+        for i in ids:
+            n = len(work[i])
+            if n < size or n == size and i < best:
+                best, size = i, n
+        row = work[best]
+        work[best] = {}
         a = row[key]
         if a < 0:
             row = {k: -x for k, x in row.items()}
             a = -a
-        work = [_eliminate(r, key, row, a) if key in r else r for r in work]
-        work = [r for r in work if r]
+        # _eliminate inlined, so that each key a row gains is indexed
+        for i in ids:
+            r = work[i]
+            c = r.get(key)
+            if c is None:  # the pivot row, or an index listed twice
+                continue
+            g = gcd(a, c)
+            s, t = a // g, c // g
+            if s != 1:
+                r = {k: s * x for k, x in r.items()}
+            for k, x in row.items():
+                y = r.get(k)
+                if y is None:
+                    r[k] = -t * x
+                    holders[k].append(i)
+                else:
+                    y -= t * x
+                    if y:
+                        r[k] = y
+                    else:
+                        del r[k]
+            if r:
+                g = gcd(*r.values())
+                if g != 1:
+                    r = {k: x // g for k, x in r.items()}
+            work[i] = r
         reduced.append(row)
         pivots.append(key)
-    # back substitution, from the last pivot row up: the rows below are
-    # reduced already, so clearing one pivot entry brings back no other
+    return reduced, pivots
+
+
+def _back_substitute(rows, pivots):
+    """Clear each echelon row at the later pivots, in place, from the last
+    row up: the rows below are reduced already, so clearing one pivot entry
+    brings back no other.  The rows stay primitive, pivot entry positive."""
     place = {key: i for i, key in enumerate(pivots)}
-    for i in range(len(reduced) - 2, -1, -1):
-        r = reduced[i]
+    for i in range(len(rows) - 2, -1, -1):
+        r = rows[i]
         for key in [k for k in r if place.get(k, i) > i]:
-            p = reduced[place[key]]
+            p = rows[place[key]]
             r = _eliminate(r, key, p, p[key])
-        reduced[i] = r
-    return [_unit_row(r, key) for r, key in zip(reduced, pivots)], pivots
+        rows[i] = r
+    return rows
+
+
+def sparse_rref(rows):
+    """Ordered reduced row echelon form of dict-vectors.
+
+    Returns (reduced_rows, pivot_keys): nonzero ReducedRows with unit pivots,
+    each pivot key appearing in exactly one row, with the pivots of echelon.
+    Entries may be int or Fraction; the reduced rows hold Fractions.
+    """
+    ints, pivots = echelon(rows)
+    _back_substitute(ints, pivots)
+    return [_unit_row(r, key) for r, key in zip(ints, pivots)], pivots
 
 
 def rank(rows):
-    return len(sparse_rref(rows)[0])
+    return len(echelon(rows)[1])
 
 
-def reduce_mod_span(reduced_rows, pivots, vector):
-    """Remainder of vector modulo an already-reduced row space.
-
-    reduced_rows and pivots are as sparse_rref returns them; the remainder is
-    computed in ints over one common denominator and holds Fractions.
-    """
+def _reduce(rows, pivots, vector):
+    """(v, den): v / den is the remainder of vector modulo the rows, v an
+    int vector."""
     v, den = _cleared(vector)
-    for row, key in zip(reduced_rows, pivots):
+    for row, key in zip(rows, pivots):
         c = v.get(key)
         if c is None:
             continue
-        ints = row.ints
+        ints = row.ints if isinstance(row, ReducedRow) else row
         a = ints[key]
         g = gcd(a, c)
         s = a // g
@@ -164,7 +226,26 @@ def reduce_mod_span(reduced_rows, pivots, vector):
             if g != 1:
                 v = {k: x // g for k, x in v.items()}
                 den //= g
+    return v, den
+
+
+def reduce_mod_span(rows, pivots, vector):
+    """Remainder of vector modulo a row space, holding Fractions.
+
+    rows and pivots are as echelon or sparse_rref returns them, or a mix of
+    the two for one span (the rows in increasing pivot order, each zero at
+    the earlier pivots).  Reduced in that order, the vector is left zero at
+    every pivot key: the unique such vector of its class.  The remainder is
+    computed in ints over one common denominator.
+    """
+    v, den = _reduce(rows, pivots, vector)
     return {k: Fraction(x, den) for k, x in v.items()}
+
+
+def remainder_multiple(rows, pivots, vector):
+    """An int multiple of reduce_mod_span's remainder, for callers that
+    read only what scaling leaves unchanged: a rank, a span or an RREF."""
+    return _reduce(rows, pivots, vector)[0]
 
 
 def transpose(columns):
@@ -177,6 +258,12 @@ def transpose(columns):
     return list(rows.values())
 
 
+def _reduced_ints(columns):
+    """The back-substituted int rows and pivots of the transposed columns."""
+    rows, pivots = echelon(transpose(columns))
+    return _back_substitute(rows, pivots), pivots
+
+
 def kernel_of_columns(columns):
     """Kernel basis of the map x -> sum x_j columns[j].
 
@@ -184,30 +271,32 @@ def kernel_of_columns(columns):
     free index set in increasing order.
     """
     n = len(columns)
-    reduced, pivots = sparse_rref(transpose(columns))
+    rows, pivots = _reduced_ints(columns)
     pivot_set = set(pivots)
     basis = {free: {free: Fraction(1)}
              for free in range(n) if free not in pivot_set}
-    for row, piv in zip(reduced, pivots):
+    for row, piv in zip(rows, pivots):
         # the other entries of a reduced row sit at free indices
+        a = row[piv]
         for free, c in row.items():
             if free != piv:
-                basis[free][piv] = -c
+                basis[free][piv] = Fraction(-c, a)
     return list(basis.values())
 
 
 def solve_columns(columns, target):
     """Solve sum x_j columns[j] = target; returns x dict or None."""
     n = len(columns)
-    reduced, pivots = sparse_rref(transpose([*columns, target]))
+    rows, pivots = _reduced_ints([*columns, target])
     if n in pivots:
         return None
     x = {}
-    for row, piv in zip(reduced, pivots):
+    for row, piv in zip(rows, pivots):
         c = row.get(n)
         if c:
-            # Row reads x_piv + sum_{free} r_f x_f = c; free vars set to 0.
-            x[piv] = c
+            # Row reads a x_piv + sum_{free} r_f x_f = c, a its pivot entry;
+            # free vars set to 0.
+            x[piv] = Fraction(c, row[piv])
     return x
 
 

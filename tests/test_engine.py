@@ -807,19 +807,28 @@ def test_window_h_matches_separate_eliminations(spec, qmax, bound, has_classes):
 
 
 def test_window_sweep_eliminates_once_per_degree_for_the_cocycles(monkeypatch):
-    # per degree: one kernel over the top window, three coboundary RREFs
-    # grown from bound to bound and three RREFs of the remainders
+    # per degree: one kernel over the top window, and seven forward-only
+    # eliminations: the kernel's, three coboundary echelon forms grown from
+    # bound to bound and three ranks of the remainders.  Back substitution
+    # runs for the kernel alone, and for the remainders' RREF at the top
+    # bound when representatives are asked for
     from confcoh import linalg
 
     calls = []
-    for name in ("kernel_of_columns", "sparse_rref"):
+    for name in ("kernel_of_columns", "echelon", "_back_substitute",
+                 "sparse_rref"):
         real = getattr(linalg, name)
-        monkeypatch.setattr(linalg, name, lambda rows, real=real, name=name:
-                            calls.append(name) or real(rows))
-    table = truncation_sweep(ComplexSpec(VIR, build_trivial(1, 1), REDUCED), 2, 4)
-    assert {row.mode for row in table.rows} == {"window"}
-    assert calls.count("kernel_of_columns") == 3
-    assert calls.count("sparse_rref") == 3 * 7
+        monkeypatch.setattr(linalg, name, lambda *args, real=real, name=name:
+                            calls.append(name) or real(*args))
+    spec = ComplexSpec(VIR, build_trivial(1, 1), REDUCED)
+    for representatives in (False, True):
+        calls.clear()
+        table = truncation_sweep(spec, 2, 4, representatives)
+        assert {row.mode for row in table.rows} == {"window"}
+        assert calls.count("kernel_of_columns") == 3
+        assert calls.count("echelon") == 3 * 7
+        assert calls.count("sparse_rref") == 3 * representatives
+        assert calls.count("_back_substitute") == 3 + 3 * representatives
 
 
 def test_verify_cocycle_finds_coboundaries_of_nonzero_weight():

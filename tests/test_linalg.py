@@ -3,14 +3,17 @@ from fractions import Fraction
 from math import gcd
 
 from confcoh.linalg import (
+    echelon,
     intersection_dim,
     kernel_of_columns,
     rank,
     rank_bareiss,
     reduce_mod_span,
+    remainder_multiple,
     solve_columns,
     sparse_rref,
 )
+from oracles import echelon_oracle
 
 
 def dict_rows(dense):
@@ -299,3 +302,99 @@ def test_kernel_and_solve_match_fraction_oracle():
     assert kernel_of_columns([]) == []
     assert solve_columns([], {}) == {}
     assert solve_columns([], {0: 1}) is None
+
+
+# The forward-only echelon form against the scanning oracle, and the callers
+# that read it (rank, reduce_mod_span) against the RREF and Fraction routes.
+
+_BIG_DEN = 10**6 + 3
+
+
+def _echelon_entry(rng):
+    num = rng.choice([n for n in range(-9, 10) if n])
+    return rng.choice([num, num, Fraction(num, rng.choice([2, 9, _BIG_DEN]))])
+
+
+def _cancel_and_return(rng, k0, k1, k2, k3):
+    """Rows whose elimination at k0 cancels the third row's entry at k2,
+    which the second row, the pivot row of k1, brings back."""
+    a, b, m, x, y, z = (_echelon_entry(rng) for _ in range(6))
+    return [{k0: a, k2: b}, {k1: x, k2: z},
+            {k0: m * a, k1: x * y, k2: m * b, k3: y}]
+
+
+def _echelon_cases():
+    """The seeded matrices of _seeded_cases with zero rows, and with a
+    planted cancel-and-return pattern in half of them, plus a fixed one."""
+    for rng, (kind, tuple_keys), rows in _seeded_cases():
+        keys = sorted({k for r in rows for k in r})
+        rows = rows + [{}] * rng.randint(0, 2)
+        if len(keys) >= 4 and rng.random() < 0.5:
+            rows += _cancel_and_return(rng, *sorted(rng.sample(keys, 4)))
+            rows.append(dict(rng.choice(rows)))
+        rng.shuffle(rows)
+        yield rng, rows
+    yield random.Random(5), [{0: 2, 2: -3}, {1: 5, 2: 1},
+                             {0: 4, 1: 7, 2: -6, 3: Fraction(-1, _BIG_DEN)}]
+
+
+def test_echelon_matches_scanning_oracle():
+    cancelled = 0
+    for _, rows in _echelon_cases():
+        before = [dict(r) for r in rows]
+        got_rows, pivots = echelon(rows)
+        want_rows, want_pivots = echelon_oracle(rows)
+        assert rows == before
+        assert pivots == want_pivots
+        assert got_rows == want_rows
+        for i, (row, key) in enumerate(zip(got_rows, pivots)):
+            assert all(type(c) is int for c in row.values())
+            assert row[key] > 0 and gcd(*row.values()) == 1
+            assert not set(row) & set(pivots[:i])
+        assert pivots == sparse_rref(rows)[1]
+        cancelled += len(pivots) < len([r for r in rows if r])
+    assert cancelled > 100
+    # the third row loses key 2 at key 0 and gets it back at key 1
+    assert echelon([{0: 1, 2: 1}, {1: 1, 2: 1}, {0: 1, 1: 1, 2: 1, 3: 1}]) == (
+        [{0: 1, 2: 1}, {1: 1, 2: 1}, {2: 1, 3: -1}], [0, 1, 2])
+    assert echelon([]) == ([], [])
+    assert echelon([{}, {}]) == ([], [])
+
+
+def test_reduce_mod_span_reads_echelon_rows():
+    for rng, rows in _echelon_cases():
+        ech_rows, pivots = echelon(rows)
+        rref_rows, _ = sparse_rref(rows)
+        want_rows, _ = _oracle_rref(rows)
+        mixed = [rng.choice(pair) for pair in zip(ech_rows, rref_rows)]
+        keys = sorted({k for r in rows for k in r}, key=repr)
+        vectors = [dict(r) for r in rows]
+        if keys:
+            vectors += [{k: _echelon_entry(rng)
+                         for k in rng.sample(keys, rng.randint(1, len(keys)))}
+                        for _ in range(3)]
+        for v in vectors:
+            want = _oracle_reduce(want_rows, pivots, v)
+            for span in (ech_rows, rref_rows, mixed):
+                assert reduce_mod_span(span, pivots, v) == want
+            multiple = remainder_multiple(ech_rows, pivots, v)
+            assert all(type(c) is int for c in multiple.values())
+            assert multiple.keys() == want.keys()
+            assert len({Fraction(multiple[k]) / want[k] for k in want}) <= 1
+
+
+def test_rank_matches_bareiss_on_sparse_rows():
+    deficient = 0
+    for _, rows in _echelon_cases():
+        keys = sorted({k for r in rows for k in r}, key=repr)
+        dense = [[r.get(k, 0) for k in keys] for r in rows]
+        assert rank(rows) == rank_bareiss(dense)
+        deficient += rank(rows) < len([r for r in rows if r])
+    assert deficient > 100
+
+
+def test_kernel_of_echelon_cases_matches_fraction_oracle():
+    for _, columns in _echelon_cases():
+        kernel = kernel_of_columns(columns)
+        assert kernel == _oracle_kernel(columns)
+        assert _fraction_typed(kernel)
