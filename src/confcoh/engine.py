@@ -59,17 +59,18 @@ Two computation modes, decided by the spec (ComplexSpec.shift):
   span of the (a + sum lam_i) image rows, eliminated with the columns in
   one kernel); the coboundary space is approximated by images of the
   window, and agreement across bounds D, D+1, D+2 is reported as the
-  stabilized flag.  Per degree q the store keeps one cocycle kernel, of the
-  top window D+2, whose prefixes are the kernels of the smaller windows,
-  and one coboundary echelon form, grown from bound to bound; h is the
-  rank of the cocycles' remainders modulo it.
+  stabilized flag.  A row is one pass per degree q (window_row), which
+  reads the slices from the store and keeps nothing of its own: one
+  cocycle kernel of the top window D+2, whose prefixes are the kernels of
+  the smaller windows, one coboundary echelon form grown from D to D+2,
+  and h at each bound as the rank of the cocycles' remainders modulo it,
+  the remainders of one bound carried to the next.
 
 The scalar-module reduced complex is the quotient by the image of
 multiplication by (a + sum lam_i), taken one way, against the image rows:
 graded slices reduce their columns modulo the rows' echelon form
-(_quotient), and window cocycles, window coboundaries and verify_cocycle
-eliminate the rows together with the columns or the target.  No variable is
-eliminated.
+(_quotient), and window rows and verify_cocycle eliminate the rows together
+with the columns or the target.  No variable is eliminated.
 """
 
 from __future__ import annotations
@@ -227,11 +228,21 @@ def _weight(weights, pair):
     return module_weights[u] - sum(generator_weights[k] for k, _ in elem)
 
 
+def _defining_data(x):
+    """The algebra and module of a spec or a cochain, compared by value:
+    equal but distinct builds (sl2_example_cocycle makes its own) agree."""
+    a, m = x.algebra, x.module
+    return a.gen_names, a.table, a.del_scalars, m.kind, m.dim, m.action, m.del_scalar
+
+
 def apply_differential(spec, c):
     """d(c) as the sums of ``cochain.term_sums``; no Cochain or RatPoly."""
     if c.variant != spec.variant:
         raise ValueError(f"a {spec.variant} complex differentiates "
                          f"{spec.variant} cochains, not {c.variant}")
+    if ((c.algebra is not spec.algebra or c.module is not spec.module)
+            and _defining_data(c) != _defining_data(spec)):
+        raise ValueError("the cochain is not over the complex's algebra and module")
     return term_sums(c.algebra, c.module, c.q, c.variant, c.kernel_terms())
 
 
@@ -265,7 +276,9 @@ def _mult_coords(spec, pair):
 
 class SliceComplex:
     """The bidegree slices of one complex, each filled on first read and kept
-    for the life of the store: one entry-point call, never shared."""
+    for the life of the store: one entry-point call, never shared.  The
+    pairs, columns, image rows, graded quotients and graded ranks are kept;
+    a window row is computed from them in one pass and not kept."""
 
     def __init__(self, spec):
         self.spec = spec
@@ -275,8 +288,6 @@ class SliceComplex:
         self._mult = {}
         self._quotients = {}
         self._ranks = {}
-        self._cocycles = {}  # q -> (bound, free indices, kernel vectors)
-        self._coboundaries = {}  # q -> (bound, echelon rows, pivots)
 
     def pairs(self, q, d):
         """The weight-0 basis pairs of (q, d), in slice order (all of them
@@ -375,90 +386,69 @@ class SliceComplex:
 
     # -- window mode -------------------------------------------------------------
 
-    def window_cocycles(self, q, bound):
-        """Kernel basis of the degree-q cocycle condition over d <= bound.
+    def window_row(self, q, bound, want_reps=False):
+        """([h at D, D+1, D+2], representatives at D+2) in degree q, D =
+        bound, each h over the window d <= that bound.  Nothing is kept.
 
-        One kernel is kept per q, for the largest window read so far.  The
-        domain is ordered by d and kernel_of_columns picks pivots in column
-        order, so a kernel vector's largest index is its free index, and the
-        RREF of a column prefix is the prefix of the RREF: the kernel of a
-        smaller window is the run of stored vectors whose free index falls
-        inside it, vector for vector.
+        Cocycles: one kernel over the top window D+2.  The domain is ordered
+        by d and kernel_of_columns picks pivots in column order, so the RREF
+        of a column prefix is the prefix of the RREF: the cocycles of a
+        smaller window are the vectors whose free index (their largest)
+        falls inside it.  Over a scalar quotient d of a cocycle need only lie
+        in the (a + sum lam_i) image, of one lam-degree less: the image rows
+        of degree q + 1 below the columns' top degree go ahead of the
+        columns.  They are independent, so every free index is a column.
 
-        Over a scalar quotient d of a cocycle need only lie in the (a + sum
-        lam_i) image, of one lam-degree less: the image rows of degree q + 1
-        below the columns' top degree go ahead of the columns.  They are
-        independent, so each is a pivot and every free index a column, and
-        the kernel vectors' column parts are the kernel of the columns
-        modulo the image, normalized as above.
+        Coboundaries: one echelon form of the differentials of degree q - 1
+        and, for scalar coefficients, the (a + sum lam_i) multiples, grown
+        from bound to bound by eliminating its rows with the rows of the new
+        d.  Its rows may differ from a fresh elimination's, but its span,
+        pivot set and remainders (reduce_mod_span) are the same.
+
+        Classes: the cocycles are independent, so h is the rank of their
+        remainders.  A remainder is the unique vector of its class that is
+        zero at every pivot and the coboundary span only grows, so at D+1
+        and D+2 only the echelon rows of the previous bound's remainders and
+        the new cocycles are reduced: the span of the remainders, and with
+        it h and their RREF (the representatives), is unchanged.
         """
-        stored = self._cocycles.get(q)
-        if stored is None or stored[0] < bound:
-            domain = []
-            zcols = []
-            for d in range(bound + 1):
-                domain += self.pairs(q, d)
-                zcols += self.columns(q, d)
-            rows = []
-            if self.spec.scalar_quotient:
-                top = max((sum(e for _, e in elem) for col in zcols for elem, _ in col),
-                          default=0)
-                for d in range(top):
-                    rows += self.mult_rows(q + 1, d)
-            kernel = linalg.kernel_of_columns(rows + zcols)
-            skip = len(rows)
-            stored = self._cocycles[q] = (
-                bound,
-                [max(kvec) - skip for kvec in kernel],
-                [{domain[j - skip]: x for j, x in kvec.items() if j >= skip}
-                 for kvec in kernel],
-            )
-        _, frees, vectors = stored
-        width = sum(len(self.pairs(q, d)) for d in range(bound + 1))
-        return vectors[:bisect_left(frees, width)]
-
-    def window_coboundaries(self, q, bound):
-        """Echelon form (rows, pivots) of the coboundaries in degree q over
-        d <= bound: the differentials of degree q - 1 and, for scalar
-        coefficients, the (a + sum lam_i) multiples.
-
-        The echelon form is kept per q for the largest window read so far
-        and grown by eliminating its rows together with the rows of the new
-        d.  The rows may differ from those of a fresh elimination, but they
-        span the same space, so the pivot set and the remainder of each
-        vector (reduce_mod_span) are the same.  A smaller window is
-        eliminated afresh.
-        """
-        stored = self._coboundaries.get(q)
-        if stored is not None and stored[0] == bound:
-            return stored[1], stored[2]
-        keep = stored is None or stored[0] < bound
-        start, rows = 0, []
-        if stored is not None and keep:
-            start, rows = stored[0] + 1, list(stored[1])
-        for d in range(start, bound + 1):
-            if q > 0:
-                rows += self.columns(q - 1, d)
-            if self.spec.scalar_quotient:
-                rows += self.mult_rows(q, d)
-        reduced, pivots = linalg.echelon([r for r in rows if r])
-        if keep:
-            self._coboundaries[q] = (bound, reduced, pivots)
-        return reduced, pivots
-
-    def window_h(self, q, bound, want_reps=False):
-        """(h, representatives) in degree q over the window d <= bound.
-
-        The cocycle basis is independent, so h = len(Z) - dim(Z & B) is the
-        rank of its remainders modulo the coboundaries, and the RREF of the
-        remainders gives the normalized representatives.
-        """
-        remainders = _remainders(*self.window_coboundaries(q, bound),
-                                 self.window_cocycles(q, bound))
+        top = bound + 2
+        domain, zcols, widths = [], [], []
+        for d in range(top + 1):
+            domain += self.pairs(q, d)
+            zcols += self.columns(q, d)
+            widths.append(len(domain))
+        image = []
+        if self.spec.scalar_quotient:
+            deg = max((sum(e for _, e in elem) for col in zcols for elem, _ in col),
+                      default=0)
+            for d in range(deg):
+                image += self.mult_rows(q + 1, d)
+        skip = len(image)
+        kernel = linalg.kernel_of_columns(image + zcols)
+        frees = [max(kvec) - skip for kvec in kernel]
+        cocycles = [{domain[j - skip]: x for j, x in kvec.items() if j >= skip}
+                    for kvec in kernel]
+        rows, classes, hs, seen = [], [], [], 0
+        for b in range(bound, top + 1):
+            for d in range(0 if b == bound else b, b + 1):
+                if q > 0:
+                    rows += self.columns(q - 1, d)
+                if self.spec.scalar_quotient:
+                    rows += self.mult_rows(q, d)
+            rows, pivots = linalg.echelon(rows)
+            new = bisect_left(frees, widths[b])
+            classes += cocycles[seen:new]
+            seen = new
+            remainders = _remainders(rows, pivots, classes)
+            if b == top and want_reps:
+                classes = linalg.sparse_rref(remainders)[0]
+            else:
+                classes = linalg.echelon(remainders)[0]
+            hs.append(len(classes))
         if not want_reps:
-            return linalg.rank(remainders), []
-        normal = linalg.sparse_rref(remainders)[0]
-        return len(normal), [coords_to_cochain(self.spec, q, row) for row in normal]
+            return hs, []
+        return hs, [coords_to_cochain(self.spec, q, row) for row in classes]
 
 
 def _remainders(rows, pivots, vectors):
@@ -562,11 +552,12 @@ def truncation_sweep(spec, qmax, bound=8, representatives=False):
 
     A graded row sums the per-bidegree h over d <= D+2 and is stabilized when
     h vanishes at d = D+1 and D+2; a window row is stabilized when the three
-    bounds agree.  A window row eliminates once for the cocycles of the top
-    window D+2 (the lower windows read prefixes of that kernel), grows one
-    coboundary echelon form through D, D+1 and D+2, and takes h at each
-    bound as the rank of the cocycles' remainders modulo it.  Either flag is
-    evidence, not proof: nothing above D+2 is read.  Cur sl2 / M_V(8) at
+    bounds agree.  A window row is one SliceComplex.window_row pass per
+    degree, which keeps nothing: one kernel for the cocycles of the top
+    window D+2, one coboundary echelon form grown through D, D+1 and D+2,
+    and each top-window cocycle reduced once, its remainder carried from
+    bound to bound.  Either flag is evidence, not proof: nothing above D+2
+    is read.  Cur sl2 / M_V(8) at
     qmax 4, bound 4 has H^4 = 0, stabilized, yet h(4, 10) = 1.
     """
     _check_counts(qmax, bound)
@@ -575,10 +566,9 @@ def truncation_sweep(spec, qmax, bound=8, representatives=False):
     rows = []
     for q in range(qmax + 1):
         if spec.shift is None:
-            store.window_cocycles(q, top)  # the one kernel; lower bounds read prefixes
-            lower = [store.window_h(q, b)[0] for b in (bound, bound + 1)]
-            dim, reps = store.window_h(q, top, representatives)
-            stabilized = lower[0] == lower[1] == dim
+            hs, reps = store.window_row(q, bound, representatives)
+            dim = hs[-1]
+            stabilized = hs[0] == hs[1] == dim
         else:
             per_d = [store.graded_h(q, d, representatives)
                      for d in range(top + 1)]

@@ -132,9 +132,8 @@ def test_window_and_graded_agree_on_vir_c():
     store = SliceComplex(ComplexSpec(VIR, C, REDUCED))
     assert store.spec.shift == 1
     for q in range(4):
-        hg = sum(store.graded_h(q, d)[0] for d in range(7))
-        hw, _ = store.window_h(q, 6)
-        assert hg == hw
+        hg = [store.graded_h(q, d)[0] for d in range(7)]
+        assert store.window_row(q, 4) == ([sum(hg[:5]), sum(hg[:6]), sum(hg)], [])
 
 
 @pytest.mark.parametrize("qmax, bound", [(-1, 4), (2, -1)])
@@ -388,6 +387,34 @@ def test_verify_cocycle_reuses_the_placements_kept_on_the_algebra(monkeypatch):
     del placed[:]
     SliceComplex(spec).columns(1, 2)
     assert not before & set(placed)
+
+
+def test_verify_cocycle_refuses_a_cochain_over_another_complex():
+    # a Cur sl2/C 2-cochain (another algebra) and a Vir/M_{1,0} 1-cochain
+    # (another module) are refused over Vir/C, as a variant mismatch is;
+    # equal but distinct builds of Vir and C are the same complex
+    spec = ComplexSpec(VIR, C, REDUCED)
+    rng = random.Random(27)
+    others = [
+        random_skew_cochain(build_current(sl2()), build_trivial(1, 0), 2, 2, rng,
+                            variant=REDUCED),
+        random_skew_cochain(VIR, build_m_delta_alpha(1, 0), 1, 2, rng,
+                            variant=REDUCED),
+    ]
+    for gamma in others:
+        assert gamma.values
+        with pytest.raises(ValueError, match="not over the complex"):
+            verify_cocycle(spec, gamma)
+    with pytest.raises(ValueError, match="differentiates"):
+        verify_cocycle(spec, random_skew_cochain(VIR, C, 2, 2, rng, variant=BASIC))
+    for q in (1, 2, 3):
+        gamma = random_skew_cochain(build_vir(), build_trivial(1, 0), q, 3, rng,
+                                    variant=REDUCED)
+        res = verify_cocycle(spec, gamma)
+        own = verify_cocycle(ComplexSpec(gamma.algebra, gamma.module, REDUCED), gamma)
+        assert (res.is_cocycle, res.is_coboundary) == \
+            (own.is_cocycle, own.is_coboundary)
+    assert verify_cocycle(spec, d_reduced(gamma)).is_coboundary
 
 
 def test_window_mode_on_filtered_module():
@@ -697,9 +724,8 @@ def test_graded_slicing_consistent_with_window_sum():
     store = SliceComplex(spec)
     assert spec.shift == 0
     for q in (0, 1, 2):
-        hg = sum(store.graded_h(q, d)[0] for d in range(5))
-        hw, _ = store.window_h(q, 4)
-        assert hg == hw
+        hg = [store.graded_h(q, d)[0] for d in range(5)]
+        assert store.window_row(q, 2) == ([sum(hg[:3]), sum(hg[:4]), sum(hg)], [])
 
 
 def _window_h_oracle(store, q, bound, want_reps=False):
@@ -768,34 +794,29 @@ def _window_fixtures():
 
 @pytest.mark.parametrize("spec, qmax, bound, has_classes", _window_fixtures())
 def test_window_h_matches_separate_eliminations(spec, qmax, bound, has_classes):
-    # the shared top-window kernel and the grown coboundary RREF give the
-    # cocycle kernel, the h and the representatives of a separate
-    # elimination per window: in the sweep's call order, in a fresh store
-    # asked for one bound alone and with the bounds asked from the top down
+    # window_row's one top-window kernel, grown coboundary echelon form and
+    # carried remainders give the h of a separate elimination per window at
+    # D, D+1 and D+2 and its representatives at D+2.  Each of the fixture's
+    # bounds >= 2 is read as a top, so the representatives of the lower
+    # windows are checked too; the sweep reports the top row, stabilized
+    # when the three bounds agree
     oracle_store = SliceComplex(spec)
-    sweep = SliceComplex(spec)
-    top_down = SliceComplex(spec)
+    store = SliceComplex(spec)
     bounds = (bound, bound + 1, bound + 2)
     oracle = []
-    cocycles = {}
     for q in range(qmax + 1):
         expected = {}
-        for b in bounds:
-            h, reps, cocycles[b] = _window_h_oracle(oracle_store, q, b, True)
+        for b in range(max(bound - 2, 0), bound + 3):
+            h, reps, _ = _window_h_oracle(oracle_store, q, b, True)
             expected[b] = (h, [_coords(c) for c in reps])
         oracle.append(expected)
-        sweep.window_cocycles(q, bounds[-1])
-        for store, order in ((sweep, bounds), (top_down, bounds[::-1])):
-            for b in order:
-                h, reps = store.window_h(q, b, True)
-                assert (h, [_coords(c) for c in reps]) == expected[b], (q, b)
-                assert store.window_cocycles(q, b) == cocycles[b], (q, b)
-        for b in bounds:
-            fresh = SliceComplex(spec)
-            h, reps = fresh.window_h(q, b, True)
-            assert (h, [_coords(c) for c in reps]) == expected[b], (q, b)
-            assert fresh.window_cocycles(q, b) == cocycles[b], (q, b)
-            assert sweep.window_h(q, b) == (expected[b][0], [])
+        for top in bounds:
+            if top < 2:
+                continue
+            hs = [expected[b][0] for b in (top - 2, top - 1, top)]
+            got, reps = store.window_row(q, top - 2, True)
+            assert (got, [_coords(c) for c in reps]) == (hs, expected[top][1]), (q, top)
+            assert store.window_row(q, top - 2) == (hs, []), (q, top)
     assert any(e[b][0] for e in oracle for b in bounds) == has_classes
     table = truncation_sweep(spec, qmax, bound, representatives=True)
     if table.rows[0].mode == "window":
@@ -809,26 +830,42 @@ def test_window_h_matches_separate_eliminations(spec, qmax, bound, has_classes):
 def test_window_sweep_eliminates_once_per_degree_for_the_cocycles(monkeypatch):
     # per degree: one kernel over the top window, and seven forward-only
     # eliminations: the kernel's, three coboundary echelon forms grown from
-    # bound to bound and three ranks of the remainders.  Back substitution
-    # runs for the kernel alone, and for the remainders' RREF at the top
-    # bound when representatives are asked for
+    # bound to bound and three of the remainders.  Back substitution runs
+    # for the kernel alone, and for the remainders' RREF at the top bound
+    # when representatives are asked for.  Each top-window cocycle is
+    # reduced once, at the first bound whose window holds it, and so is
+    # each echelon row of the remainders carried from D to D+1 and from
+    # D+1 to D+2
     from confcoh import linalg
 
     calls = []
     for name in ("kernel_of_columns", "echelon", "_back_substitute",
-                 "sparse_rref"):
+                 "sparse_rref", "remainder_multiple"):
         real = getattr(linalg, name)
         monkeypatch.setattr(linalg, name, lambda *args, real=real, name=name:
                             calls.append(name) or real(*args))
     spec = ComplexSpec(VIR, build_trivial(1, 1), REDUCED)
+    qmax, bound = 2, 4
+    oracle_store = SliceComplex(spec)
+    reductions = []
+    for q in range(qmax + 1):
+        (h0, _, _), (h1, _, _), (_, _, top_cocycles) = (
+            _window_h_oracle(oracle_store, q, b) for b in (bound, bound + 1, bound + 2))
+        reductions.append(len(top_cocycles) + h0 + h1)
+    assert all(reductions)
     for representatives in (False, True):
         calls.clear()
-        table = truncation_sweep(spec, 2, 4, representatives)
+        table = truncation_sweep(spec, qmax, bound, representatives)
         assert {row.mode for row in table.rows} == {"window"}
         assert calls.count("kernel_of_columns") == 3
         assert calls.count("echelon") == 3 * 7
         assert calls.count("sparse_rref") == 3 * representatives
         assert calls.count("_back_substitute") == 3 + 3 * representatives
+        # the calls of degree q run from its kernel to the next one
+        starts = [i for i, name in enumerate(calls) if name == "kernel_of_columns"]
+        per_degree = [calls[i:j].count("remainder_multiple")
+                      for i, j in zip(starts, starts[1:] + [len(calls)])]
+        assert per_degree == reductions
 
 
 def test_verify_cocycle_finds_coboundaries_of_nonzero_weight():
