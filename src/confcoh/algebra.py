@@ -74,13 +74,13 @@ class ConformalAlgebra:
         # the differentials' read plans and bracket expansion table, the
         # engine's skew placements per (sorted tuple, exponent vector), the
         # annihilation algebra's j-th products and level brackets, and the
-        # reads of the action on cochains, filled on use
+        # slot reads of contraction and the action on cochains, filled on use
         self._read_plans = {}
         self._placements = {}
         self._bracket_expansions = {}
         self._jth_products = {}
         self._level_brackets = {}
-        self._theta_reads = {}
+        self._slot_reads = {}
 
     @property
     def ngens(self):

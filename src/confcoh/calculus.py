@@ -86,14 +86,14 @@ def wedge(u, gamma):
 
 
 def contract_lambda(a, gamma):
-    """(iota_mu(a) gamma): slot-one evaluation at the external parameter."""
+    """(iota_mu(a) gamma): slot-one evaluation at the external parameter.
+
+    The parameters and a's antilinear feeds are kept on the algebra
+    (``_iota_reads``)."""
     n = gamma.q
     if n == 0:
         raise DegreeZero("cannot contract a 0-cochain")
-    width = max(n - 1, lam_count(a))
-    slot = SlotParam(EXT_POLY, width)
-    params = [slot] + [SlotParam(lam_var(s + 1), width) for s in range(n - 1)]
-    feeds = antilinear_feeds(a, slot)
+    width, params, feeds = _iota_reads(gamma.algebra, a, n)
     terms = {}
     for T in sorted_tuples(gamma.algebra.ngens, n - 1):
         acc = terms[T] = [{} for _ in range(gamma.module.dim)]
@@ -132,28 +132,63 @@ def lie_theta(a, gamma):
     return Cochain.from_terms(A, M, n, gamma.variant, terms, width)
 
 
+class _SlotReads:
+    """The slot reads of iota_mu(a) and theta_mu(a) for one element a, the
+    entry of the algebra's ``_slot_reads`` table, filled on use: brackets[k]
+    = [a_mu e_k], and iota[n] and theta[n], the reads on degree-n cochains.
+    Their feeds keep the products that slot insertion expands from them,
+    so each is expanded once per algebra."""
+
+    __slots__ = ("brackets", "iota", "theta")
+
+    def __init__(self):
+        self.brackets, self.iota, self.theta = None, {}, {}
+
+
+def _slot_reads(algebra, a):
+    """(a as a tuple, its entry of the algebra's slot-read table)."""
+    key = tuple(a)
+    entry = algebra._slot_reads.get(key)
+    if entry is None:
+        entry = algebra._slot_reads[key] = _SlotReads()
+    return key, entry
+
+
+def _iota_reads(algebra, a, n):
+    """(width, params, feeds) of iota_mu(a) on degree-n cochains: the
+    values' lam width; the parameters mu, lam1..lam_{n-1} of the fed
+    tuple's slots; and a's antilinear feeds into slot one at mu."""
+    key, entry = _slot_reads(algebra, a)
+    reads = entry.iota.get(n)
+    if reads is None:
+        width = max(n - 1, lam_count(key))
+        slot = SlotParam(EXT_POLY, width)
+        params = [slot] + [SlotParam(lam_var(s + 1), width)
+                           for s in range(n - 1)]
+        reads = entry.iota[n] = (width, params, antilinear_feeds(key, slot))
+    return reads
+
+
 def _theta_reads(algebra, a, n):
     """(brackets, width, slots, params, feeds) of theta_mu(a) on degree-n
-    cochains, kept on the algebra per a and n: brackets[k] = [a_mu e_k];
-    the values' lam width; slots[i], the parameter mu + lam_{i+1} of slot
-    i; params[i], every slot's parameter when slot i is fed; and feeds,
-    {(i, k): antilinear feeds of brackets[k] into slot i}, filled on use."""
-    key = tuple(a)
-    entry = algebra._theta_reads.get(key)
-    if entry is None:
+    cochains: brackets[k] = [a_mu e_k]; the values' lam width; slots[i],
+    the parameter mu + lam_{i+1} of slot i; params[i], every slot's
+    parameter when slot i is fed; and feeds, {(i, k): antilinear feeds of
+    brackets[k] into slot i}, filled on use."""
+    key, entry = _slot_reads(algebra, a)
+    if entry.brackets is None:
         units = [tuple(RatPoly.const(int(s == k)) for s in range(algebra.ngens))
                  for k in range(algebra.ngens)]
-        entry = algebra._theta_reads[key] = (
-            [bracket_eval(algebra, key, unit, param=EXT_POLY) for unit in units],
-            {})
-    brackets, by_degree = entry
-    reads = by_degree.get(n)
+        entry.brackets = [bracket_eval(algebra, key, unit, param=EXT_POLY)
+                          for unit in units]
+    brackets = entry.brackets
+    reads = entry.theta.get(n)
     if reads is None:
         width = max([n, lam_count(key)] + [lam_count(br) for br in brackets])
         lams = [SlotParam(lam_var(s + 1), width) for s in range(n)]
         slots = [SlotParam(EXT_POLY + lam_var(i + 1), width) for i in range(n)]
         params = [lams[:i] + [slots[i]] + lams[i + 1:] for i in range(n)]
-        reads = by_degree[n] = (brackets, width, slots, params, {})
+        reads = entry.theta[n] = (brackets, width, slots, params, {})
     return reads
 
 

@@ -37,8 +37,9 @@ row-major matrix (a list of lists) of polynomials per generator; scalar
 modules give "del_scalar" and no actions.  Entries are polynomials in lam1,
 d and named parameters (lam2 and above are a parse failure); ``check``
 accepts named parameters, ``betti`` and ``deform`` refuse them (exit 2).
-``betti`` and ``deform`` also refuse a spec file that ``check`` rejects
-(exit 2, with check's failing-identity line).
+``betti``, ``cartan``, ``annih-compare``, ``extend`` and ``deform`` also
+refuse a spec file that ``check`` rejects (exit 2, with check's
+failing-identity line).
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ from .cochain import (
     term_sums,
 )
 from .engine import ComplexSpec, truncation_sweep, verify_cocycle
-from .errors import ConfcohError, NotACocycle, ParseError
+from .errors import AxiomFailure, ConfcohError, NotACocycle, ParseError
 from .liealg import (
     abelian,
     adjoint_rep,
@@ -341,6 +342,16 @@ def _axioms(algebra, module, name):
     return report, None
 
 
+def _refuse_failing_spec(args, algebra, module, name):
+    """Raise AxiomFailure (exit 2) with check's failing-identity line if a
+    spec file's algebra or module fails an axiom; builtins are valid by
+    construction and skip the check."""
+    if args.spec_file:
+        failure = _axioms(algebra, module, name)[1]
+        if failure is not None:
+            raise AxiomFailure(failure)
+
+
 def cmd_check(args):
     algebra, module, name, _ = _resolve(args)
     report, failure = _axioms(algebra, module, name)
@@ -358,10 +369,7 @@ def cmd_betti(args):
     variant = REDUCED if args.variant == "reduced" else BASIC
     label = f"{name}/{args.module}" if args.module else name
     spec = ComplexSpec(algebra, module, variant, label=label)
-    if args.spec_file:  # builtins are valid by construction
-        failure = _axioms(algebra, module, name)[1]
-        if failure is not None:
-            return _fail(EXIT_AXIOM, failure)
+    _refuse_failing_spec(args, algebra, module, name)
     if args.bound is not None:
         bound = args.bound
     elif args.module and args.module.startswith(("trivial", "mu:")):
@@ -387,6 +395,7 @@ def cmd_cartan(args):
     from .calculus import contract_lambda, lie_theta
 
     algebra, module, name, _ = _resolve(args)
+    _refuse_failing_spec(args, algebra, module, name)
     if module is None:
         module = build_trivial(1, 0)
     rng = random.Random(args.seed)
@@ -424,6 +433,7 @@ def cmd_annih_compare(args):
     from .annihilation import ce_differential_eval, phi_on_pool
 
     algebra, module, name, _ = _resolve(args)
+    _refuse_failing_spec(args, algebra, module, name)
     if module is None:
         module = build_trivial(1, 0)
     rng = random.Random(args.seed)
@@ -529,6 +539,7 @@ def cmd_extend(args):
     algebra, module, name, reps = _resolve(args)
     if module is None:
         return _fail(EXIT_PARSE, "extend needs --module")
+    _refuse_failing_spec(args, algebra, module, name)
     if args.cocycle == "remark81":
         datum = _remark81_datum(name, module, reps)
     else:
@@ -547,10 +558,7 @@ def cmd_deform(args):
     from .extensions import deform
 
     algebra, module, name, _ = _resolve(args)
-    if args.spec_file:  # builtins are valid by construction
-        failure = _axioms(algebra, module, name)[1]
-        if failure is not None:
-            return _fail(EXIT_AXIOM, failure)
+    _refuse_failing_spec(args, algebra, module, name)
     adjoint = adjoint_module(algebra)
     if args.cocycle:
         defo = deform(algebra, _read_cocycle(args.cocycle, algebra, adjoint))

@@ -42,7 +42,9 @@ lam_{s+1} goes to the parameter of slot perm[s], with the permutation's
 sign.  A bare lam parameter is a relabel; any other, such as mu + lam_i, is
 a ``SlotParam`` whose powers are expanded once, in ints where integral, and
 the argument's d becomes -slot_param through the same powers
-(``antilinear_feeds``).
+(``antilinear_feeds``).  Each product of a term's parameter powers and a
+feed is expanded once and kept with the feed, so the feeds of iota and
+theta, kept on the algebra, expand it once per algebra.
 """
 
 from __future__ import annotations
@@ -260,7 +262,7 @@ class Cochain:
             return self.value_on(t)
         n = lam_count(params)
         acc = [{} for _ in range(self.module.dim)]
-        self.add_inserted(acc, [(t[0], unit_terms(n))], 0, t[1:],
+        self.add_inserted(acc, [(t[0], unit_terms(n), {})], 0, t[1:],
                           [SlotParam(p, n) for p in params])
         return terms_to_vec(acc, n)
 
@@ -293,39 +295,41 @@ class Cochain:
         s-th slot at params[s], into ``acc``: per component,
         {(lam exponents, rest): coeff}.
 
-        ``feeds`` is [(k, scal_k terms)] from ``antilinear_feeds`` and
-        ``params`` holds one SlotParam per slot of the fed tuple.  A skew
+        ``feeds`` is [(k, scal_k terms, products)] from ``antilinear_feeds``
+        and ``params`` holds one SlotParam per slot of the fed tuple.  A skew
         value is read on the sorted tuple: its stored lam_{s+1} is the slot
         perm[s], so it takes params[perm[s]], and the permutation's sign.
+        The product of a term's slot-parameter powers and scal_k depends
+        only on the slots read and the term's exponent vector; it is
+        expanded once and kept in the feed's ``products``, {read: {lam
+        exponents: [(key, coeff)]}}, so a feed that outlives the call (iota
+        and theta keep theirs on the algebra) expands each product once.
         """
         split = self.kernel_terms()
-        for k, scal in feeds:
+        for k, scal, products in feeds:
             stored, perm = self._stored(rest_gens[:pos] + (k,)
                                         + rest_gens[pos:])
             comps = split.get(stored)
             if comps is None:
                 continue
             sign = scale * permutation_sign(perm)
-            read = [params[p] for p in perm]
-            n = read[0].n
+            read = tuple(params[p] for p in perm)
+            by_ev = products.get(read)
+            if by_ev is None:
+                by_ev = products[read] = {}
             for comp, terms in zip(acc, comps):
                 for (ev, rest), coeff in terms.items():
-                    # bare lam parameters relabel; the others expand
-                    lv = [0] * n
-                    powers = []
-                    for p, e in zip(read, ev):
-                        if not e:
-                            continue
-                        if p.lam is None:
-                            powers.append(p.power(e))
-                        else:
-                            lv[p.lam] += e
-                    parts = [(tuple(lv), rest, coeff * sign)]
-                    for terms_e in powers:
-                        parts = mul_terms(parts, terms_e)
-                    for key_ev, key_rest, c in mul_terms(parts, scal):
-                        key = (key_ev, key_rest)
-                        comp[key] = comp.get(key, 0) + c
+                    prod = by_ev.get(ev)
+                    if prod is None:
+                        prod = by_ev[ev] = _slot_product(read, ev, scal)
+                    coeff *= sign
+                    if rest:
+                        for (key_ev, key_rest), c in prod:
+                            key = (key_ev, _mono_mul(rest, key_rest))
+                            comp[key] = comp.get(key, 0) + c * coeff
+                    else:
+                        for key, c in prod:
+                            comp[key] = comp.get(key, 0) + c * coeff
 
     def _stored(self, t):
         """(stored tuple, perm) for a value on t: the stored lam_{s+1} is
@@ -446,7 +450,8 @@ class SlotParam:
     parameters.  A bare lam variable only relabels (``lam`` is its 0-based
     index); any other parameter expands its powers, with int coefficients
     where integral, on first use, and keeps them, so one instance serves
-    every slot insertion of a calculus call."""
+    every slot insertion that reads it (iota and theta keep theirs on the
+    algebra)."""
 
     __slots__ = ("n", "lam", "terms", "_powers")
 
@@ -467,9 +472,29 @@ class SlotParam:
         return powers[e]
 
 
+def _slot_product(read, ev, scal):
+    """[((lam exponents, rest), coeff)]: the product of read[s]^ev[s] over
+    the slots and the feed terms ``scal``, collected.  A bare lam parameter
+    relabels; the others expand through their kept powers."""
+    lv = [0] * read[0].n
+    powers = []
+    for p, e in zip(read, ev):
+        if not e:
+            continue
+        if p.lam is None:
+            powers.append(p.power(e))
+        else:
+            lv[p.lam] += e
+    parts = [(tuple(lv), (), 1)]
+    for terms_e in powers:
+        parts = mul_terms(parts, terms_e)
+    return [((e, rest), c) for e, rest, c in _collect(mul_terms(parts, scal))]
+
+
 def antilinear_feeds(avec, slot):
-    """[(k, scal_k terms)]: each nonzero avec[k] with d := -slot, the
-    conformal antilinearity of a slot at parameter ``slot``."""
+    """[(k, scal_k terms, products)]: each nonzero avec[k] with d := -slot,
+    the conformal antilinearity of a slot at parameter ``slot``, and an
+    empty table for the products ``add_inserted`` expands from it."""
     feeds = []
     for k, coeff in enumerate(avec):
         terms = []
@@ -479,7 +504,7 @@ def antilinear_feeds(avec, slot):
                                slot.power(m))
         terms = _collect(terms)
         if terms:
-            feeds.append((k, terms))
+            feeds.append((k, terms, {}))
     return feeds
 
 

@@ -13,6 +13,10 @@ class ParseError(ConfcohError):
         super().__init__(message)
 
 
+class AxiomFailure(ConfcohError):
+    """A spec file's algebra or module fails an axiom that check tests."""
+
+
 class RepNotValid(ConfcohError):
     """Supplied matrices do not satisfy [rho(a), rho(b)] = rho([a, b])."""
 

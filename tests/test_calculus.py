@@ -20,6 +20,7 @@ from confcoh.calculus import (
     wedge,
 )
 from confcoh.algebra import bracket_eval
+from confcoh import cochain as cochain_module
 from confcoh.cochain import (
     BASIC,
     LEIBNIZ,
@@ -461,11 +462,79 @@ def test_theta_reads_are_kept_per_element_and_degree():
     a = _elements(cur.ngens)[1]
     gamma = random_skew_cochain(cur, mod, 2, 3, rng, max_del=1)
     first = lie_theta(a, gamma)
-    reads = cur._theta_reads[a]
+    reads = cur._slot_reads[a]
     assert lie_theta(list(a), gamma) == first == _theta_oracle(a, gamma)
-    assert cur._theta_reads[a] is reads and list(reads[1]) == [2]
+    assert cur._slot_reads[a] is reads and list(reads.theta) == [2]
     assert lie_theta(a, d_basic(gamma)) == _theta_oracle(a, d_basic(gamma))
-    assert sorted(reads[1]) == [2, 3]
+    assert sorted(reads.theta) == [2, 3]
+
+
+def _count_expansions(monkeypatch):
+    """{"power": calls, "mul_terms": calls}, counted while the test runs:
+    every product of slot-parameter powers and feeds goes through both."""
+    calls = {"power": 0, "mul_terms": 0}
+    power, mul_terms = SlotParam.power, cochain_module.mul_terms
+
+    def counted_power(self, e):
+        calls["power"] += 1
+        return power(self, e)
+
+    def counted_mul_terms(xs, ys):
+        calls["mul_terms"] += 1
+        return mul_terms(xs, ys)
+
+    monkeypatch.setattr(SlotParam, "power", counted_power)
+    monkeypatch.setattr(cochain_module, "mul_terms", counted_mul_terms)
+    return calls
+
+
+def test_iota_and_theta_expand_each_product_once_per_algebra(monkeypatch):
+    calls = _count_expansions(monkeypatch)
+    g = sl2()
+    fixtures = [
+        (build_vir(), build_m_delta_alpha(1, 0), 1),
+        (build_current(g), build_m_u(g, adjoint_rep(g)), 1),
+        (build_current(g), build_trivial(1, 0), 0),
+    ]
+    rng = random.Random(157)
+    for alg, mod, max_del in fixtures:
+        assert alg._slot_reads == {}  # a fresh algebra starts empty
+        a = _elements(alg.ngens)[1]
+        for q in (1, 2):
+            gamma = random_skew_cochain(alg, mod, q, 3, rng, max_del=max_del)
+            other = gamma.scale(Fraction(-2, 3))  # same terms, new coeffs
+            for op, oracle in ((contract_lambda, _contract_oracle),
+                               (lie_theta, _theta_oracle)):
+                first = op(a, gamma)
+                before = dict(calls)
+                second = op(a, other)
+                assert calls == before  # no new product expanded
+                assert first == oracle(a, gamma)
+                assert second == oracle(a, other)
+                assert second == first.scale(Fraction(-2, 3))
+        entry = alg._slot_reads[a]
+        assert list(alg._slot_reads) == [a]  # one entry serves iota and theta
+        assert sorted(entry.iota) == sorted(entry.theta) == [1, 2]
+        assert calls["power"] and calls["mul_terms"]
+
+
+def test_contract_and_theta_match_oracle_on_d_carrying_elements():
+    # (dL), L and an element mixing d-powers with mu, over Vir/M_{1,0} with
+    # d in the values; two cochains per degree on one algebra, so the second
+    # reads products the first expanded
+    rng = random.Random(163)
+    vir, m = build_vir(), build_m_delta_alpha(1, 0)
+    elements = [(D,), L_ELEM, (D ** 2 * MU - Fraction(1, 2) * D + 3,)]
+    nonzero = 0
+    for q in (1, 2, 3):
+        for _ in range(2):
+            gamma = random_skew_cochain(vir, m, q, 3, rng, max_del=1)
+            for a in elements:
+                nonzero += _assert_same_cochain(contract_lambda(a, gamma),
+                                                _contract_oracle(a, gamma))
+                nonzero += _assert_same_cochain(lie_theta(a, gamma),
+                                                _theta_oracle(a, gamma))
+    assert nonzero >= 30
 
 
 def test_contraction_by_lam_carrying_element_keeps_its_values():

@@ -584,17 +584,28 @@ FREE_MODULE = {"basis": ["v"], "actions": {"L": [["d + lam1^2"]]}}
      ("betti", "--qmax", "4", "--bound", "6")),
     ({"algebra": JACOBI_SPEC}, ("deform", "--trials", "3")),
     ({"algebra": VIR_SPEC, "module": FREE_MODULE}, ("betti",)),
-], ids=["betti-jacobi", "deform-jacobi", "betti-module"])
+    ({"algebra": JACOBI_SPEC}, ("cartan",)),
+    ({"algebra": JACOBI_SPEC}, ("annih-compare", "--seed", "2")),
+    ({"algebra": JACOBI_SPEC},
+     ("extend", "--module", "trivial", "--cocycle", "{cocycle}")),
+], ids=["betti-jacobi", "deform-jacobi", "betti-module", "cartan-jacobi",
+        "annih-jacobi", "extend-jacobi"])
 def test_a_spec_file_that_check_rejects_is_refused(tmp_path, capsys, spec,
                                                    argv):
     # betti printed a graded table (exit 0) for the Jacobi failure and
     # dimensions with a stabilization warning (exit 1) for the module;
-    # deform printed "deformation-roundtrip": true
+    # deform printed "deformation-roundtrip": true, annih-compare
+    # "ok": true (exit 0), cartan blamed "identity": "d-theta", and extend
+    # called the extension by the empty cocycle "invalid"
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
+    cocycle = tmp_path / "empty.json"
+    cocycle.write_text(json.dumps({"variant": "reduced", "q": 2,
+                                   "entries": []}))
     code, out, _ = run(capsys, "check", "--spec-file", str(path))
     assert code == 2
     failure = out.splitlines()[1]
+    argv = [str(cocycle) if a == "{cocycle}" else a for a in argv]
     code, out, err = run(capsys, argv[0], "--spec-file", str(path), *argv[1:])
     assert (code, out, err) == (2, "", f"error: {failure}\n")
 
